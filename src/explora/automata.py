@@ -118,6 +118,18 @@ class Automaton:
             out.update(d for d, _ in self.successors(q, letter))
         return frozenset(out)
 
+    @cached_property
+    def lasso_view(self) -> "LassoView":
+        """The table `member_lasso` reads, built once per automaton: safety and
+        reachability are normalized to max-parity ranks first."""
+        if self.condition == "finite":
+            raise ValueError("lasso membership needs an infinite-word automaton")
+        a = self
+        if a.condition in ("safety", "reachability"):
+            a = canonical_parity(a)
+        return LassoView.of((a.rank_range,), {
+            k: tuple((d, (r,)) for d, r in v) for k, v in a.delta.items()})
+
 
 @dataclass(frozen=True)
 class MultiAutomaton:
@@ -146,6 +158,24 @@ class MultiAutomaton:
         if letter not in self.alphabet:
             raise ValueError(f"letter {letter!r} not in alphabet of {self.name}")
         return self.delta.get((state, letter), ())
+
+    @cached_property
+    def lasso_view(self) -> "LassoView":
+        return LassoView.of(self.channels, self.delta)
+
+
+class LassoView(NamedTuple):
+    """An infinite-word automaton as lasso membership reads it: one max-parity
+    range per channel, (state, letter) -> ((dst, rank-vector), ...), and
+    whether every (state, letter) has at most one successor."""
+
+    channels: tuple[tuple[int, int], ...]
+    delta: dict[tuple[int, str], tuple[tuple[int, tuple[int, ...]], ...]]
+    deterministic: bool
+
+    @classmethod
+    def of(cls, channels, delta) -> "LassoView":
+        return cls(channels, delta, all(len(v) <= 1 for v in delta.values()))
 
 
 AnyAutomaton = Union[Automaton, MultiAutomaton]
@@ -351,42 +381,54 @@ def canonical_parity(a: Automaton) -> Automaton:
                      frozenset(trans), frozenset(), lo, hi)
 
 
-def _channel_view(a: AnyAutomaton):
-    """(channels, delta) with delta values (dst, rank-vector), after
-    normalizing single-channel conditions to max-parity ranks."""
-    if isinstance(a, MultiAutomaton):
-        return a.channels, a.delta
-    if a.condition == "finite":
-        raise ValueError("lasso membership needs an infinite-word automaton")
-    if a.condition in ("safety", "reachability"):
-        a = canonical_parity(a)
-    delta = {
-        k: tuple((d, (r,)) for d, r in v)
-        for k, v in a.delta.items()
-    }
-    return (a.rank_range,), delta
-
-
 def member_lasso(a: AnyAutomaton, w: LassoWord) -> bool:
     """True iff some run on the ultimately periodic word is accepting.
 
-    Unrolls the lasso into |prefix| + |period| positions, builds the product
-    graph, and for each channel and even rank r searches the period layer for
-    a reachable cycle that uses only ranks <= r on that channel and contains
-    a rank-r transition.
+    Unrolls the lasso into |prefix| + |period| positions.  A deterministic
+    automaton is decided by its unique run; otherwise see `_member_product`.
     """
     for letter in w.prefix + w.period:
         if letter not in a.alphabet:
             raise ValueError(f"letter {letter!r} not in alphabet of {a.name}")
-    channels, delta = _channel_view(a)
-    unroll = w.prefix + w.period
-    length, wrap = len(unroll), len(w.prefix)
+    view = a.lasso_view
+    decide = _member_run if view.deterministic else _member_product
+    return decide(view, a.initial, w.prefix + w.period, len(w.prefix))
+
+
+def _member_run(view: LassoView, initial: int, unroll, wrap: int) -> bool:
+    """Follow the unique run over the unrolled lasso until a (state, position)
+    pair repeats; the pairs since its first visit form the only reachable
+    cycle.  Accepts iff some channel's maximal rank on it is even; rejects if
+    the run dies."""
+    delta, length = view.delta, len(unroll)
+    node = (initial, 0)
+    first: dict[tuple[int, int], int] = {}
+    vectors = []
+    while node not in first:
+        first[node] = len(vectors)
+        q, i = node
+        succ = delta.get((q, unroll[i]))
+        if not succ:
+            return False
+        ((d, vec),) = succ
+        vectors.append(vec)
+        node = (d, i + 1 if i + 1 < length else wrap)
+    cycle = vectors[first[node]:]
+    return any(max(vec[c] for vec in cycle) % 2 == 0
+               for c in range(len(view.channels)))
+
+
+def _member_product(view: LassoView, initial: int, unroll, wrap: int) -> bool:
+    """Build the product graph with the unrolled lasso, and for each channel
+    and even rank r search the period layer for a reachable cycle that uses
+    only ranks <= r on that channel and contains a rank-r transition."""
+    delta, length = view.delta, len(unroll)
 
     def step(i: int) -> int:
         return i + 1 if i + 1 < length else wrap
 
     # reachable product nodes
-    init = (a.initial, 0)
+    init = (initial, 0)
     reachable = {init}
     frontier = [init]
     while frontier:
@@ -403,7 +445,7 @@ def member_lasso(a: AnyAutomaton, w: LassoWord) -> bool:
         if i >= wrap
         for d, vec in delta.get((q, unroll[i]), ())
     ]
-    for c, (lo, hi) in enumerate(channels):
+    for c, (lo, hi) in enumerate(view.channels):
         start = lo if lo % 2 == 0 else lo + 1
         for r in range(start, hi + 1, 2):
             sub = [(u, v) for u, v, vec in period_edges if vec[c] <= r]

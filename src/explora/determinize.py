@@ -118,8 +118,8 @@ def breakpoint_construction(a: Automaton) -> Monitor:
     assert is_deterministic(monitor) and is_complete(monitor)
     bound = config.capped_lasso_bound(len(a.alphabet))
     verdict = equivalent_on_lassos(a, monitor, bound)
-    assert verdict.equivalent, (
-        f"breakpoint monitor disagrees with source on {verdict.counterexample}")
+    if not verdict.equivalent:
+        raise MonitorMismatch(verdict.counterexample)
     return Monitor(monitor, "breakpoint")
 
 

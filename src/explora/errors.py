@@ -18,7 +18,8 @@ class MissingMonitor(ValueError):
 
 
 class MonitorMismatch(ValueError):
-    """A user-supplied monitor disagrees with the automaton on some lasso."""
+    """A monitor (user-supplied or built) disagrees with its source automaton
+    on some lasso."""
 
     def __init__(self, counterexample):
         self.counterexample = counterexample

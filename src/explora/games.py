@@ -732,6 +732,10 @@ def parse_arena(text: str, source: str = "<string>") -> tuple[Arena, Optional[Ob
         parts = line.split()
         if parts[0] != "e" or len(parts) != 3 + k:
             raise ParseError(source, no, f"'e <src> <dst>' plus {k} ranks")
+        if not all(_is_int(p) for p in parts[1:]):
+            raise ParseError(source, no, "integer positions and ranks in edge")
         src, dst = int(parts[1]), int(parts[2])
+        if not (0 <= src < n and 0 <= dst < n):
+            raise ParseError(source, no, f"positions in [0, {n - 1}], got {src} and {dst}")
         edges[src].append((dst, tuple(int(p) for p in parts[3:])))
     return Arena(owner, tuple(tuple(e) for e in edges), initial, tuple(channels)), obj

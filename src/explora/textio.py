@@ -21,8 +21,8 @@ from __future__ import annotations
 
 from typing import Optional, Union
 
-from .automata import (Automaton, LassoWord, MultiAutomaton, MultiTransition,
-                       Transition)
+from .automata import (_TAG_RANGE, Automaton, LassoWord, MultiAutomaton,
+                       MultiTransition, Transition)
 from .errors import ParseError
 
 
@@ -55,11 +55,17 @@ class _Reader:
             raise ParseError(self.source, no, f"'{key}: ...' line, got {line!r}")
         return no, line[len(key) + 1:].split()
 
-    def int_field(self, key: str) -> int:
+    def int_field(self, key: str, lo: Optional[int] = None,
+                  hi: Optional[int] = None) -> int:
+        """One integer, at least `lo` and at most `hi` when they are given."""
         no, parts = self.keyword_line(key)
         if len(parts) != 1 or not _is_int(parts[0]):
             raise ParseError(self.source, no, f"one integer after '{key}:'")
-        return int(parts[0])
+        value = int(parts[0])
+        if (lo is not None and value < lo) or (hi is not None and value > hi):
+            bounds = f"at least {lo}" if hi is None else f"in [{lo}, {hi}]"
+            raise ParseError(self.source, no, f"'{key}:' {bounds}, got {value}")
+        return value
 
 
 def _is_int(s: str) -> bool:
@@ -89,8 +95,8 @@ def parse_automaton(text: str, source: str = "<string>") -> Union[Automaton, Mul
     _, alphabet = r.keyword_line("alphabet")
     if not alphabet:
         raise ParseError(source, no, "at least one letter after 'alphabet:'")
-    num_states = r.int_field("states")
-    initial = r.int_field("initial")
+    num_states = r.int_field("states", 1)
+    initial = r.int_field("initial", 0, num_states - 1)
 
     item = r.peek()
     if item is not None and item[1].startswith("channels:"):
@@ -117,10 +123,15 @@ def _parse_single_body(r: _Reader, name, alphabet, num_states, initial) -> Autom
         no, parts = r.keyword_line("accepting")
         if tag != "finite":
             raise ParseError(r.source, no, "no 'accepting:' line outside finite mode")
+        if not all(_is_int(p) and 0 <= int(p) < num_states for p in parts):
+            raise ParseError(r.source, no, f"state ids in [0, {num_states - 1}] "
+                                           "after 'accepting:'")
         accepting = [int(p) for p in parts]
 
     transitions = []
     want_rank = tag != "finite"
+    ranges = (parity or _TAG_RANGE[tag],) if want_rank else ()
+    letters = frozenset(alphabet)
     while r.peek() is not None:
         no, line = r.next("transition line")
         parts = line.split()
@@ -134,7 +145,9 @@ def _parse_single_body(r: _Reader, name, alphabet, num_states, initial) -> Autom
             if not _is_int(parts[4]):
                 raise ParseError(r.source, no, "integer rank in transition")
             rank = int(parts[4])
-        transitions.append(Transition(int(parts[1]), parts[2], int(parts[3]), rank))
+        t = Transition(int(parts[1]), parts[2], int(parts[3]), rank)
+        _check_transition(r, no, num_states, letters, t, (rank,), ranges)
+        transitions.append(t)
     return Automaton.build(name, alphabet, num_states, initial, tag,
                            transitions, accepting, parity)
 
@@ -147,17 +160,34 @@ def _parse_multi_body(r: _Reader, name, alphabet, num_states, initial) -> MultiA
         if len(parts) != 3 or not all(_is_int(p) for p in parts):
             raise ParseError(r.source, no, "'range: <channel> <lo> <hi>'")
         ranges.append((int(parts[1]), int(parts[2])))
+    letters = frozenset(alphabet)
     transitions = []
     while r.peek() is not None:
         no, line = r.next("transition line")
         parts = line.split()
         if parts[0] != "t" or len(parts) != 4 + k:
             raise ParseError(r.source, no, f"'t <src> <letter> <dst>' plus {k} ranks")
-        transitions.append(MultiTransition(
-            int(parts[1]), parts[2], int(parts[3]),
-            tuple(int(p) for p in parts[4:])))
+        if not all(_is_int(p) for p in parts[1:2] + parts[3:]):
+            raise ParseError(r.source, no, "integer state ids and ranks in transition")
+        t = MultiTransition(int(parts[1]), parts[2], int(parts[3]),
+                            tuple(int(p) for p in parts[4:]))
+        _check_transition(r, no, num_states, letters, t, t.ranks, ranges)
+        transitions.append(t)
     return MultiAutomaton(name, tuple(alphabet), num_states, initial,
                           tuple(ranges), frozenset(transitions))
+
+
+def _check_transition(r: _Reader, no: int, num_states: int, letters, t,
+                      ranks, ranges) -> None:
+    """Endpoints, letter and ranks of one transition line."""
+    if not (0 <= t.src < num_states and 0 <= t.dst < num_states):
+        raise ParseError(r.source, no, f"state ids in [0, {num_states - 1}], "
+                                       f"got {t.src} and {t.dst}")
+    if t.letter not in letters:
+        raise ParseError(r.source, no, f"a letter of the alphabet, got {t.letter!r}")
+    for rank, (lo, hi) in zip(ranks, ranges):
+        if not lo <= rank <= hi:
+            raise ParseError(r.source, no, f"a rank in [{lo}, {hi}], got {rank}")
 
 
 def format_automaton(a: Union[Automaton, MultiAutomaton],

@@ -1,7 +1,8 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from explora.automata import (Automaton, LassoWord,
+from explora.automata import (Automaton, LassoWord, MultiAutomaton,
+                              MultiTransition, _member_product, _member_run,
                               canonical_parity, complete, equivalent_on_lassos,
                               equivalent_on_words, is_complete,
                               is_deterministic, iter_lassos, iter_words,
@@ -183,6 +184,64 @@ class TestMemberLasso:
             assert is_deterministic(a)
             for w in iter_lassos(["a", "b"], 5):
                 assert member_lasso(a, w) == simulate_deterministic(a, w)
+
+
+@st.composite
+def deterministic_automata(draw):
+    """Random automata with at most one successor per (state, letter):
+    single-channel safety, reachability, coBuchi or parity, or two-channel
+    multi-automata; about one in six (state, letter) pairs has no successor."""
+    kind = draw(st.sampled_from(
+        ["safety", "reachability", "cobuchi", "parity", "multi"]))
+    n = draw(st.integers(1, 4))
+
+    def parity_range():
+        lo = draw(st.integers(0, 2))
+        return lo, draw(st.integers(lo, lo + 3))
+
+    if kind == "multi":
+        ranges = (parity_range(), parity_range())
+    elif kind == "parity":
+        ranges = (parity_range(),)
+    else:
+        ranges = ((0, 1),)
+    table = []
+    for q in range(n):
+        for letter in ("a", "b"):
+            if draw(st.integers(0, 5)) == 0:
+                continue
+            ranks = tuple(draw(st.integers(lo, hi)) for lo, hi in ranges)
+            table.append((q, letter, draw(st.integers(0, n - 1)), ranks))
+    if kind == "multi":
+        return MultiAutomaton("dm", ("a", "b"), n, 0, ranges,
+                              frozenset(MultiTransition(*t) for t in table))
+    return Automaton.build("d", ["a", "b"], n, 0, kind,
+                           [(q, l, d, r) for q, l, d, (r,) in table],
+                           parity=ranges[0] if kind == "parity" else None)
+
+
+@settings(max_examples=80, deadline=None)
+@given(deterministic_automata())
+def test_direct_run_agrees_with_product_path(a):
+    view = a.lasso_view
+    assert view.deterministic
+    for w in iter_lassos(a.alphabet, 5):
+        unroll, wrap = w.prefix + w.period, len(w.prefix)
+        assert (_member_run(view, a.initial, unroll, wrap)
+                == _member_product(view, a.initial, unroll, wrap)), w
+
+
+def test_lasso_view_is_cached_and_leaves_equality_alone():
+    a, b = gen_fig4("right"), gen_fig4("right")
+    view = a.lasso_view
+    assert a.lasso_view is view
+    assert a == b and hash(a) == hash(b)
+    assert {a: 1}[b] == 1
+    m, m2 = (MultiAutomaton("m", ("a",), 1, 0, ((0, 1), (1, 2)),
+                            frozenset({MultiTransition(0, "a", 0, (0, 1))}))
+             for _ in range(2))
+    assert m.lasso_view.deterministic
+    assert m == m2 and hash(m) == hash(m2)
 
 
 def simulate_deterministic(a, w):

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from explora.cli import main
 from explora.generators import format_atm, gen_ak, gen_c, gen_fig4
 from explora.textio import format_automaton, parse_automaton
@@ -133,6 +135,51 @@ def test_parse_error_exit_code(tmp_path, capsys):
     bad = write(tmp_path, "bad.aut", "automaton x\nalphabet a\n")
     assert main(["k-explorable", "-k", "1", bad]) == 3
     assert "expected" in capsys.readouterr().err
+
+
+HEAD = "automaton x\nalphabet: a b\nstates: 2\ninitial: 0\n"
+
+
+@pytest.mark.parametrize("command, text, line", [
+    # transition target outside the 2 states
+    (["k-explorable", "-k", "1"], HEAD + "condition: finite\nt 0 a 7\n", 6),
+    # letter outside the alphabet
+    (["omega-explorable"], HEAD + "condition: safety\nt 0 a 1 1\nt 1 c 0 1\n", 7),
+    # rank outside the Buchi range [1, 2]
+    (["hd"], HEAD + "condition: buchi\nt 0 a 1 9\n", 6),
+    # rank outside a declared channel range
+    (["construct", "flatten"],
+     HEAD + "channels: 2\nrange: 0 1 2\nrange: 1 1 2\nt 0 a 1 1 3\n", 8),
+    # initial state and accepting state outside the 2 states
+    (["k-explorable", "-k", "1"],
+     HEAD.replace("initial: 0", "initial: 2") + "condition: finite\n", 4),
+    (["k-explorable", "-k", "1"],
+     HEAD + "condition: finite\naccepting: 0 2\nt 0 a 1\n", 6),
+], ids=["state", "letter", "buchi-rank", "channel-rank", "initial", "accepting"])
+def test_malformed_automaton_is_parse_error(tmp_path, capsys, command, text, line):
+    p = write(tmp_path, "bad.aut", text)
+    assert main(command + [p]) == 3
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert f"{p}:{line}: expected" in out.err
+
+
+def test_arena_edge_out_of_range_is_parse_error(tmp_path, capsys):
+    text = """arena
+positions: 2
+initial: 0
+channels: 1
+range: 0 0 1
+owner: 0 1
+e 0 1 0
+e 5 0 1
+objective: p0
+"""
+    arena = write(tmp_path, "bad.arena", text)
+    assert main(["solve-game", arena]) == 3
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert f"{arena}:8: expected" in out.err
 
 
 def test_missing_monitor_is_usage_error(tmp_path, capsys):

@@ -1,9 +1,15 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
-from explora.automata import (Automaton, canonical_parity,
-                              equivalent_on_lassos, equivalent_on_words,
-                              is_complete, is_deterministic, iter_words,
-                              member_finite)
+import explora
+from explora.automata import (Automaton, EquivalenceVerdict, LassoWord,
+                              canonical_parity, equivalent_on_lassos,
+                              equivalent_on_words, is_complete,
+                              is_deterministic, iter_words, member_finite)
 from explora.determinize import (breakpoint_construction,
                                  resolve_monitor, subset_construction)
 from explora.errors import MissingMonitor, MonitorMismatch
@@ -72,6 +78,37 @@ class TestBreakpointConstruction:
     def test_rejects_wrong_condition(self):
         with pytest.raises(ValueError):
             breakpoint_construction(automaton_corpus(1, 1, 2, ["a"], "buchi")[0])
+
+    def test_oracle_disagreement_raises(self, monkeypatch):
+        w = LassoWord.of("", "a")
+        monkeypatch.setattr("explora.determinize.equivalent_on_lassos",
+                            lambda a, b, bound: EquivalenceVerdict(False, w))
+        with pytest.raises(MonitorMismatch) as e:
+            breakpoint_construction(canonical_parity(gen_fig4("left")))
+        assert e.value.counterexample == w
+
+    def test_oracle_disagreement_raises_under_optimize(self):
+        # the self-check must not be an assert, which `python -O` strips
+        script = """
+import sys
+import explora.determinize as det
+from explora.automata import EquivalenceVerdict, LassoWord, canonical_parity
+from explora.errors import MonitorMismatch
+from explora.generators import gen_fig4
+det.equivalent_on_lassos = lambda a, b, bound: EquivalenceVerdict(
+    False, LassoWord.of("", "a"))
+try:
+    det.breakpoint_construction(canonical_parity(gen_fig4("left")))
+except MonitorMismatch:
+    sys.exit(0 if not __debug__ else 4)
+sys.exit(5)
+"""
+        src = str(Path(explora.__file__).resolve().parents[1])
+        path = os.environ.get("PYTHONPATH")
+        env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+        done = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
 
 
 class TestResolveMonitor:
