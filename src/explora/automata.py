@@ -565,3 +565,25 @@ def reachable_states(a: AnyAutomaton) -> frozenset[int]:
                     seen.add(d)
                     frontier.append(d)
     return frozenset(seen)
+
+
+def explore_graph(initial_key, expand):
+    """BFS-intern a lazily expanded graph: `expand(key)` yields
+    (successor key, label) pairs.  Returns the keys in discovery order (the
+    initial key is 0) and, per key, its (successor index, label) tuple."""
+    index = {initial_key: 0}
+    order = [initial_key]
+    edges = []
+    i = 0
+    while i < len(order):
+        out = []
+        for nxt, label in expand(order[i]):
+            j = index.get(nxt)
+            if j is None:
+                j = len(order)
+                index[nxt] = j
+                order.append(nxt)
+            out.append((j, label))
+        edges.append(tuple(out))
+        i += 1
+    return order, edges

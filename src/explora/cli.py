@@ -103,9 +103,12 @@ def _dump_witness(args, witness):
 def cmd_k_explorable(args) -> int:
     rep = _Report(args, "k-explorable", args.automaton)
     a = _read(args.automaton)
-    ok = is_k_explorable(a, args.k, _maybe_monitor(args))
-    if ok and args.witness:
-        _dump_witness(args, explorability_witness(a, args.k, _maybe_monitor(args)))
+    if args.witness:
+        witness = explorability_witness(a, args.k, _maybe_monitor(args))
+        ok = witness is not None
+        _dump_witness(args, witness)
+    else:
+        ok = is_k_explorable(a, args.k, _maybe_monitor(args))
     rep.extra["witness_k"] = args.k if ok else None
     return rep.finish(f"{args.k}-explorable: {ok}", 0 if ok else 1)
 

@@ -17,7 +17,7 @@ from typing import Sequence
 from . import config
 from .automata import (Automaton, AnyAutomaton, MultiAutomaton,
                        MultiTransition, Transition, canonical_parity,
-                       complete, is_deterministic)
+                       complete, explore_graph, is_deterministic)
 from .errors import ChannelBudgetExceeded
 
 
@@ -38,28 +38,15 @@ def union_product(automata: Sequence[Automaton]) -> AnyAutomaton:
     parts = [complete(b) if finite else canonical_parity(complete(b))
              for b in automata]
 
-    index: dict[tuple[int, ...], int] = {}
-    order: list[tuple[int, ...]] = []
-
-    def state_of(key) -> int:
-        if key not in index:
-            index[key] = len(order)
-            order.append(key)
-        return index[key]
-
-    state_of(tuple(p.initial for p in parts))
-    transitions = []
-    i = 0
-    while i < len(order):
-        key = order[i]
-        src = index[key]
+    def expand(key):
         for letter in alphabet:
             options = [p.successors(q, letter) for p, q in zip(parts, key)]
             for combo in product(*options):
-                dst = state_of(tuple(d for d, _ in combo))
-                ranks = tuple(r for _, r in combo)
-                transitions.append((src, letter, dst, ranks))
-        i += 1
+                yield tuple(d for d, _ in combo), (letter, tuple(r for _, r in combo))
+
+    order, edges = explore_graph(tuple(p.initial for p in parts), expand)
+    transitions = [(src, letter, dst, ranks)
+                   for src, out in enumerate(edges) for dst, (letter, ranks) in out]
 
     name = "x".join(p.name for p in parts)
     if finite:
@@ -185,27 +172,16 @@ def compose_monitor(b: MultiAutomaton, c: Automaton) -> Automaton:
                 f"rank tuple {t.ranks} has no letter in the condition automaton")
     c = canonical_parity(c)
 
-    index: dict[tuple[int, int], int] = {}
-    order: list[tuple[int, int]] = []
-
-    def state_of(key) -> int:
-        if key not in index:
-            index[key] = len(order)
-            order.append(key)
-        return index[key]
-
-    state_of((b.initial, c.initial))
-    transitions = []
-    i = 0
-    while i < len(order):
-        qb, qc = order[i]
-        src = index[(qb, qc)]
+    def expand(key):
+        qb, qc = key
         for letter in b.alphabet:
             for dst_b, ranks in b.successors(qb, letter):
                 ((dst_c, rank),) = c.successors(qc, rank_tuple_letter(ranks))
-                transitions.append(Transition(src, letter,
-                                              state_of((dst_b, dst_c)), rank))
-        i += 1
+                yield (dst_b, dst_c), (letter, rank)
+
+    order, edges = explore_graph((b.initial, c.initial), expand)
+    transitions = [Transition(src, letter, dst, rank)
+                   for src, out in enumerate(edges) for dst, (letter, rank) in out]
     return Automaton.build(f"compose({b.name},{c.name})", b.alphabet,
                            len(order), 0, "parity", transitions,
                            parity=c.rank_range)

@@ -23,8 +23,8 @@ from typing import Optional
 
 from . import config
 from .automata import (Automaton, AnyAutomaton, MultiAutomaton, Transition,
-                       canonical_parity, equivalent_on_lassos, is_complete,
-                       is_deterministic, complete)
+                       canonical_parity, complete, equivalent_on_lassos,
+                       explore_graph, is_complete, is_deterministic)
 from .errors import MissingMonitor, MonitorMismatch
 
 
@@ -46,27 +46,13 @@ def subset_construction(a: Automaton) -> Monitor:
     """Deterministic finite-word monitor over reachable state subsets."""
     if a.condition != "finite":
         raise ValueError("subset_construction needs a finite-acceptance automaton")
-    index: dict[frozenset[int], int] = {}
-    order: list[frozenset[int]] = []
-
-    def state_of(s: frozenset[int]) -> int:
-        if s not in index:
-            index[s] = len(order)
-            order.append(s)
-        return index[s]
-
-    transitions = []
-    state_of(frozenset({a.initial}))
-    i = 0
-    while i < len(order):
-        s = order[i]
-        src = index[s]
-        for letter in a.alphabet:
-            nxt = a.post(s, letter)
-            transitions.append(Transition(src, letter, state_of(nxt), 0))
-        i += 1
+    order, edges = explore_graph(
+        frozenset({a.initial}),
+        lambda s: [(a.post(s, letter), letter) for letter in a.alphabet])
+    transitions = [Transition(src, letter, dst, 0)
+                   for src, out in enumerate(edges) for dst, letter in out]
     assert len(order) <= 2 ** a.num_states
-    accepting = frozenset(index[s] for s in order if s & a.accepting)
+    accepting = frozenset(i for i, s in enumerate(order) if s & a.accepting)
     monitor = Automaton.build(
         f"subset({a.name})", a.alphabet, len(order), 0, "finite",
         transitions, accepting)
@@ -84,33 +70,19 @@ def breakpoint_construction(a: Automaton) -> Monitor:
     if not (a.condition == "cobuchi" or
             (a.condition == "parity" and a.rank_range == (0, 1))):
         raise ValueError("breakpoint_construction needs a coBuchi ([0,1]) automaton")
-    index: dict[tuple[frozenset[int], frozenset[int]], int] = {}
-    order: list[tuple[frozenset[int], frozenset[int]]] = []
 
-    def state_of(pair) -> int:
-        if pair not in index:
-            index[pair] = len(order)
-            order.append(pair)
-        return index[pair]
-
-    start = frozenset({a.initial})
-    state_of((start, start))
-    transitions = []
-    i = 0
-    while i < len(order):
-        s, b = order[i]
-        src = index[(s, b)]
+    def expand(pair):
+        s, b = pair
         for letter in a.alphabet:
             s2 = a.post(s, letter)
             safe = frozenset(
                 d for q in b for d, rank in a.successors(q, letter) if rank == 0)
-            if safe:
-                rank, b2 = 0, safe
-            else:
-                rank, b2 = 1, s2
-            assert (rank == 1) == (not safe)
-            transitions.append(Transition(src, letter, state_of((s2, b2)), rank))
-        i += 1
+            yield ((s2, safe), (letter, 0)) if safe else ((s2, s2), (letter, 1))
+
+    start = frozenset({a.initial})
+    order, edges = explore_graph((start, start), expand)
+    transitions = [Transition(src, letter, dst, rank)
+                   for src, out in enumerate(edges) for dst, (letter, rank) in out]
     assert len(order) <= 3 ** a.num_states
     monitor = Automaton.build(
         f"breakpoint({a.name})", a.alphabet, len(order), 0, "parity",
@@ -126,39 +98,24 @@ def breakpoint_construction(a: Automaton) -> Monitor:
 def _reachability_monitor(a: Automaton) -> Monitor:
     """Subset tracking with an accepting sink entered when the reachable set
     crosses an accepting transition (deterministic Buchi)."""
-    index: dict[frozenset[int], int] = {}
-    order: list[frozenset[int]] = []
 
-    def state_of(s) -> int:
-        if s not in index:
-            index[s] = len(order)
-            order.append(s)
-        return index[s]
+    def hit(s, letter) -> bool:
+        return any(rank == 1 for q in s for _, rank in a.successors(q, letter))
 
-    state_of(frozenset({a.initial}))
-    transitions = []
-    sink_needed = False
-    i = 0
-    while i < len(order):
-        s = order[i]
-        src = index[s]
-        for letter in a.alphabet:
-            hit = any(rank == 1
-                      for q in s for _, rank in a.successors(q, letter))
-            if hit:
-                sink_needed = True
-                transitions.append(Transition(src, letter, -1, 2))
-            else:
-                transitions.append(Transition(src, letter, state_of(a.post(s, letter)), 1))
-        i += 1
-    sink = len(order)
-    fixed = [t if t.dst >= 0 else Transition(t.src, t.letter, sink, t.rank)
-             for t in transitions]
-    for letter in a.alphabet:
-        fixed.append(Transition(sink, letter, sink, 2))
+    order, edges = explore_graph(
+        frozenset({a.initial}),
+        lambda s: [(a.post(s, letter), letter)
+                   for letter in a.alphabet if not hit(s, letter)])
+    sink = len(order)  # numbered after every subset
+    transitions = [Transition(src, letter, dst, 1)
+                   for src, out in enumerate(edges) for dst, letter in out]
+    transitions += [Transition(src, letter, sink, 2)
+                    for src, s in enumerate(order)
+                    for letter in a.alphabet if hit(s, letter)]
+    transitions += [Transition(sink, letter, sink, 2) for letter in a.alphabet]
     monitor = Automaton.build(
         f"reach-subset({a.name})", a.alphabet, sink + 1, 0, "parity",
-        fixed, parity=(1, 2))
+        transitions, parity=(1, 2))
     assert is_deterministic(monitor) and is_complete(monitor)
     return Monitor(monitor, "subset")
 

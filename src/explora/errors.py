@@ -41,3 +41,8 @@ class ChannelBudgetExceeded(ValueError):
 
 class ConfigSpaceTooLarge(ValueError):
     """The machine's configuration space exceeds the brute-force budget."""
+
+
+class SolverCheckFailed(ValueError):
+    """A solved game failed its own re-check: the winning regions do not
+    partition the positions, or an extracted strategy does not verify."""

@@ -25,7 +25,8 @@ from typing import Optional
 
 from . import config
 from .automata import (Automaton, AnyAutomaton, MultiAutomaton,
-                       canonical_parity, complete, member_finite, iter_words)
+                       canonical_parity, complete, explore_graph, iter_words,
+                       member_finite)
 from .determinize import Monitor, resolve_monitor
 from .errors import ChannelBudgetExceeded, NonSinkTarget
 from .games import (Arena, MaxEvenParity, Not, Or, Strategy, any_of, solve)
@@ -52,27 +53,6 @@ class ExplorabilityVerdict:
 
 # ---------------------------------------------------------------------------
 # shared helpers
-
-
-def _explore_graph(initial_key, expand):
-    """BFS-intern a lazily expanded game graph; returns (keys in discovery
-    order, edge lists over indices)."""
-    index = {initial_key: 0}
-    order = [initial_key]
-    edges = []
-    i = 0
-    while i < len(order):
-        out = []
-        for nxt, color in expand(order[i]):
-            j = index.get(nxt)
-            if j is None:
-                j = len(order)
-                index[nxt] = j
-                order.append(nxt)
-            out.append((j, color))
-        edges.append(tuple(out))
-        i += 1
-    return order, edges
 
 
 def _multiset_moves(a: AnyAutomaton, tokens: tuple[int, ...], letter: str):
@@ -132,15 +112,6 @@ def _spoiler_attractor(arena: Arena, bad_ids) -> set[int]:
     return attr
 
 
-def _safety_witness(arena: Arena, attr: set[int]) -> Strategy:
-    moves = {}
-    for p in range(arena.num_positions):
-        if arena.owner[p] == 0 and p not in attr:
-            moves[p] = min(i for i, (dst, _) in enumerate(arena.edges[p])
-                           if dst not in attr)
-    return Strategy(0, moves)
-
-
 # ---------------------------------------------------------------------------
 # the k-explorability game
 
@@ -173,7 +144,7 @@ def _build_finite_game(a: Automaton, monitor: Monitor, k: int, quotient: bool):
             succs = [dsts for dsts, _ in _tuple_moves(a, tokens, letter)]
         return [((dsts, m2), (1,)) for dsts in succs]
 
-    order, edges = _explore_graph((start, mon.initial), expand)
+    order, edges = explore_graph((start, mon.initial), expand)
     arena = Arena(
         owner=tuple(1 if len(key) == 2 else 0 for key in order),
         edges=tuple(edges),
@@ -208,7 +179,7 @@ def _build_infinite_game(a: AnyAutomaton, monitor: Monitor, k: int):
         return [(((dsts, m2)), (mrank,) + ranks)
                 for dsts, ranks in _tuple_moves(a, tokens, letter)]
 
-    order, edges = _explore_graph(start, expand)
+    order, edges = explore_graph(start, expand)
     arena = Arena(
         owner=tuple(1 if len(key) == 2 else 0 for key in order),
         edges=tuple(edges),
@@ -243,60 +214,72 @@ def build_k_explorability_game(a: AnyAutomaton, monitor: Monitor, k: int,
     return _build_infinite_game(a, monitor, k)
 
 
-def is_k_explorable(a: AnyAutomaton, k: int,
-                    user_monitor: Optional[Automaton] = None,
-                    quotient: Optional[bool] = None) -> bool:
-    """True iff the token player wins the k-explorability game."""
+def _play(a: AnyAutomaton, monitor: Monitor, k: int,
+          quotient: Optional[bool] = None,
+          witness: bool = False) -> tuple[bool, Optional[Strategy]]:
+    """Play the k-explorability game of the (completed) automaton on the
+    given monitor: whether the token player wins and, when `witness` is set
+    and it does, a winning strategy."""
     if k < 1:
         raise ValueError("token count must be at least 1")
-    if isinstance(a, Automaton):
-        a = complete(a)
-    monitor = resolve_monitor(a, user_monitor)
     if monitor.is_finite:
         arena, _, bad = _build_finite_game(
             a, monitor, k, quotient=True if quotient is None else quotient)
         attr = _spoiler_attractor(arena, bad)
-        return arena.initial not in attr
+        if arena.initial in attr:
+            return False, None
+        if not witness:
+            return True, None
+        # each token-player position outside the attractor takes its first
+        # edge that stays outside
+        labels = arena.labels
+        moves = {str(labels[p]): str(next(labels[d] for d, _ in arena.edges[p] if d not in attr))
+                 for p in range(arena.num_positions) if arena.owner[p] == 0 and p not in attr}
+        return True, Strategy(0, moves)
     arena, objective = _build_infinite_game(a, monitor, k)
     result = solve(arena, objective)
-    return arena.initial in result.winning_region_0
+    if arena.initial not in result.winning_region_0:
+        return False, None
+    return True, result.strategy_0
+
+
+def _completed(a: AnyAutomaton) -> AnyAutomaton:
+    return complete(a) if isinstance(a, Automaton) else a
+
+
+def is_k_explorable(a: AnyAutomaton, k: int,
+                    user_monitor: Optional[Automaton] = None,
+                    quotient: Optional[bool] = None) -> bool:
+    """True iff the token player wins the k-explorability game."""
+    a = _completed(a)
+    won, _ = _play(a, resolve_monitor(a, user_monitor), k, quotient)
+    return won
 
 
 def explorability_witness(a: AnyAutomaton, k: int,
                           user_monitor: Optional[Automaton] = None) -> Optional[Strategy]:
     """Winning token-player strategy at k tokens, if one exists."""
-    if isinstance(a, Automaton):
-        a = complete(a)
-    monitor = resolve_monitor(a, user_monitor)
-    if monitor.is_finite:
-        arena, _, bad = _build_finite_game(a, monitor, k, quotient=True)
-        attr = _spoiler_attractor(arena, bad)
-        if arena.initial in attr:
-            return None
-        raw = _safety_witness(arena, attr)
-        moves = {str(arena.labels[p]): str(arena.labels[arena.edges[p][i][0]])
-                 for p, i in raw.moves.items()}
-        return Strategy(0, moves)
-    arena, objective = _build_infinite_game(a, monitor, k)
-    result = solve(arena, objective)
-    if arena.initial not in result.winning_region_0:
-        return None
-    return result.strategy_0
+    a = _completed(a)
+    _, strategy = _play(a, resolve_monitor(a, user_monitor), k, witness=True)
+    return strategy
 
 
 def explorability_bounded(a: AnyAutomaton, kmax: int,
                           user_monitor: Optional[Automaton] = None) -> ExplorabilityVerdict:
     """Iterative-deepening search for the least witnessing token count.
 
-    k-explorability is monotone in k, so the first success is the least k.
+    k-explorability is monotone in k, so the first success is the least k;
+    the monitor is built once and the witness comes from the game just won.
     A negative verdict is explicitly inconclusive: it only covers k <= kmax.
     """
     if kmax < 1:
         raise ValueError("kmax must be at least 1")
+    a = _completed(a)
+    monitor = resolve_monitor(a, user_monitor)
     for k in range(1, kmax + 1):
-        if is_k_explorable(a, k, user_monitor):
-            return ExplorabilityVerdict("explorable-with", k,
-                                        explorability_witness(a, k, user_monitor))
+        won, strategy = _play(a, monitor, k, witness=True)
+        if won:
+            return ExplorabilityVerdict("explorable-with", k, strategy)
     return ExplorabilityVerdict("not-explorable-up-to", kmax)
 
 
@@ -320,26 +303,17 @@ def pcp_reduce(a: Automaton) -> PCPInstance:
         raise ValueError("pcp_reduce needs a finite-acceptance automaton")
     a = complete(a)
     test = _fresh_letter(a.alphabet, "a_test")
-    index: dict[tuple[int, frozenset[int]], int] = {}
-    order: list[tuple[int, frozenset[int]]] = []
 
-    def state_of(pair) -> int:
-        if pair not in index:
-            index[pair] = len(order)
-            order.append(pair)
-        return index[pair]
-
-    state_of((a.initial, frozenset({a.initial})))
-    transitions = []
-    i = 0
-    while i < len(order):
-        p, reach = order[i]
-        src = index[(p, reach)]
+    def expand(pair):
+        p, reach = pair
         for letter in a.alphabet:
             reach2 = a.post(reach, letter)
             for q, _ in a.successors(p, letter):
-                transitions.append((src, letter, state_of((q, reach2)), 0))
-        i += 1
+                yield (q, reach2), letter
+
+    order, edges = explore_graph((a.initial, frozenset({a.initial})), expand)
+    transitions = [(src, letter, dst, 0)
+                   for src, out in enumerate(edges) for dst, letter in out]
     target = len(order)
     dead = target + 1
     for i, (p, reach) in enumerate(order):
@@ -372,7 +346,7 @@ def is_k_population_winnable(inst: PCPInstance, k: int) -> bool:
         tokens, letter = key
         return [(((dsts,)), (1,)) for dsts in _multiset_moves(nfa, tokens, letter)]
 
-    order, edges = _explore_graph((start,), expand)
+    order, edges = explore_graph((start,), expand)
     arena = Arena(
         owner=tuple(1 if len(key) == 1 else 0 for key in order),
         edges=tuple(edges),
@@ -400,27 +374,18 @@ def pcp_to_explorability(inst: PCPInstance) -> Automaton:
             raise NonSinkTarget(f"target state {targ} is not a sink (letter {letter})")
     c = gen_c()
     letters = [f"{x},{y}" for x in nfa.alphabet for y in c.alphabet]
-    index: dict[tuple[int, int], int] = {}
-    order: list[tuple[int, int]] = []
 
-    def state_of(pair) -> int:
-        if pair not in index:
-            index[pair] = len(order)
-            order.append(pair)
-        return index[pair]
-
-    state_of((nfa.initial, c.initial))
-    transitions = []
-    i = 0
-    while i < len(order):
-        p, pc = order[i]
-        src = index[(p, pc)]
+    def expand(pair):
+        p, pc = pair
         for x in nfa.alphabet:
             for y in c.alphabet:
                 for q, _ in nfa.successors(p, x):
                     for qc, _ in c.successors(pc, y):
-                        transitions.append((src, f"{x},{y}", state_of((q, qc)), 0))
-        i += 1
+                        yield (q, qc), f"{x},{y}"
+
+    order, edges = explore_graph((nfa.initial, c.initial), expand)
+    transitions = [(src, letter, dst, 0)
+                   for src, out in enumerate(edges) for dst, letter in out]
     accepting = [i for i, (p, pc) in enumerate(order)
                  if p != targ or pc in c.accepting]
     out = Automaton.build(

@@ -7,24 +7,23 @@ protagonist of the objective.  Such an objective is compiled into a single
 max-parity condition by building the Zielonka tree of the induced Muller
 condition over occurring color tuples, deriving a deterministic parity
 condition automaton from it, and taking the product with the arena.  The
-resulting single-channel parity game is solved by the recursive (Zielonka)
-algorithm with positional strategy extraction, and strategies are verified
-independently by cycle analysis.
+resulting single-channel parity game is solved by Zielonka's algorithm working
+directly on edge ranks over flat adjacency lists, with positional strategy
+extraction, and strategies are verified independently by cycle analysis.
 
-All tie-breaking (attractor processing order, strategy edge choice, tree child
-order) is by ascending id, so outputs are deterministic.
+Attractor processing order, strategy edge choice and tree child order depend
+only on the input, so outputs are deterministic.
 """
 
 from __future__ import annotations
 
-import sys
 from collections import deque
 from dataclasses import dataclass, field
 from functools import reduce
-from typing import Callable, Iterable, Optional
+from typing import Iterable, Optional
 
 from .automata import strongly_connected_components
-from .errors import ParseError
+from .errors import ParseError, SolverCheckFailed
 
 Color = tuple[int, ...]
 
@@ -369,126 +368,133 @@ def compile_objective(arena: Arena, obj: Objective) -> tuple[Arena, ConditionAut
     return product, cond
 
 
-def _vertexify(game: Arena):
-    """Split each edge through a priority-carrying middle vertex so the
-    recursive solver can work with vertex priorities.
+class _EdgeRankGame:
+    """A single-channel parity game as flat adjacency lists of (other end,
+    rank, edge index), solved by Zielonka's algorithm directly on edge ranks.
 
-    Original positions get the globally minimal rank (never dominates a
-    cycle, since every cycle passes through a middle vertex).
+    A subgame is a position set `sub` with a rank cap: it keeps the edges of
+    rank <= cap between positions of `sub`, and every position of `sub` keeps
+    at least one.  `move[p]` ends up as the edge index the winner of p takes
+    there, when p is the winner's.
     """
-    n = game.num_positions
-    minrank = game.channels[0][0]
-    prio = [minrank] * n
-    owner = list(game.owner)
-    succ: list[list[int]] = [[] for _ in range(n)]
-    middle_of: list[tuple[int, int, int]] = []  # (src, edge index, dst)
-    for p in range(n):
-        for i, (dst, color) in enumerate(game.edges[p]):
-            mid = n + len(middle_of)
-            middle_of.append((p, i, dst))
-            prio.append(color[0])
-            owner.append(0)
-            succ[p].append(mid)
-            succ.append([dst])
-    total = n + len(middle_of)
-    pred: list[list[int]] = [[] for _ in range(total)]
-    for v in range(total):
-        for u in succ[v]:
-            pred[u].append(v)
-    for lst in pred:
-        lst.sort()
-    return prio, owner, succ, pred, middle_of
 
+    def __init__(self, game: Arena):
+        self.owner = game.owner
+        self.succ = [[(dst, color[0], i) for i, (dst, color) in enumerate(out)]
+                     for out in game.edges]
+        self.pred: list[list[tuple[int, int, int]]] = [[] for _ in self.succ]
+        for u, out in enumerate(self.succ):
+            for v, rank, i in out:
+                self.pred[v].append((u, rank, i))
+        self.move = [0] * len(self.succ)
 
-def _attr_with_strategy(sub, targets, player, owner, succ, pred):
-    """Player's attractor to `targets` within `sub`, plus the attractor
-    strategy for player-owned vertices pulled in along the way."""
-    attr = set(targets)
-    strat: dict[int, int] = {}
-    queue = deque(sorted(targets))
-    cnt: dict[int, int] = {}
-    while queue:
-        v = queue.popleft()
-        for u in pred[v]:
-            if u not in sub or u in attr:
-                continue
+    def attractor(self, sub, player: int, cap: int, targets=(), top=None) -> set:
+        """Positions of the subgame (sub, cap) from which `player` forces
+        reaching `targets` or, when `top` is given, taking an edge of rank
+        `top`; records the edge each attracted `player` position takes."""
+        owner, succ, pred, move = self.owner, self.succ, self.pred, self.move
+        attr = set(targets)
+        queue = list(attr)
+        left: dict[int, int] = {}  # opponent position -> edges not yet pulled
+
+        def pull(u: int, i: int):
             if owner[u] == player:
-                attr.add(u)
-                strat[u] = v
-                queue.append(u)
+                move[u] = i
             else:
-                if u not in cnt:
-                    cnt[u] = sum(1 for w in succ[u] if w in sub)
-                cnt[u] -= 1
-                if cnt[u] == 0:
-                    attr.add(u)
-                    queue.append(u)
-    return attr, strat
+                k = left.get(u)
+                if k is None:
+                    k = sum(1 for v, r, _ in succ[u] if r <= cap and v in sub)
+                left[u] = k = k - 1
+                if k:
+                    return
+            attr.add(u)
+            queue.append(u)
+
+        if top is not None:
+            for u in sub:
+                for v, r, i in succ[u]:
+                    if r == top and v in sub and u not in attr:
+                        pull(u, i)
+        while queue:
+            for u, r, i in pred[queue.pop()]:
+                # a rank-top edge was pulled when seeding
+                if r <= cap and r != top and u in sub and u not in attr:
+                    pull(u, i)
+        return attr
+
+    def zielonka(self, sub: set, cap: int):
+        """Winning regions of players 0 and 1 in the subgame (sub, cap).
+
+        With d the largest rank left and sigma its parity's player, sigma
+        attracts to taking a rank-d edge; what remains is solved below d,
+        which is sound because a rank-d edge left there starts at an opponent
+        position that also has a lower one.  If the opponent wins nothing
+        there, sigma wins `sub`; otherwise the opponent's attractor to its
+        region is removed and the loop goes on.
+
+        A generator for `_trampoline`: it yields the subgame below d and is
+        sent back its regions, so however many ranks there are, the Python
+        call depth stays constant.
+        """
+        won: tuple[set, set] = (set(), set())
+        succ = self.succ
+        while sub:
+            d = max(r for u in sub for v, r, _ in succ[u] if r <= cap and v in sub)
+            sigma = d % 2
+            attr = self.attractor(sub, sigma, cap, top=d)
+            lost = (yield self.zielonka(sub - attr, d - 1))[1 - sigma]
+            if not lost:
+                won[sigma].update(sub)
+                break
+            lost = self.attractor(sub, 1 - sigma, cap, targets=lost)
+            won[1 - sigma].update(lost)
+            sub = sub - lost
+        return won
 
 
-def _zielonka(sub, prio, owner, succ, pred):
-    if not sub:
-        return set(), set(), {}, {}
-    d = max(prio[v] for v in sub)
-    sigma = 0 if d % 2 == 0 else 1
-    targets = {v for v in sub if prio[v] == d}
-    attr, attr_strat = _attr_with_strategy(sub, targets, sigma, owner, succ, pred)
-    w0, w1, s0, s1 = _zielonka(sub - attr, prio, owner, succ, pred)
-    opp_region = w1 if sigma == 0 else w0
-    if not opp_region:
-        win = set(sub)
-        strat = dict(s0 if sigma == 0 else s1)
-        strat.update(attr_strat)
-        for v in sorted(targets):
-            if owner[v] == sigma and v not in strat:
-                strat[v] = min(u for u in succ[v] if u in sub)
-        if sigma == 0:
-            return win, set(), strat, {}
-        return set(), win, {}, strat
-    battr, battr_strat = _attr_with_strategy(sub, opp_region, 1 - sigma, owner, succ, pred)
-    r0, r1, t0, t1 = _zielonka(sub - battr, prio, owner, succ, pred)
-    opp_strat = dict(s1 if sigma == 0 else s0)
-    opp_strat.update(battr_strat)
-    opp_strat.update(t1 if sigma == 0 else t0)
-    if sigma == 0:
-        return r0, r1 | battr, t0, opp_strat
-    return r0 | battr, r1, opp_strat, t1
+def _trampoline(gen):
+    """Run a generator that yields sub-generators and is sent their return
+    values, as a recursion with its frames on a list instead of the stack."""
+    stack, value = [gen], None
+    while stack:
+        try:
+            stack.append(stack[-1].send(value))
+            value = None
+        except StopIteration as done:
+            stack.pop()
+            value = done.value
+    return value
 
 
 def solve_parity(game: Arena, verify: bool = True) -> SolveResult:
-    """Solve a single-channel max-parity game with the recursive algorithm.
+    """Solve a single-channel max-parity game with Zielonka's algorithm on
+    edge ranks.
 
     Regions partition the positions; both strategies are positional and, when
-    `verify` is set, checked by independent cycle analysis.
+    `verify` is set, checked by independent cycle analysis.  A failed check
+    raises `SolverCheckFailed`.
     """
     if len(game.channels) != 1:
         raise ValueError("solve_parity expects a single-channel game")
-    prio, owner, succ, pred, middle_of = _vertexify(game)
-    total = len(prio)
-    limit = 10_000 + 2 * total
-    if sys.getrecursionlimit() < limit:
-        sys.setrecursionlimit(limit)
-    w0, w1, s0, s1 = _zielonka(set(range(total)), prio, owner, succ, pred)
     n = game.num_positions
-    region0 = frozenset(v for v in w0 if v < n)
-    region1 = frozenset(v for v in w1 if v < n)
-    assert region0 | region1 == frozenset(range(n)) and not (region0 & region1)
+    solver = _EdgeRankGame(game)
+    cap = max((r for out in solver.succ for _, r, _ in out), default=0)
+    w0, w1 = _trampoline(solver.zielonka(set(range(n)), cap))
+    region0, region1 = frozenset(w0), frozenset(w1)
+    if region0 | region1 != frozenset(range(n)) or region0 & region1:
+        raise SolverCheckFailed("winning regions do not partition the positions")
 
-    def project(strat, owner_bit):
-        moves = {}
-        for v, mid in strat.items():
-            if v < n and game.owner[v] == owner_bit:
-                moves[v] = middle_of[mid - n][1]
-        return moves
+    def moves(region, owner_bit):
+        return {p: solver.move[p] for p in sorted(region) if game.owner[p] == owner_bit}
 
-    strategy_0 = Strategy(0, project(s0, 0))
-    strategy_1 = Strategy(1, project(s1, 1))
-    result = SolveResult(region0, region1, strategy_0, strategy_1)
+    strategy_0 = Strategy(0, moves(region0, 0))
+    strategy_1 = Strategy(1, moves(region1, 1))
     if verify:
         ok0 = verify_strategy(game, region0, strategy_0, 0)
         ok1 = verify_strategy(game, region1, strategy_1, 1)
-        assert ok0 and ok1, "extracted strategies failed verification"
-    return result
+        if not (ok0 and ok1):
+            raise SolverCheckFailed("extracted strategies failed verification")
+    return SolveResult(region0, region1, strategy_0, strategy_1)
 
 
 def verify_strategy(game: Arena, region, strategy: Strategy, owner: int) -> bool:
@@ -616,70 +622,32 @@ def solve_parity_disjunction(arena: Arena) -> tuple[frozenset, frozenset]:
     for v in range(total):
         for u in succ[v]:
             pred[u].append(v)
-    limit = 10_000 + 2 * total
-    if sys.getrecursionlimit() < limit:
-        sys.setrecursionlimit(limit)
 
     def rec(sub: set) -> tuple[set, set]:
-        if not sub:
-            return set(), set()
-        colors = frozenset(color[v] for v in sub if color[v] is not None)
-        member = _disjunction_member(colors)
-        sigma = 0 if member else 1
-        children = _disjunction_children(colors, member)
-        if not children:
-            return (set(sub), set()) if sigma == 0 else (set(), set(sub))
-        for child in children:
-            targets = {v for v in sub if color[v] is not None and color[v] not in child}
-            attr = _attr_plain(sub, targets, sigma, owner, succ, pred)
-            w0, w1 = rec(sub - attr)
-            opp = w1 if sigma == 0 else w0
-            if opp:
-                battr = _attr_plain(sub, opp, 1 - sigma, owner, succ, pred)
-                r0, r1 = rec(sub - battr)
-                if sigma == 0:
-                    return r0, r1 | battr
-                return r0 | battr, r1
-        return (set(sub), set()) if sigma == 0 else (set(), set(sub))
+        # looping on what the opponent's attractor leaves, instead of
+        # recursing on it, keeps the depth to the height of the tree
+        won: tuple[set, set] = (set(), set())
+        while sub:
+            colors = frozenset(color[v] for v in sub if color[v] is not None)
+            member = _disjunction_member(colors)
+            sigma = 0 if member else 1
+            for child in _disjunction_children(colors, member):
+                targets = {v for v in sub if color[v] is not None and color[v] not in child}
+                attr = _attr_plain(sub, targets, sigma, owner, succ, pred)
+                opp = rec(sub - attr)[1 - sigma]
+                if opp:
+                    battr = _attr_plain(sub, opp, 1 - sigma, owner, succ, pred)
+                    won[1 - sigma].update(battr)
+                    sub = sub - battr
+                    break
+            else:
+                won[sigma].update(sub)
+                break
+        return won
 
     w0, w1 = rec(set(range(total)))
     return (frozenset(v for v in w0 if v < n),
             frozenset(v for v in w1 if v < n))
-
-
-# ---------------------------------------------------------------------------
-# generic attractor over labelled graphs (used by the direct safety games)
-
-
-def attractor(positions, owner_of: Callable, successors: Callable,
-              predecessors: Callable, targets, player: int):
-    """Player's attractor to `targets` over an arbitrary position universe.
-
-    Returns (attractor set, strategy dict) where the strategy maps attracted
-    player-owned positions to a successor inside the attractor.
-    """
-    attr = set(targets)
-    strat: dict = {}
-    queue = deque(targets)
-    cnt: dict = {}
-    pos_set = set(positions)
-    while queue:
-        v = queue.popleft()
-        for u in predecessors(v):
-            if u not in pos_set or u in attr:
-                continue
-            if owner_of(u) == player:
-                attr.add(u)
-                strat[u] = v
-                queue.append(u)
-            else:
-                if u not in cnt:
-                    cnt[u] = sum(1 for w in successors(u) if w in pos_set)
-                cnt[u] -= 1
-                if cnt[u] == 0:
-                    attr.add(u)
-                    queue.append(u)
-    return attr, strat
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from itertools import product
 from typing import Optional
 
 from . import config
-from .automata import Automaton, canonical_parity, complete
+from .automata import Automaton, canonical_parity, complete, explore_graph
 from .errors import ChannelBudgetExceeded, UnverifiedExplorability
 from .explorability import is_k_explorable
 from .games import (Arena, MaxEvenParity, Not, Objective, Or, all_of, solve)
@@ -36,10 +36,11 @@ class TokenGameSpec:
 
 
 def build_token_game(a: Automaton, k: int) -> tuple[Arena, Objective]:
-    """Full (unpruned) arena of the k-token game.
+    """Arena of the k-token game, explored from the initial position.
 
     Positions are (eve, adam-tuple) plus letter micro-positions with an
-    E/A turn marker; the position count is exactly n^(k+1) * (1 + 2|Sigma|).
+    E/A turn marker; only those reachable from the initial position are
+    built, at most n^(k+1) * (1 + 2|Sigma|) of them.
     Channel 0 carries Eve's transition ranks, channels 1..k Adam's.
     """
     spec = TokenGameSpec(a, k)
@@ -50,47 +51,27 @@ def build_token_game(a: Automaton, k: int) -> tuple[Arena, Objective]:
     lo, hi = a.rank_range
     channels = ((lo, hi),) * (k + 1)
     neutral = tuple(lo for _ in range(k + 1))
-    n = a.num_states
 
-    index: dict = {}
-    order: list = []
-    states = range(n)
-    for key in product(states, repeat=k + 1):
-        index[key] = len(order)
-        order.append(key)
-    for key in product(states, repeat=k + 1):
-        for letter in a.alphabet:
-            for turn in ("E", "A"):
-                index[key + (letter, turn)] = len(order)
-                order.append(key + (letter, turn))
-
-    edges: list[tuple] = []
-    for key in order:
+    def expand(key):
         if len(key) == k + 1:
-            out = [(index[key + (letter, "E")], neutral) for letter in a.alphabet]
-        else:
-            eve, adam, letter, turn = key[0], key[1:k + 1], key[-2], key[-1]
-            out = []
-            if turn == "E":
-                for dst, rank in a.successors(eve, letter):
-                    color = (rank,) + (lo,) * k
-                    out.append((index[(dst,) + adam + (letter, "A")], color))
-            else:
-                options = [a.successors(q, letter) for q in adam]
-                for combo in product(*options):
-                    dsts = tuple(d for d, _ in combo)
-                    color = (lo,) + tuple(r for _, r in combo)
-                    out.append((index[(eve,) + dsts], color))
-        edges.append(tuple(out))
+            return [(key + (letter, "E"), neutral) for letter in a.alphabet]
+        eve, adam, letter, turn = key[0], key[1:k + 1], key[-2], key[-1]
+        if turn == "E":
+            return [((dst,) + adam + (letter, "A"), (rank,) + (lo,) * k)
+                    for dst, rank in a.successors(eve, letter)]
+        options = [a.successors(q, letter) for q in adam]
+        return [((eve,) + tuple(d for d, _ in combo), (lo,) + tuple(r for _, r in combo))
+                for combo in product(*options)]
 
+    order, edges = explore_graph(tuple([a.initial] * (k + 1)), expand)
     arena = Arena(
         owner=tuple(0 if len(key) > k + 1 and key[-1] == "E" else 1 for key in order),
         edges=tuple(edges),
-        initial=index[tuple([a.initial] * (k + 1))],
+        initial=0,
         channels=channels,
         labels=tuple(order),
     )
-    assert arena.num_positions == n ** (k + 1) * (1 + 2 * len(a.alphabet))
+    assert arena.num_positions <= a.num_states ** (k + 1) * (1 + 2 * len(a.alphabet))
     if spec.automaton.condition == "buchi" and k == 2:
         assert len(arena.occurring_colors()) <= 8
     objective = Or(MaxEvenParity(0),

@@ -104,6 +104,16 @@ class TestGameStructure:
         with pytest.raises(ChannelBudgetExceeded):
             is_k_explorable(a, 9)
 
+    def test_bounded_builds_one_monitor_and_one_winning_game(self, monkeypatch):
+        import explora.explorability as ex
+        calls = []
+        real = ex.resolve_monitor
+        monkeypatch.setattr(ex, "resolve_monitor",
+                            lambda *args: calls.append(args) or real(*args))
+        verdict = explorability_bounded(gen_ak(3), 4)
+        assert (verdict.status, verdict.k, len(calls)) == ("explorable-with", 3, 1)
+        assert verdict.witness.moves == explorability_witness(gen_ak(3), 3).moves
+
     def test_witness_strategy_available(self):
         w = explorability_witness(gen_ak(2), 2)
         assert w is not None and w.moves

@@ -1,8 +1,14 @@
+import os
+import subprocess
+import sys
 from itertools import product
+from pathlib import Path
 from random import Random
 
 import pytest
 
+import explora
+from explora.errors import SolverCheckFailed
 from explora.games import (And, Arena, MaxEvenParity, Not, Or, Strategy,
                            compile_objective, condition_accepts_periodic,
                            condition_automaton, solve, solve_parity,
@@ -124,8 +130,8 @@ class TestSolveParity:
     def test_random_corpus_partitions_and_verifies(self):
         rng = Random(99)
         for _ in range(60):
-            game = random_parity_game(rng, rng.randint(2, 40), rng.randint(1, 4))
-            result = solve_parity(game)  # verify=True asserts internally
+            game = random_parity_game(rng, rng.randint(2, 40), rng.randint(1, 7))
+            result = solve_parity(game)  # verify=True raises on a failed check
             assert result.winning_region_0 | result.winning_region_1 == \
                 frozenset(range(game.num_positions))
             assert not (result.winning_region_0 & result.winning_region_1)
@@ -137,6 +143,57 @@ class TestSolveParity:
         r1, r2 = solve_parity(g1), solve_parity(g2)
         assert r1.winning_region_0 == r2.winning_region_0
         assert r1.strategy_0.moves == r2.strategy_0.moves
+
+    def test_failed_verification_raises(self, monkeypatch):
+        monkeypatch.setattr("explora.games.verify_strategy", lambda *args: False)
+        game = random_parity_game(Random(8), 10, 3)
+        with pytest.raises(SolverCheckFailed):
+            solve_parity(game)
+        assert solve_parity(game, verify=False).winning_region_0 is not None
+
+    def test_failed_verification_raises_under_optimize(self):
+        # the self-check must not be an assert, which `python -O` strips
+        script = """
+import sys
+from random import Random
+import explora.games as games
+from explora.errors import SolverCheckFailed
+from explora.generators import random_parity_game
+games.verify_strategy = lambda *args: False
+try:
+    games.solve_parity(random_parity_game(Random(8), 10, 3))
+except SolverCheckFailed:
+    sys.exit(0 if not __debug__ else 4)
+sys.exit(5)
+"""
+        src = str(Path(explora.__file__).resolve().parents[1])
+        path = os.environ.get("PYTHONPATH")
+        env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+        done = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+
+    def test_recursion_limit_left_alone(self):
+        old = sys.getrecursionlimit()
+        sys.setrecursionlimit(1000)
+        try:
+            # one rank level per position, deeper than the limit
+            n = 1200
+            deep = Arena(tuple(p % 2 for p in range(n)),
+                         tuple(((p, (2 * p,)),) for p in range(n)), 0, ((0, 2 * n),))
+            assert solve_parity(deep).winning_region_0 == frozenset(range(n))
+            assert sys.getrecursionlimit() == 1000
+            rng = Random(77)
+            for _ in range(40):
+                game = random_parity_game(rng, rng.randint(2, 400), rng.randint(1, 7))
+                solve_parity(game)
+                assert sys.getrecursionlimit() == 1000
+            for _ in range(20):
+                channels = ((0, rng.randint(1, 3)), (0, rng.randint(1, 3)))
+                solve_parity_disjunction(random_multi_arena(rng, rng.randint(2, 60), channels))
+                assert sys.getrecursionlimit() == 1000
+        finally:
+            sys.setrecursionlimit(old)
 
 
 class TestVerifyStrategy:

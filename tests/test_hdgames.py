@@ -20,11 +20,19 @@ def det_buchi():
 
 
 class TestBuildTokenGame:
-    def test_position_count_exact(self):
+    def test_positions_reachable_and_bounded(self):
+        arena, _ = build_token_game(det_buchi(), 2)
+        seen, stack = {arena.initial}, [arena.initial]
+        while stack:
+            for dst, _ in arena.edges[stack.pop()]:
+                if dst not in seen:
+                    seen.add(dst)
+                    stack.append(dst)
+        assert len(seen) == arena.num_positions
         a = automaton_corpus(5, 1, 3, ["a", "b"], "buchi")[0]
         arena, _ = build_token_game(a, 2)
         n = complete(a).num_states
-        assert arena.num_positions == n ** 3 * (1 + 2 * len(a.alphabet))
+        assert arena.num_positions <= n ** 3 * (1 + 2 * len(a.alphabet))
 
     def test_finite_word_rejected(self):
         with pytest.raises(ValueError):
