@@ -419,95 +419,71 @@ def _member_run(view: LassoView, initial: int, unroll, wrap: int) -> bool:
 
 
 def _member_product(view: LassoView, initial: int, unroll, wrap: int) -> bool:
-    """Build the product graph with the unrolled lasso, and for each channel
-    and even rank r search the period layer for a reachable cycle that uses
-    only ranks <= r on that channel and contains a rank-r transition."""
+    """Intern the product of the automaton with the unrolled lasso and accept
+    iff, on some channel, a cycle of it has an even maximal rank.  Prefix
+    nodes lie on no cycle, so only the period layer can contribute."""
     delta, length = view.delta, len(unroll)
 
-    def step(i: int) -> int:
-        return i + 1 if i + 1 < length else wrap
+    def expand(node):
+        q, i = node
+        j = i + 1 if i + 1 < length else wrap
+        return [((d, j), vec) for d, vec in delta.get((q, unroll[i]), ())]
 
-    # reachable product nodes
-    init = (initial, 0)
-    reachable = {init}
-    frontier = [init]
-    while frontier:
-        q, i = frontier.pop()
-        for d, _ in delta.get((q, unroll[i]), ()):
-            node = (d, step(i))
-            if node not in reachable:
-                reachable.add(node)
-                frontier.append(node)
-
-    period_edges = [
-        ((q, i), (d, step(i)), vec)
-        for (q, i) in reachable
-        if i >= wrap
-        for d, vec in delta.get((q, unroll[i]), ())
-    ]
-    for c, (lo, hi) in enumerate(view.channels):
-        start = lo if lo % 2 == 0 else lo + 1
-        for r in range(start, hi + 1, 2):
-            sub = [(u, v) for u, v, vec in period_edges if vec[c] <= r]
-            succ: dict = {}
-            for u, v in sub:
-                succ.setdefault(u, []).append(v)
-            nodes = {u for u, _ in sub} | {v for _, v in sub}
-            comp = strongly_connected_components(nodes, lambda n: succ.get(n, ()))
-            if any(
-                vec[c] == r and comp[u] == comp[v]
-                for u, v, vec in period_edges
-                if vec[c] <= r
-            ):
-                return True
-    return False
+    _, edges = explore_graph((initial, 0), expand)
+    return any(has_parity_cycle(edges, c, 0) for c in range(len(view.channels)))
 
 
-def strongly_connected_components(nodes, succ) -> dict:
-    """Iterative Tarjan; maps each node to a component id."""
-    index: dict = {}
-    low: dict = {}
-    comp: dict = {}
-    stack: list = []
-    on_stack: set = set()
-    count = 0
-    ncomp = 0
-    for root in nodes:
-        if root in index:
-            continue
-        index[root] = low[root] = count
-        count += 1
-        stack.append(root)
-        on_stack.add(root)
-        work = [(root, iter(succ(root)))]
-        while work:
-            v, it = work[-1]
-            pushed = False
-            for u in it:
-                if u not in index:
-                    index[u] = low[u] = count
-                    count += 1
-                    stack.append(u)
-                    on_stack.add(u)
-                    work.append((u, iter(succ(u))))
-                    pushed = True
-                    break
-                if u in on_stack and index[u] < low[v]:
-                    low[v] = index[u]
-            if pushed:
+def has_parity_cycle(edges, channel: int, parity: int) -> bool:
+    """True iff some cycle of the graph ``edges[u] = ((v, rank vector), ...)``
+    has a maximal rank of the given parity on `channel`.
+
+    For each occurring rank r of that parity, one iterative Tarjan pass over
+    the edges of rank <= r; a rank-r edge inside a component closes a cycle
+    whose maximal rank is r.
+    """
+    n = len(edges)
+    ranks = sorted({vec[channel] for out in edges for _, vec in out
+                    if vec[channel] % 2 == parity})
+    for r in ranks:
+        index = [-1] * n
+        low = [0] * n
+        comp = [-1] * n  # a visited node is on the stack until it gets one
+        stack: list[int] = []
+        count = 0
+        for root in range(n):
+            if index[root] >= 0:
                 continue
-            work.pop()
-            if work and low[v] < low[work[-1][0]]:
-                low[work[-1][0]] = low[v]
-            if low[v] == index[v]:
-                while True:
-                    u = stack.pop()
-                    on_stack.discard(u)
-                    comp[u] = ncomp
-                    if u == v:
+            index[root] = low[root] = count
+            count += 1
+            stack.append(root)
+            work = [(root, iter(edges[root]))]
+            while work:
+                v, it = work[-1]
+                for u, vec in it:
+                    if vec[channel] > r:
+                        continue
+                    if index[u] < 0:
+                        index[u] = low[u] = count
+                        count += 1
+                        stack.append(u)
+                        work.append((u, iter(edges[u])))
                         break
-                ncomp += 1
-    return comp
+                    if comp[u] < 0 and index[u] < low[v]:
+                        low[v] = index[u]
+                else:
+                    work.pop()
+                    if work and low[v] < low[work[-1][0]]:
+                        low[work[-1][0]] = low[v]
+                    if low[v] == index[v]:
+                        while True:
+                            u = stack.pop()
+                            comp[u] = v
+                            if u == v:
+                                break
+        if any(vec[channel] == r and comp[u] == comp[v]
+               for u, out in enumerate(edges) for v, vec in out):
+            return True
+    return False
 
 
 # ---------------------------------------------------------------------------
@@ -552,19 +528,6 @@ def equivalent_on_words(a: Automaton, b: Automaton, bound: int) -> EquivalenceVe
         if member_finite(a, word) != member_finite(b, word):
             return EquivalenceVerdict(False, word)
     return EquivalenceVerdict(True)
-
-
-def reachable_states(a: AnyAutomaton) -> frozenset[int]:
-    seen = {a.initial}
-    frontier = [a.initial]
-    while frontier:
-        q = frontier.pop()
-        for letter in a.alphabet:
-            for d, *_ in a.delta.get((q, letter), ()):
-                if d not in seen:
-                    seen.add(d)
-                    frontier.append(d)
-    return frozenset(seen)
 
 
 def explore_graph(initial_key, expand):

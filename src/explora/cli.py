@@ -28,26 +28,40 @@ from .generators import (atm_reduce, gen_ak, gen_bk, gen_c, gen_fig4,
                          parse_atm)
 from .hdgames import is_hd_assuming_explorable, is_hd_exact
 from .omega import is_omega_explorable
-from .textio import format_automaton, parse_automaton
+from .textio import _is_int, format_automaton, parse_automaton
 
 SCHEMA = 1
 
 
-def _read(path: str):
-    text = Path(path).read_text()
-    return parse_automaton(text, path)
+def _read(path: str, kind=(Automaton, MultiAutomaton)):
+    """The automaton in the file; a `kind` of `Automaton` or `MultiAutomaton`
+    admits only single-channel or only multi-channel files."""
+    a = parse_automaton(Path(path).read_text(), path)
+    if not isinstance(a, kind):
+        channels = "single" if kind is Automaton else "multi"
+        raise ParseError(path, 1, f"a {channels}-channel automaton")
+    return a
 
 
 def _read_pcp(path: str) -> PCPInstance:
+    """A population-control instance: a finite-acceptance automaton whose
+    target state is named by a '# target: <id>' comment line."""
     text = Path(path).read_text()
-    target = None
-    for i, raw in enumerate(text.splitlines(), start=1):
-        if raw.strip().startswith("# target:"):
-            target = int(raw.split(":", 1)[1])
-    if target is None:
-        raise ParseError(path, 1, "a '# target: <id>' comment line")
     nfa = parse_automaton(text, path)
-    return PCPInstance(nfa, target)
+    lines = [raw.strip() for raw in text.splitlines()]
+    if isinstance(nfa, MultiAutomaton) or nfa.condition != "finite":
+        no = next(i for i, line in enumerate(lines, start=1)
+                  if line.startswith(("condition:", "channels:")))
+        raise ParseError(path, no, "'condition: finite' in a population instance")
+    found = [i for i, line in enumerate(lines, start=1) if line.startswith("# target:")]
+    if not found:
+        raise ParseError(path, 1, "a '# target: <id>' comment line")
+    no = found[-1]
+    target = lines[no - 1].split(":", 1)[1].strip()
+    if not _is_int(target) or not 0 <= int(target) < nfa.num_states:
+        raise ParseError(path, no, f"a target state in [0, {nfa.num_states - 1}] "
+                                   "after '# target:'")
+    return PCPInstance(nfa, int(target))
 
 
 def _write(path, text: str):
@@ -90,7 +104,7 @@ class _Report:
 
 def _maybe_monitor(args):
     if getattr(args, "monitor", None):
-        return _read(args.monitor)
+        return _read(args.monitor, Automaton)
     return None
 
 
@@ -126,7 +140,7 @@ def cmd_explorable(args) -> int:
 
 def cmd_hd(args) -> int:
     rep = _Report(args, "hd", args.automaton)
-    a = _read(args.automaton)
+    a = _read(args.automaton, Automaton if args.via_g2 else (Automaton, MultiAutomaton))
     if args.via_g2:
         ok = is_hd_assuming_explorable(a, args.witness_k, _maybe_monitor(args),
                                        unchecked=args.unchecked)
@@ -137,7 +151,7 @@ def cmd_hd(args) -> int:
 
 def cmd_omega_explorable(args) -> int:
     rep = _Report(args, "omega-explorable", args.automaton)
-    a = _read(args.automaton)
+    a = _read(args.automaton, Automaton)
     verdict = is_omega_explorable(a)
     if verdict.status == "unknown":
         if args.emit_reduction:
@@ -149,7 +163,7 @@ def cmd_omega_explorable(args) -> int:
 
 def cmd_pcp_reduce(args) -> int:
     rep = _Report(args, "pcp-reduce", args.automaton)
-    inst = pcp_reduce(_read(args.automaton))
+    inst = pcp_reduce(_read(args.automaton, Automaton))
     _write(args.output, _format_pcp(inst))
     rep.extra["target"] = inst.target
     return rep.finish(f"states: {inst.nfa.num_states}, target: {inst.target}", 0)
@@ -188,24 +202,16 @@ def cmd_generate(args) -> int:
 def cmd_construct(args) -> int:
     rep = _Report(args, f"construct {args.operation}", getattr(args, "automaton", ""))
     if args.operation == "to13":
-        out = to_13(_read(args.automaton))
+        out = to_13(_read(args.automaton, Automaton))
     elif args.operation == "power":
-        out = union_power(_read(args.automaton), args.k)
+        out = union_power(_read(args.automaton, Automaton), args.k)
     elif args.operation == "flatten":
-        a = _read(args.automaton)
-        if not isinstance(a, MultiAutomaton):
-            raise ParseError(args.automaton, 1, "a multi-channel automaton")
-        out = buchi_union_flatten(a)
+        out = buchi_union_flatten(_read(args.automaton, MultiAutomaton))
     elif args.operation == "cond02":
         out = union_condition_automaton_02(args.k)
     else:  # compose
-        b = _read(args.automaton)
-        c = _read(args.condition)
-        if not isinstance(b, MultiAutomaton):
-            raise ParseError(args.automaton, 1, "a multi-channel automaton")
-        if not isinstance(c, Automaton):
-            raise ParseError(args.condition, 1, "a single-channel automaton")
-        out = compose_monitor(b, c)
+        out = compose_monitor(_read(args.automaton, MultiAutomaton),
+                              _read(args.condition, Automaton))
     _write(args.output, format_automaton(out))
     return rep.finish(f"states: {out.num_states}", 0)
 

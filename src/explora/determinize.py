@@ -34,10 +34,6 @@ class Monitor:
     provenance: str  # "subset" | "breakpoint" | "user"
 
     @property
-    def rank_range(self) -> tuple[int, int]:
-        return self.automaton.rank_range
-
-    @property
     def is_finite(self) -> bool:
         return self.automaton.condition == "finite"
 

@@ -19,7 +19,7 @@ pipeline with the objective
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations_with_replacement, product
 from typing import Optional
 
@@ -330,33 +330,15 @@ def pcp_reduce(a: Automaton) -> PCPInstance:
 
 def is_k_population_winnable(inst: PCPInstance, k: int) -> bool:
     """True iff the token player avoids ever having all k tokens herded into
-    the target state (safety game over token multisets)."""
-    if k < 1:
-        raise ValueError("token count must be at least 1")
+    the target state: the finite-word k-explorability game of the completed
+    NFA accepting everywhere but the target, under a one-state monitor that
+    accepts every word (the universality `pcp_to_explorability` builds)."""
     nfa = complete(inst.nfa)
-    herd = tuple([inst.target] * k)
-    start = tuple([nfa.initial] * k)
-
-    def expand(key):
-        if len(key) == 1:
-            (tokens,) = key
-            if tokens == herd:
-                return [(key, (2,))]
-            return [((tokens, letter), (1,)) for letter in nfa.alphabet]
-        tokens, letter = key
-        return [(((dsts,)), (1,)) for dsts in _multiset_moves(nfa, tokens, letter)]
-
-    order, edges = explore_graph((start,), expand)
-    arena = Arena(
-        owner=tuple(1 if len(key) == 1 else 0 for key in order),
-        edges=tuple(edges),
-        initial=0,
-        channels=((1, 2),),
-        labels=tuple(order),
-    )
-    bad_ids = [i for i, key in enumerate(order) if len(key) == 1 and key[0] == herd]
-    attr = _spoiler_attractor(arena, bad_ids)
-    return arena.initial not in attr
+    nfa = replace(nfa, accepting=frozenset(range(nfa.num_states)) - {inst.target})
+    everything = Automaton.build("all", nfa.alphabet, 1, 0, "finite",
+                                 [(0, letter, 0) for letter in nfa.alphabet], [0])
+    won, _ = _play(nfa, Monitor(everything, "subset"), k)
+    return won
 
 
 def pcp_to_explorability(inst: PCPInstance) -> Automaton:

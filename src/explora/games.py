@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from functools import reduce
 from typing import Iterable, Optional
 
-from .automata import strongly_connected_components
+from .automata import has_parity_cycle
 from .errors import ParseError, SolverCheckFailed
 
 Color = tuple[int, ...]
@@ -74,10 +74,6 @@ class Arena:
 
     def occurring_colors(self) -> frozenset[Color]:
         return frozenset(color for outgoing in self.edges for _, color in outgoing)
-
-    def neutral_color(self) -> Color:
-        """All-minimum tuple; never changes any channel's maximum."""
-        return tuple(lo for lo, _ in self.channels)
 
 
 # ---------------------------------------------------------------------------
@@ -184,9 +180,6 @@ class ZielonkaNode:
     member: bool
     children: list["ZielonkaNode"] = field(default_factory=list)
 
-    def height(self) -> int:
-        return 1 + max((c.height() for c in self.children), default=0)
-
 
 def _maximal_differing_subsets(obj: Objective, tuples: frozenset[Color],
                                member: bool) -> list[frozenset[Color]]:
@@ -290,28 +283,6 @@ def condition_automaton(tree: ZielonkaNode) -> ConditionAutomaton:
         delta=delta,
         alphabet=alphabet,
     )
-
-
-def condition_accepts_periodic(cond: ConditionAutomaton, period: list[Color]) -> bool:
-    """Acceptance of the purely periodic tuple word period^omega."""
-    seen = {cond.initial: 0}
-    states = [cond.initial]
-    q = cond.initial
-    while True:
-        for color in period:
-            q, _ = cond.delta[(q, color)]
-        if q in seen:
-            break
-        seen[q] = len(states)
-        states.append(q)
-    # replay the looping part, collecting ranks
-    q = states[seen[q]]
-    best = None
-    for _ in range(len(states) - seen[q]):
-        for color in period:
-            q, r = cond.delta[(q, color)]
-            best = r if best is None else max(best, r)
-    return best % 2 == 0
 
 
 # ---------------------------------------------------------------------------
@@ -466,13 +437,13 @@ def _trampoline(gen):
     return value
 
 
-def solve_parity(game: Arena, verify: bool = True) -> SolveResult:
+def solve_parity(game: Arena) -> SolveResult:
     """Solve a single-channel max-parity game with Zielonka's algorithm on
     edge ranks.
 
-    Regions partition the positions; both strategies are positional and, when
-    `verify` is set, checked by independent cycle analysis.  A failed check
-    raises `SolverCheckFailed`.
+    Regions partition the positions; both strategies are positional and
+    checked by independent cycle analysis.  A failed check raises
+    `SolverCheckFailed`.
     """
     if len(game.channels) != 1:
         raise ValueError("solve_parity expects a single-channel game")
@@ -489,57 +460,37 @@ def solve_parity(game: Arena, verify: bool = True) -> SolveResult:
 
     strategy_0 = Strategy(0, moves(region0, 0))
     strategy_1 = Strategy(1, moves(region1, 1))
-    if verify:
-        ok0 = verify_strategy(game, region0, strategy_0, 0)
-        ok1 = verify_strategy(game, region1, strategy_1, 1)
-        if not (ok0 and ok1):
-            raise SolverCheckFailed("extracted strategies failed verification")
+    if not (verify_strategy(game, region0, strategy_0, 0)
+            and verify_strategy(game, region1, strategy_1, 1)):
+        raise SolverCheckFailed("extracted strategies failed verification")
     return SolveResult(region0, region1, strategy_0, strategy_1)
 
 
 def verify_strategy(game: Arena, region, strategy: Strategy, owner: int) -> bool:
     """True iff the strategy-restricted subgraph stays inside `region` and
     every cycle in it has the owner's winning max-rank parity."""
-    region = set(region)
-    sub_edges = []
+    region = frozenset(region)
+    adj = [()] * game.num_positions
     for p in region:
+        out = game.edges[p]
         if game.owner[p] == owner:
-            if p not in strategy.moves:
+            idx = strategy.moves.get(p)
+            if idx is None or not 0 <= idx < len(out):
                 return False
-            idx = strategy.moves[p]
-            if idx >= len(game.edges[p]):
-                return False
-            chosen = [game.edges[p][idx]]
-        else:
-            chosen = list(game.edges[p])
-        for dst, color in chosen:
-            if dst not in region:
-                return False
-            sub_edges.append((p, dst, color[0]))
-    bad_parity = 1 if owner == 0 else 0
-    lo, hi = game.channels[0]
-    for r in range(lo, hi + 1):
-        if r % 2 != bad_parity:
-            continue
-        edges_r = [(u, v) for u, v, rank in sub_edges if rank <= r]
-        succ: dict[int, list[int]] = {}
-        for u, v in edges_r:
-            succ.setdefault(u, []).append(v)
-        nodes = {u for u, _ in edges_r} | {v for _, v in edges_r}
-        comp = strongly_connected_components(nodes, lambda x: succ.get(x, ()))
-        for u, v, rank in sub_edges:
-            if rank == r and comp[u] == comp[v]:
-                return False
-    return True
+            out = (out[idx],)
+        if any(dst not in region for dst, _ in out):
+            return False
+        adj[p] = out
+    return not has_parity_cycle(adj, 0, 1 - owner)
 
 
-def solve(arena: Arena, obj: Objective, verify: bool = True) -> SolveResult:
+def solve(arena: Arena, obj: Objective) -> SolveResult:
     """Compile the objective and solve; regions are reported over the original
     positions (each position evaluated with the condition automaton restarted),
     strategies become memory-structured with the condition automaton as memory.
     """
     product, cond = compile_objective(arena, obj)
-    inner = solve_parity(product, verify=verify)
+    inner = solve_parity(product)
     m = cond.num_states
     n = arena.num_positions
     region0 = frozenset(p for p in range(n) if p * m + cond.initial in inner.winning_region_0)

@@ -9,7 +9,6 @@ the API.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 from typing import Optional
 
@@ -23,18 +22,6 @@ EVE = "eve"
 ADAM = "adam"
 
 
-@dataclass(frozen=True)
-class TokenGameSpec:
-    automaton: Automaton
-    k: int
-
-    def __post_init__(self):
-        if self.k < 1:
-            raise ValueError("Adam needs at least one token")
-        if not self.automaton.is_infinite:
-            raise ValueError("token games are defined on infinite-word automata")
-
-
 def build_token_game(a: Automaton, k: int) -> tuple[Arena, Objective]:
     """Arena of the k-token game, explored from the initial position.
 
@@ -43,8 +30,12 @@ def build_token_game(a: Automaton, k: int) -> tuple[Arena, Objective]:
     built, at most n^(k+1) * (1 + 2|Sigma|) of them.
     Channel 0 carries Eve's transition ranks, channels 1..k Adam's.
     """
-    spec = TokenGameSpec(a, k)
-    a = canonical_parity(complete(spec.automaton))
+    if k < 1:
+        raise ValueError("Adam needs at least one token")
+    if not a.is_infinite:
+        raise ValueError("token games are defined on infinite-word automata")
+    source = a
+    a = canonical_parity(complete(a))
     if k + 1 > config.channel_budget():
         raise ChannelBudgetExceeded(
             f"{k + 1} channels exceed the budget of {config.channel_budget()}")
@@ -72,7 +63,7 @@ def build_token_game(a: Automaton, k: int) -> tuple[Arena, Objective]:
         labels=tuple(order),
     )
     assert arena.num_positions <= a.num_states ** (k + 1) * (1 + 2 * len(a.alphabet))
-    if spec.automaton.condition == "buchi" and k == 2:
+    if source.condition == "buchi" and k == 2:
         assert len(arena.occurring_colors()) <= 8
     objective = Or(MaxEvenParity(0),
                    all_of([Not(MaxEvenParity(c)) for c in range(1, k + 1)]))

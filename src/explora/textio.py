@@ -92,9 +92,9 @@ def parse_automaton(text: str, source: str = "<string>") -> Union[Automaton, Mul
     if len(parts) != 2 or parts[0] != "automaton":
         raise ParseError(source, no, f"'automaton <name>' header, got {header!r}")
     name = parts[1]
-    _, alphabet = r.keyword_line("alphabet")
-    if not alphabet:
-        raise ParseError(source, no, "at least one letter after 'alphabet:'")
+    no, alphabet = r.keyword_line("alphabet")
+    if not alphabet or len(set(alphabet)) != len(alphabet):
+        raise ParseError(source, no, "at least one letter, all distinct, after 'alphabet:'")
     num_states = r.int_field("states", 1)
     initial = r.int_field("initial", 0, num_states - 1)
 
@@ -111,8 +111,9 @@ def _parse_single_body(r: _Reader, name, alphabet, num_states, initial) -> Autom
     tag = parts[0]
     parity = None
     if tag == "parity":
-        if len(parts) != 3 or not all(_is_int(p) for p in parts[1:]):
-            raise ParseError(r.source, no, "'condition: parity <lo> <hi>'")
+        if (len(parts) != 3 or not all(_is_int(p) for p in parts[1:])
+                or int(parts[1]) > int(parts[2])):
+            raise ParseError(r.source, no, "'condition: parity <lo> <hi>' with lo <= hi")
         parity = (int(parts[1]), int(parts[2]))
     elif tag not in ("finite", "safety", "reachability", "buchi", "cobuchi") or len(parts) != 1:
         raise ParseError(r.source, no, f"a condition tag, got {' '.join(parts)!r}")
@@ -157,8 +158,9 @@ def _parse_multi_body(r: _Reader, name, alphabet, num_states, initial) -> MultiA
     ranges = []
     for _ in range(k):
         no, parts = r.keyword_line("range")
-        if len(parts) != 3 or not all(_is_int(p) for p in parts):
-            raise ParseError(r.source, no, "'range: <channel> <lo> <hi>'")
+        if (len(parts) != 3 or not all(_is_int(p) for p in parts)
+                or int(parts[1]) > int(parts[2])):
+            raise ParseError(r.source, no, "'range: <channel> <lo> <hi>' with lo <= hi")
         ranges.append((int(parts[1]), int(parts[2])))
     letters = frozenset(alphabet)
     transitions = []

@@ -203,7 +203,7 @@ def test_criterion_9_solver_soundness():
     partition_ok = strategies_ok = True
     for _ in range(200):
         game = random_parity_game(rng, rng.randint(2, 200), rng.randint(1, 3))
-        result = solve_parity(game, verify=False)
+        result = solve_parity(game)
         n = game.num_positions
         partition_ok &= (result.winning_region_0 | result.winning_region_1
                          == frozenset(range(n)))

@@ -1,12 +1,15 @@
+from random import Random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from explora.automata import (Automaton, LassoWord, MultiAutomaton,
                               MultiTransition, _member_product, _member_run,
                               canonical_parity, complete, equivalent_on_lassos,
-                              equivalent_on_words, is_complete,
-                              is_deterministic, iter_lassos, iter_words,
-                              member_finite, member_lasso, validate)
+                              equivalent_on_words, has_parity_cycle,
+                              is_complete, is_deterministic, iter_lassos,
+                              iter_words, member_finite, member_lasso,
+                              validate)
 from explora.generators import gen_ak, gen_bk, gen_c, gen_fig4
 
 from conftest import automaton_corpus
@@ -363,3 +366,38 @@ def test_lasso_enumeration_order_is_fixed():
     assert first[2] == LassoWord.of("", "aa")
     assert [str(w) for w in first[:8]] == [
         "(a)", "(b)", "(aa)", "(ab)", "(ba)", "(bb)", "a(a)", "a(b)"]
+
+
+def simple_cycle_maxima(edges, channel):
+    """Independent oracle: the maximal rank on `channel` of every simple
+    cycle, by enumerating the edge paths from each cycle's least node.  A
+    cycle's maximal rank is that of one of the simple cycles it is made of."""
+    maxima = set()
+
+    def walk(start, node, seen, top):
+        for v, vec in edges[node]:
+            r = max(top, vec[channel])
+            if v == start:
+                maxima.add(r)
+            elif v > start and v not in seen:
+                walk(start, v, seen | {v}, r)
+
+    for start in range(len(edges)):
+        walk(start, start, {start}, -1)
+    return maxima
+
+
+def test_has_parity_cycle_matches_cycle_enumeration():
+    # self-loops, nodes no edge reaches, and ranks drawn from a sparse set
+    rng = Random(17)
+    for _ in range(400):
+        n, width = rng.randint(1, 6), rng.randint(1, 2)
+        ranks = rng.sample(range(0, 9), rng.randint(1, 3))
+        edges = [tuple((rng.randrange(n), tuple(rng.choice(ranks) for _ in range(width)))
+                       for _ in range(rng.randint(0, 3)))
+                 for _ in range(n)]
+        for c in range(width):
+            maxima = simple_cycle_maxima(edges, c)
+            for parity in (0, 1):
+                want = any(r % 2 == parity for r in maxima)
+                assert has_parity_cycle(edges, c, parity) == want, (edges, c, parity)

@@ -155,9 +155,59 @@ HEAD = "automaton x\nalphabet: a b\nstates: 2\ninitial: 0\n"
      HEAD.replace("initial: 0", "initial: 2") + "condition: finite\n", 4),
     (["k-explorable", "-k", "1"],
      HEAD + "condition: finite\naccepting: 0 2\nt 0 a 1\n", 6),
-], ids=["state", "letter", "buchi-rank", "channel-rank", "initial", "accepting"])
+    # a letter listed twice, and empty parity and channel ranges
+    (["k-explorable", "-k", "1"],
+     HEAD.replace("alphabet: a b", "alphabet: a a") + "condition: finite\n", 2),
+    (["k-explorable", "-k", "1"], HEAD + "condition: parity 3 1\n", 5),
+    (["construct", "flatten"], HEAD + "channels: 1\nrange: 0 2 1\n", 6),
+], ids=["state", "letter", "buchi-rank", "channel-rank", "initial", "accepting",
+        "duplicate-letter", "empty-parity-range", "empty-channel-range"])
 def test_malformed_automaton_is_parse_error(tmp_path, capsys, command, text, line):
     p = write(tmp_path, "bad.aut", text)
+    assert main(command + [p]) == 3
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert f"{p}:{line}: expected" in out.err
+
+
+MULTI = HEAD + "channels: 2\nrange: 0 1 2\nrange: 1 1 2\n" + "".join(
+    f"t {q} {x} {q} 1 2\n" for q in (0, 1) for x in "ab")
+
+
+@pytest.mark.parametrize("command", [
+    ["omega-explorable"],
+    ["hd", "--via-g2", "--unchecked"],
+    ["pcp-reduce"],
+    ["construct", "to13"],
+    ["construct", "power", "-k", "2"],
+    # a monitor is a single-channel automaton, whatever its source is
+    ["k-explorable", "-k", "1", "--monitor", "{x}"],
+], ids=["omega-explorable", "hd-via-g2", "pcp-reduce", "to13", "power", "monitor"])
+def test_multi_channel_file_for_single_channel_command(tmp_path, capsys, command):
+    p = write(tmp_path, "multi.aut", MULTI)
+    assert main([p if arg == "{x}" else arg for arg in command + ["{x}"]]) == 3
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert f"{p}:1: expected a single-channel automaton" in out.err
+
+
+PCP_BODY = "alphabet: a b\nstates: 2\ninitial: 0\n"
+
+
+@pytest.mark.parametrize("command, text, line", [
+    # population instances have finite acceptance
+    (["population", "-k", "1"],
+     "# target: 1\nautomaton x\n" + PCP_BODY + "condition: cobuchi\nt 0 a 1 0\n", 6),
+    (["pcp-to-nfa"],
+     "# target: 1\nautomaton x\n" + PCP_BODY + "condition: cobuchi\nt 0 a 1 0\n", 6),
+    # target outside the 2 states, or not an integer
+    (["population", "-k", "1"],
+     "automaton x\n" + PCP_BODY + "condition: finite\n# target: 7\nt 0 a 1\n", 6),
+    (["population", "-k", "1"],
+     "automaton x\n" + PCP_BODY + "condition: finite\nt 0 a 1\n# target: one\n", 7),
+], ids=["cobuchi-population", "cobuchi-pcp-to-nfa", "target-range", "target-int"])
+def test_malformed_pcp_is_parse_error(tmp_path, capsys, command, text, line):
+    p = write(tmp_path, "bad.pcp", text)
     assert main(command + [p]) == 3
     out = capsys.readouterr()
     assert out.out == ""
