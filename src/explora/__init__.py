@@ -20,7 +20,7 @@ from .explorability import (ExplorabilityVerdict, PCPInstance,
 from .games import (Arena, ConditionAutomaton, MaxEvenParity, Not, And, Or,
                     Objective, SolveResult, Strategy, compile_objective,
                     condition_automaton, solve, solve_parity,
-                    solve_parity_disjunction, verify_strategy, zielonka_tree)
+                    verify_strategy, zielonka_tree)
 from .generators import (ATM, atm_accepts, atm_reduce, gen_ak, gen_bk, gen_c,
                          gen_fig4, random_automaton, random_parity_game)
 from .hdgames import (build_token_game, g2_winner, is_hd_assuming_explorable,

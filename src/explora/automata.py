@@ -429,7 +429,7 @@ def _member_product(view: LassoView, initial: int, unroll, wrap: int) -> bool:
         j = i + 1 if i + 1 < length else wrap
         return [((d, j), vec) for d, vec in delta.get((q, unroll[i]), ())]
 
-    _, edges = explore_graph((initial, 0), expand)
+    _, edges = explore_graph([(initial, 0)], expand)
     return any(has_parity_cycle(edges, c, 0) for c in range(len(view.channels)))
 
 
@@ -506,16 +506,31 @@ def iter_words(alphabet, bound: int) -> Iterator[tuple[str, ...]]:
         yield from product(letters, repeat=length)
 
 
-def equivalent_on_lassos(a: AnyAutomaton, b: AnyAutomaton, bound: int) -> EquivalenceVerdict:
-    """Compare lasso membership on every lasso up to the bound.
+def _is_canonical(w: LassoWord) -> bool:
+    """True iff w is the shortest lasso of its omega-word: its period is not a
+    power of a shorter word, and its prefix does not end with the period's
+    last letter (that letter could move into a rotated period)."""
+    prefix, period = w.prefix, w.period
+    if prefix and prefix[-1] == period[-1]:
+        return False
+    n = len(period)
+    return all(period != period[:d] * (n // d) for d in range(1, n) if n % d == 0)
 
-    Sound as a refutation oracle; as an equivalence check it is exact only
-    relative to the bound.
+
+def equivalent_on_lassos(a: AnyAutomaton, b: AnyAutomaton, bound: int) -> EquivalenceVerdict:
+    """Compare lasso membership on every omega-word with a lasso of length at
+    most the bound, checking each word once, on its canonical lasso.
+
+    A lasso that is not canonical has a strictly shorter lasso of the same
+    word, which comes earlier in `iter_lassos` order; so the counterexample
+    is the first lasso in that order on which the automata differ.  Sound as
+    a refutation oracle; as an equivalence check it is exact only relative to
+    the bound.
     """
     if set(a.alphabet) != set(b.alphabet):
         raise ValueError("alphabet mismatch")
     for w in iter_lassos(a.alphabet, bound):
-        if member_lasso(a, w) != member_lasso(b, w):
+        if _is_canonical(w) and member_lasso(a, w) != member_lasso(b, w):
             return EquivalenceVerdict(False, w)
     return EquivalenceVerdict(True)
 
@@ -530,12 +545,17 @@ def equivalent_on_words(a: Automaton, b: Automaton, bound: int) -> EquivalenceVe
     return EquivalenceVerdict(True)
 
 
-def explore_graph(initial_key, expand):
-    """BFS-intern a lazily expanded graph: `expand(key)` yields
-    (successor key, label) pairs.  Returns the keys in discovery order (the
-    initial key is 0) and, per key, its (successor index, label) tuple."""
-    index = {initial_key: 0}
-    order = [initial_key]
+def explore_graph(roots, expand):
+    """BFS-intern a lazily expanded graph from the given root keys:
+    `expand(key)` yields (successor key, label) pairs.  Returns the keys in
+    discovery order, the distinct roots first in their given order (a single
+    root is 0), and, per key, its (successor index, label) tuple."""
+    index: dict = {}
+    order = []
+    for key in roots:
+        if key not in index:
+            index[key] = len(order)
+            order.append(key)
     edges = []
     i = 0
     while i < len(order):

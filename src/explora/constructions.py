@@ -44,7 +44,7 @@ def union_product(automata: Sequence[Automaton]) -> AnyAutomaton:
             for combo in product(*options):
                 yield tuple(d for d, _ in combo), (letter, tuple(r for _, r in combo))
 
-    order, edges = explore_graph(tuple(p.initial for p in parts), expand)
+    order, edges = explore_graph([tuple(p.initial for p in parts)], expand)
     transitions = [(src, letter, dst, ranks)
                    for src, out in enumerate(edges) for dst, (letter, ranks) in out]
 
@@ -179,7 +179,7 @@ def compose_monitor(b: MultiAutomaton, c: Automaton) -> Automaton:
                 ((dst_c, rank),) = c.successors(qc, rank_tuple_letter(ranks))
                 yield (dst_b, dst_c), (letter, rank)
 
-    order, edges = explore_graph((b.initial, c.initial), expand)
+    order, edges = explore_graph([(b.initial, c.initial)], expand)
     transitions = [Transition(src, letter, dst, rank)
                    for src, out in enumerate(edges) for dst, (letter, rank) in out]
     return Automaton.build(f"compose({b.name},{c.name})", b.alphabet,

@@ -25,7 +25,7 @@ from . import config
 from .automata import (Automaton, AnyAutomaton, MultiAutomaton, Transition,
                        canonical_parity, complete, equivalent_on_lassos,
                        explore_graph, is_complete, is_deterministic)
-from .errors import MissingMonitor, MonitorMismatch
+from .errors import MissingMonitor, MonitorCheckFailed, MonitorMismatch
 
 
 @dataclass(frozen=True)
@@ -38,12 +38,17 @@ class Monitor:
         return self.automaton.condition == "finite"
 
 
+def _check_deterministic(monitor: Automaton) -> None:
+    if not (is_deterministic(monitor) and is_complete(monitor)):
+        raise MonitorCheckFailed(f"{monitor.name} is not deterministic and complete")
+
+
 def subset_construction(a: Automaton) -> Monitor:
     """Deterministic finite-word monitor over reachable state subsets."""
     if a.condition != "finite":
         raise ValueError("subset_construction needs a finite-acceptance automaton")
     order, edges = explore_graph(
-        frozenset({a.initial}),
+        [frozenset({a.initial})],
         lambda s: [(a.post(s, letter), letter) for letter in a.alphabet])
     transitions = [Transition(src, letter, dst, 0)
                    for src, out in enumerate(edges) for dst, letter in out]
@@ -52,7 +57,7 @@ def subset_construction(a: Automaton) -> Monitor:
     monitor = Automaton.build(
         f"subset({a.name})", a.alphabet, len(order), 0, "finite",
         transitions, accepting)
-    assert is_deterministic(monitor) and is_complete(monitor)
+    _check_deterministic(monitor)
     return Monitor(monitor, "subset")
 
 
@@ -76,14 +81,14 @@ def breakpoint_construction(a: Automaton) -> Monitor:
             yield ((s2, safe), (letter, 0)) if safe else ((s2, s2), (letter, 1))
 
     start = frozenset({a.initial})
-    order, edges = explore_graph((start, start), expand)
+    order, edges = explore_graph([(start, start)], expand)
     transitions = [Transition(src, letter, dst, rank)
                    for src, out in enumerate(edges) for dst, (letter, rank) in out]
     assert len(order) <= 3 ** a.num_states
     monitor = Automaton.build(
         f"breakpoint({a.name})", a.alphabet, len(order), 0, "parity",
         transitions, parity=(0, 1))
-    assert is_deterministic(monitor) and is_complete(monitor)
+    _check_deterministic(monitor)
     bound = config.capped_lasso_bound(len(a.alphabet))
     verdict = equivalent_on_lassos(a, monitor, bound)
     if not verdict.equivalent:
@@ -99,7 +104,7 @@ def _reachability_monitor(a: Automaton) -> Monitor:
         return any(rank == 1 for q in s for _, rank in a.successors(q, letter))
 
     order, edges = explore_graph(
-        frozenset({a.initial}),
+        [frozenset({a.initial})],
         lambda s: [(a.post(s, letter), letter)
                    for letter in a.alphabet if not hit(s, letter)])
     sink = len(order)  # numbered after every subset
@@ -112,7 +117,7 @@ def _reachability_monitor(a: Automaton) -> Monitor:
     monitor = Automaton.build(
         f"reach-subset({a.name})", a.alphabet, sink + 1, 0, "parity",
         transitions, parity=(1, 2))
-    assert is_deterministic(monitor) and is_complete(monitor)
+    _check_deterministic(monitor)
     return Monitor(monitor, "subset")
 
 

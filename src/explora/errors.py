@@ -46,3 +46,8 @@ class ConfigSpaceTooLarge(ValueError):
 class SolverCheckFailed(ValueError):
     """A solved game failed its own re-check: the winning regions do not
     partition the positions, or an extracted strategy does not verify."""
+
+
+class MonitorCheckFailed(ValueError):
+    """A monitor construction failed its own re-check: the built automaton is
+    not deterministic and complete."""

@@ -39,6 +39,11 @@ class PCPInstance:
     nfa: Automaton
     target: int
 
+    def __post_init__(self):
+        if not 0 <= self.target < self.nfa.num_states:
+            raise ValueError(f"target state {self.target} is not a state of "
+                             f"{self.nfa.name} (0..{self.nfa.num_states - 1})")
+
 
 @dataclass(frozen=True)
 class ExplorabilityVerdict:
@@ -144,7 +149,7 @@ def _build_finite_game(a: Automaton, monitor: Monitor, k: int, quotient: bool):
             succs = [dsts for dsts, _ in _tuple_moves(a, tokens, letter)]
         return [((dsts, m2), (1,)) for dsts in succs]
 
-    order, edges = explore_graph((start, mon.initial), expand)
+    order, edges = explore_graph([(start, mon.initial)], expand)
     arena = Arena(
         owner=tuple(1 if len(key) == 2 else 0 for key in order),
         edges=tuple(edges),
@@ -169,6 +174,9 @@ def _build_infinite_game(a: AnyAutomaton, monitor: Monitor, k: int):
             f"{config.channel_budget()} (set EXPLORE_CHANNEL_BUDGET to raise)")
     neutral = tuple(lo for lo, _ in channels)
     start = (tuple([a.initial] * k), mon.initial)
+    # the token moves do not depend on the monitor state: one entry per
+    # (tokens, letter), shared by every monitor state that meets it
+    token_moves: dict = {}
 
     def expand(key):
         if len(key) == 2:
@@ -176,10 +184,12 @@ def _build_infinite_game(a: AnyAutomaton, monitor: Monitor, k: int):
             return [((tokens, m, letter), neutral) for letter in a.alphabet]
         tokens, m, letter = key
         m2, mrank = mon_delta[(m, letter)]
-        return [(((dsts, m2)), (mrank,) + ranks)
-                for dsts, ranks in _tuple_moves(a, tokens, letter)]
+        moves = token_moves.get((tokens, letter))
+        if moves is None:
+            moves = token_moves[(tokens, letter)] = _tuple_moves(a, tokens, letter)
+        return [((dsts, m2), (mrank,) + ranks) for dsts, ranks in moves]
 
-    order, edges = explore_graph(start, expand)
+    order, edges = explore_graph([start], expand)
     arena = Arena(
         owner=tuple(1 if len(key) == 2 else 0 for key in order),
         edges=tuple(edges),
@@ -311,7 +321,7 @@ def pcp_reduce(a: Automaton) -> PCPInstance:
             for q, _ in a.successors(p, letter):
                 yield (q, reach2), letter
 
-    order, edges = explore_graph((a.initial, frozenset({a.initial})), expand)
+    order, edges = explore_graph([(a.initial, frozenset({a.initial}))], expand)
     transitions = [(src, letter, dst, 0)
                    for src, out in enumerate(edges) for dst, letter in out]
     target = len(order)
@@ -365,7 +375,7 @@ def pcp_to_explorability(inst: PCPInstance) -> Automaton:
                     for qc, _ in c.successors(pc, y):
                         yield (q, qc), f"{x},{y}"
 
-    order, edges = explore_graph((nfa.initial, c.initial), expand)
+    order, edges = explore_graph([(nfa.initial, c.initial)], expand)
     transitions = [(src, letter, dst, 0)
                    for src, out in enumerate(edges) for dst, letter in out]
     accepting = [i for i, (p, pc) in enumerate(order)

@@ -6,7 +6,8 @@ maximal rank appearing infinitely often on channel c is even"; owner 0 is the
 protagonist of the objective.  Such an objective is compiled into a single
 max-parity condition by building the Zielonka tree of the induced Muller
 condition over occurring color tuples, deriving a deterministic parity
-condition automaton from it, and taking the product with the arena.  The
+condition automaton from it, and taking the part of its product with the
+arena that is reachable from the arena's positions.  The
 resulting single-channel parity game is solved by Zielonka's algorithm working
 directly on edge ranks over flat adjacency lists, with positional strategy
 extraction, and strategies are verified independently by cycle analysis.
@@ -17,12 +18,11 @@ only on the input, so outputs are deterministic.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from functools import reduce
 from typing import Iterable, Optional
 
-from .automata import has_parity_cycle
+from .automata import explore_graph, has_parity_cycle
 from .errors import ParseError, SolverCheckFailed
 
 Color = tuple[int, ...]
@@ -308,33 +308,40 @@ class SolveResult:
 
 
 def compile_objective(arena: Arena, obj: Objective) -> tuple[Arena, ConditionAutomaton]:
-    """Product of the arena with the condition automaton of the objective.
-
-    Product position ``p * m + q`` pairs arena position p with condition
-    state q; the single max-parity channel is won by owner 0 iff the
-    objective holds of the play's infinitely-occurring tuples.
+    """Product of the arena with the condition automaton of the objective,
+    interned from the pairs ``(p, initial condition state)`` of every arena
+    position p, in order, so that product position ``p < n`` is arena
+    position p with the condition restarted.  Only pairs reachable from these
+    are built; ``labels[i]`` is the ``(p, q)`` pair of product position i.
+    The single max-parity channel is won by owner 0 iff the objective holds
+    of the play's infinitely-occurring tuples.
     """
     if max_channel(obj) >= len(arena.channels):
         raise ValueError("objective references a channel the arena lacks")
     cond = condition_automaton(zielonka_tree(obj, arena.occurring_colors()))
-    m = cond.num_states
-    n = arena.num_positions
-    owner = []
-    edges = []
-    for p in range(n):
-        for q in range(m):
-            owner.append(arena.owner[p])
-            out = []
-            for dst, color in arena.edges[p]:
-                q2, rank = cond.delta[(q, color)]
-                out.append((dst * m + q2, (rank,)))
-            edges.append(tuple(out))
-    assert len(owner) <= n * m
+    states = range(cond.num_states)
+    # per color, per condition state: (next state, rank channel vector)
+    step = {color: tuple((q2, (rank,)) for q2, rank in
+                         (cond.delta[(q, color)] for q in states))
+            for color in cond.alphabet}
+    moves = [[(dst, step[color]) for dst, color in out] for out in arena.edges]
+
+    def expand(key):
+        p, q = key
+        out = []
+        for dst, row in moves[p]:
+            q2, rank = row[q]
+            out.append(((dst, q2), rank))
+        return out
+
+    roots = [(p, cond.initial) for p in range(arena.num_positions)]
+    order, edges = explore_graph(roots, expand)
     product = Arena(
-        owner=tuple(owner),
+        owner=tuple(arena.owner[p] for p, _ in order),
         edges=tuple(edges),
-        initial=arena.initial * m + cond.initial,
+        initial=arena.initial,
         channels=((cond.lo, cond.hi),),
+        labels=tuple(order),
     )
     return product, cond
 
@@ -487,118 +494,21 @@ def verify_strategy(game: Arena, region, strategy: Strategy, owner: int) -> bool
 def solve(arena: Arena, obj: Objective) -> SolveResult:
     """Compile the objective and solve; regions are reported over the original
     positions (each position evaluated with the condition automaton restarted),
-    strategies become memory-structured with the condition automaton as memory.
+    strategies become memory-structured with the condition automaton as memory
+    and are keyed by (position, memory) pairs.
     """
     product, cond = compile_objective(arena, obj)
     inner = solve_parity(product)
-    m = cond.num_states
     n = arena.num_positions
-    region0 = frozenset(p for p in range(n) if p * m + cond.initial in inner.winning_region_0)
+    region0 = frozenset(p for p in range(n) if p in inner.winning_region_0)
     region1 = frozenset(range(n)) - region0
 
     def lift(strat):
-        moves = {}
-        for key, edge_idx in strat.moves.items():
-            moves[(key // m, key % m)] = edge_idx
+        moves = dict(sorted((product.labels[i], edge_idx)
+                            for i, edge_idx in strat.moves.items()))
         return Strategy(strat.owner, moves, memory=cond)
 
     return SolveResult(region0, region1, lift(inner.strategy_0), lift(inner.strategy_1))
-
-
-# ---------------------------------------------------------------------------
-# independent oracle for the disjunction-of-two-parities fragment
-
-
-def _disjunction_member(colors) -> bool:
-    return (max(c[0] for c in colors) % 2 == 0) or (max(c[1] for c in colors) % 2 == 0)
-
-
-def _disjunction_children(colors: frozenset, member: bool) -> list[frozenset]:
-    values0 = sorted({c[0] for c in colors})
-    values1 = sorted({c[1] for c in colors})
-    candidates = set()
-    for u0 in values0:
-        for u1 in values1:
-            sub = frozenset(c for c in colors if c[0] <= u0 and c[1] <= u1)
-            if sub and sub != colors and _disjunction_member(sub) != member:
-                candidates.add(sub)
-    return [s for s in candidates if not any(s < o for o in candidates)]
-
-
-def _attr_plain(sub, targets, player, owner, succ, pred):
-    attr = set(targets)
-    queue = deque(targets)
-    cnt: dict[int, int] = {}
-    while queue:
-        v = queue.popleft()
-        for u in pred[v]:
-            if u not in sub or u in attr:
-                continue
-            if owner[u] == player:
-                attr.add(u)
-                queue.append(u)
-            else:
-                if u not in cnt:
-                    cnt[u] = sum(1 for w in succ[u] if w in sub)
-                cnt[u] -= 1
-                if cnt[u] == 0:
-                    attr.add(u)
-                    queue.append(u)
-    return attr
-
-
-def solve_parity_disjunction(arena: Arena) -> tuple[frozenset, frozenset]:
-    """Winning regions for owner 0 with the fixed objective "max-even on
-    channel 0 OR max-even on channel 1", via direct attractor recursion on the
-    multi-colored arena (no condition automaton, no product).
-
-    Independent of the Zielonka-tree pipeline; used to cross-check it on the
-    disjunction fragment.
-    """
-    if len(arena.channels) != 2:
-        raise ValueError("the direct solver handles exactly two channels")
-    n = arena.num_positions
-    color: list[Optional[Color]] = [None] * n
-    owner = list(arena.owner)
-    succ: list[list[int]] = [[] for _ in range(n)]
-    for p in range(n):
-        for dst, col in arena.edges[p]:
-            mid = len(color)
-            color.append(col)
-            owner.append(0)
-            succ[p].append(mid)
-            succ.append([dst])
-    total = len(color)
-    pred: list[list[int]] = [[] for _ in range(total)]
-    for v in range(total):
-        for u in succ[v]:
-            pred[u].append(v)
-
-    def rec(sub: set) -> tuple[set, set]:
-        # looping on what the opponent's attractor leaves, instead of
-        # recursing on it, keeps the depth to the height of the tree
-        won: tuple[set, set] = (set(), set())
-        while sub:
-            colors = frozenset(color[v] for v in sub if color[v] is not None)
-            member = _disjunction_member(colors)
-            sigma = 0 if member else 1
-            for child in _disjunction_children(colors, member):
-                targets = {v for v in sub if color[v] is not None and color[v] not in child}
-                attr = _attr_plain(sub, targets, sigma, owner, succ, pred)
-                opp = rec(sub - attr)[1 - sigma]
-                if opp:
-                    battr = _attr_plain(sub, opp, 1 - sigma, owner, succ, pred)
-                    won[1 - sigma].update(battr)
-                    sub = sub - battr
-                    break
-            else:
-                won[sigma].update(sub)
-                break
-        return won
-
-    w0, w1 = rec(set(range(total)))
-    return (frozenset(v for v in w0 if v < n),
-            frozenset(v for v in w1 if v < n))
 
 
 # ---------------------------------------------------------------------------
@@ -631,12 +541,7 @@ def parse_arena(text: str, source: str = "<string>") -> tuple[Arena, Optional[Ob
     n = r.int_field("positions")
     initial = r.int_field("initial")
     k = r.int_field("channels")
-    channels = []
-    for _ in range(k):
-        no, parts = r.keyword_line("range")
-        if len(parts) != 3 or not all(_is_int(p) for p in parts):
-            raise ParseError(source, no, "'range: <channel> <lo> <hi>'")
-        channels.append((int(parts[1]), int(parts[2])))
+    channels = r.channel_ranges(k)
     no, parts = r.keyword_line("owner")
     if len(parts) != n or not all(p in ("0", "1") for p in parts):
         raise ParseError(source, no, f"{n} owner bits after 'owner:'")

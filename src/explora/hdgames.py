@@ -54,7 +54,7 @@ def build_token_game(a: Automaton, k: int) -> tuple[Arena, Objective]:
         return [((eve,) + tuple(d for d, _ in combo), (lo,) + tuple(r for _, r in combo))
                 for combo in product(*options)]
 
-    order, edges = explore_graph(tuple([a.initial] * (k + 1)), expand)
+    order, edges = explore_graph([tuple([a.initial] * (k + 1))], expand)
     arena = Arena(
         owner=tuple(0 if len(key) > k + 1 and key[-1] == "E" else 1 for key in order),
         edges=tuple(edges),

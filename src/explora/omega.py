@@ -72,7 +72,7 @@ def build_elimination_game(a: Automaton) -> Arena:
         return [((support, q, p, letter), (1,)) for letter in a.alphabet]
 
     start = (frozenset({a.initial}), a.initial, monitor.initial)
-    order, edges = explore_graph(start, expand)
+    order, edges = explore_graph([start], expand)
     n = a.num_states
     bound = (2 ** n) * n * (3 ** n) * (1 + len(a.alphabet)) + (2 ** n) * (3 ** n)
     assert len(order) <= bound

@@ -67,6 +67,18 @@ class _Reader:
             raise ParseError(self.source, no, f"'{key}:' {bounds}, got {value}")
         return value
 
+    def channel_ranges(self, k: int) -> list[tuple[int, int]]:
+        """k ``range: <channel> <lo> <hi>`` lines, the i-th naming channel i,
+        each with lo <= hi."""
+        ranges = []
+        for c in range(k):
+            no, parts = self.keyword_line("range")
+            if (len(parts) != 3 or not all(_is_int(p) for p in parts)
+                    or int(parts[0]) != c or int(parts[1]) > int(parts[2])):
+                raise ParseError(self.source, no, f"'range: {c} <lo> <hi>' with lo <= hi")
+            ranges.append((int(parts[1]), int(parts[2])))
+        return ranges
+
 
 def _is_int(s: str) -> bool:
     try:
@@ -155,13 +167,7 @@ def _parse_single_body(r: _Reader, name, alphabet, num_states, initial) -> Autom
 
 def _parse_multi_body(r: _Reader, name, alphabet, num_states, initial) -> MultiAutomaton:
     k = r.int_field("channels")
-    ranges = []
-    for _ in range(k):
-        no, parts = r.keyword_line("range")
-        if (len(parts) != 3 or not all(_is_int(p) for p in parts)
-                or int(parts[1]) > int(parts[2])):
-            raise ParseError(r.source, no, "'range: <channel> <lo> <hi>' with lo <= hi")
-        ranges.append((int(parts[1]), int(parts[2])))
+    ranges = r.channel_ranges(k)
     letters = frozenset(alphabet)
     transitions = []
     while r.peek() is not None:

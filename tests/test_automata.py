@@ -1,18 +1,22 @@
+from dataclasses import replace
 from random import Random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from explora.automata import (Automaton, LassoWord, MultiAutomaton,
-                              MultiTransition, _member_product, _member_run,
+                              MultiTransition, _is_canonical,
+                              _member_product, _member_run,
                               canonical_parity, complete, equivalent_on_lassos,
                               equivalent_on_words, has_parity_cycle,
                               is_complete, is_deterministic, iter_lassos,
                               iter_words, member_finite, member_lasso,
                               validate)
-from explora.generators import gen_ak, gen_bk, gen_c, gen_fig4
+from explora.determinize import breakpoint_construction
+from explora.generators import gen_ak, gen_bk, gen_c, gen_fig4, random_automaton
 
 from conftest import automaton_corpus
+from reference import equivalent_on_all_lassos
 
 
 def brute_force_accepts_finite(a, word):
@@ -320,6 +324,44 @@ class TestEquivalenceOracles:
         v1 = equivalent_on_lassos(gen_fig4("left"), gen_fig4("right"), 4)
         v2 = equivalent_on_lassos(gen_fig4("left"), gen_fig4("right"), 4)
         assert v1.counterexample == v2.counterexample
+
+    def test_canonical_lassos_are_first_of_each_word(self):
+        # the oracle checks exactly one lasso per omega-word: the first one
+        # of that word in enumeration order
+        def word_key(w):  # long enough to tell lassos of length <= 6 apart
+            out = list(w.prefix)
+            while len(out) < 48:
+                out += w.period
+            return tuple(out[:48])
+
+        for alphabet, bound, words in (("ab", 6, 306), ("abc", 4, 279), ("a", 5, 1)):
+            first = {}
+            for w in iter_lassos(alphabet, bound):
+                first.setdefault(word_key(w), w)
+            canonical = [w for w in iter_lassos(alphabet, bound) if _is_canonical(w)]
+            assert canonical == list(first.values())
+            assert len(canonical) == words
+
+    def test_agrees_with_full_enumeration(self):
+        # same verdict and same counterexample as checking every lasso, on
+        # random pairs, source-vs-monitor pairs and monitors with one rank
+        # flipped
+        rng = Random(606)
+        mismatches = 0
+        for trial in range(24):
+            alphabet = ["a", "b"] if trial % 3 else ["a", "b", "c"]
+            bound = 6 if len(alphabet) == 2 else 4
+            a = complete(random_automaton(rng, 3, alphabet, "cobuchi"))
+            monitor = breakpoint_construction(canonical_parity(a)).automaton
+            flip = rng.choice(sorted(monitor.transitions))
+            flipped = replace(monitor, transitions=monitor.transitions - {flip} | {
+                flip._replace(rank=1 - flip.rank)})
+            other = complete(random_automaton(rng, 3, alphabet, "safety"))
+            for b in (monitor, flipped, other):
+                got = equivalent_on_lassos(a, b, bound)
+                assert got == equivalent_on_all_lassos(a, b, bound)
+                mismatches += not got.equivalent
+        assert mismatches >= 24
 
     def test_word_oracle(self):
         a2, a3 = gen_ak(2), gen_ak(3)

@@ -160,8 +160,12 @@ HEAD = "automaton x\nalphabet: a b\nstates: 2\ninitial: 0\n"
      HEAD.replace("alphabet: a b", "alphabet: a a") + "condition: finite\n", 2),
     (["k-explorable", "-k", "1"], HEAD + "condition: parity 3 1\n", 5),
     (["construct", "flatten"], HEAD + "channels: 1\nrange: 0 2 1\n", 6),
+    # the i-th range line names channel i
+    (["construct", "flatten"], HEAD + "channels: 2\nrange: 7 0 1\nrange: 7 1 2\n", 6),
+    (["construct", "flatten"], HEAD + "channels: 2\nrange: 0 0 1\nrange: 0 1 2\n", 7),
 ], ids=["state", "letter", "buchi-rank", "channel-rank", "initial", "accepting",
-        "duplicate-letter", "empty-parity-range", "empty-channel-range"])
+        "duplicate-letter", "empty-parity-range", "empty-channel-range",
+        "channel-number", "channel-repeated"])
 def test_malformed_automaton_is_parse_error(tmp_path, capsys, command, text, line):
     p = write(tmp_path, "bad.aut", text)
     assert main(command + [p]) == 3
@@ -230,6 +234,24 @@ objective: p0
     out = capsys.readouterr()
     assert out.out == ""
     assert f"{arena}:8: expected" in out.err
+
+
+ARENA_HEAD = "arena\npositions: 2\ninitial: 0\n"
+ARENA_TAIL = "owner: 0 1\ne 0 1 0 1\ne 1 0 1 1\nobjective: or p0 p1\n"
+
+
+@pytest.mark.parametrize("ranges, line", [
+    # the i-th range line names channel i, with lo <= hi
+    ("range: 7 0 1\nrange: 7 1 2\n", 5),
+    ("range: 0 0 1\nrange: 0 1 2\n", 6),
+    ("range: 0 0 1\nrange: 1 2 1\n", 6),
+], ids=["channel-number", "channel-repeated", "empty-range"])
+def test_arena_range_line_is_parse_error(tmp_path, capsys, ranges, line):
+    arena = write(tmp_path, "bad.arena", ARENA_HEAD + "channels: 2\n" + ranges + ARENA_TAIL)
+    assert main(["solve-game", arena]) == 3
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert f"{arena}:{line}: expected" in out.err
 
 
 def test_missing_monitor_is_usage_error(tmp_path, capsys):

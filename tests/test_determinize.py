@@ -111,6 +111,37 @@ sys.exit(5)
         assert done.returncode == 0, done.stderr
 
 
+class TestMonitorSelfCheck:
+    @pytest.mark.parametrize("build, source", [
+        ("subset_construction", "gen_ak(2)"),
+        ("breakpoint_construction", "canonical_parity(gen_fig4('left'))"),
+        ("_reachability_monitor", "automaton_corpus(3, 1, 3, ['a', 'b'], 'reachability')[0]"),
+    ], ids=["subset", "breakpoint", "reachability"])
+    def test_failed_check_raises_under_optimize(self, build, source):
+        # the check must not be an assert, which `python -O` strips
+        script = f"""
+import sys
+sys.path.insert(0, {str(Path(__file__).parent)!r})
+import explora.determinize as det
+from explora.automata import canonical_parity
+from explora.errors import MonitorCheckFailed
+from explora.generators import gen_ak, gen_fig4
+from conftest import automaton_corpus
+det.is_deterministic = lambda a: False
+try:
+    det.{build}({source})
+except MonitorCheckFailed:
+    sys.exit(0 if not __debug__ else 4)
+sys.exit(5)
+"""
+        src = str(Path(explora.__file__).resolve().parents[1])
+        path = os.environ.get("PYTHONPATH")
+        env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+        done = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+
+
 class TestResolveMonitor:
     def test_nfa_gets_subset(self):
         assert resolve_monitor(gen_ak(2)).provenance == "subset"

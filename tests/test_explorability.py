@@ -174,6 +174,15 @@ class TestPopulationReduction:
         for k in (1, 2, 3):
             assert is_k_population_winnable(inst, k)
 
+    def test_target_outside_the_states_rejected(self):
+        from explora.explorability import PCPInstance
+        nfa = gen_ak(2)
+        for target in (99, nfa.num_states, -1):
+            with pytest.raises(ValueError):
+                is_k_population_winnable(PCPInstance(nfa, target), 1)
+            with pytest.raises(ValueError):
+                pcp_to_explorability(PCPInstance(nfa, target))
+
     def test_deterministic_all_accepting_reduction(self):
         # test letter always leads to the dead state: trivially winnable
         a = Automaton.build("triv", ["a"], 1, 0, "finite", [(0, "a", 0, 0)],

@@ -11,15 +11,27 @@ import explora
 from explora.automata import LassoView, _member_run
 from explora.errors import SolverCheckFailed
 from explora.games import (And, Arena, MaxEvenParity, Not, Or, Strategy,
-                           compile_objective, condition_automaton, solve,
-                           solve_parity,
-                           solve_parity_disjunction, verify_strategy,
-                           zielonka_tree)
+                           compile_objective, condition_automaton, max_channel,
+                           solve, solve_parity, verify_strategy, zielonka_tree)
 from explora.generators import random_multi_arena, random_parity_game
+
+from reference import solve_full_grid, solve_parity_disjunction
 
 
 def tuples_of(channels):
     return list(product(*[range(lo, hi + 1) for lo, hi in channels]))
+
+
+def objective_arenas(rng, count):
+    """Random two- and three-channel arenas, each with an objective whose
+    condition automaton has several states."""
+    objectives = [Or(MaxEvenParity(0), MaxEvenParity(1)),
+                  And(MaxEvenParity(0), Not(MaxEvenParity(1))),
+                  Or(Not(MaxEvenParity(0)), Or(MaxEvenParity(1), MaxEvenParity(2)))]
+    for trial in range(count):
+        obj = objectives[trial % 3]
+        channels = tuple((0, rng.randint(1, 3)) for _ in range(max_channel(obj) + 1))
+        yield random_multi_arena(rng, rng.randint(2, 30), channels), obj
 
 
 class TestZielonkaTree:
@@ -118,6 +130,27 @@ class TestCompileObjective:
         obj = Or(MaxEvenParity(0), MaxEvenParity(1))
         product_game, cond = compile_objective(arena, obj)
         assert product_game.num_positions <= arena.num_positions * cond.num_states
+
+    def test_product_is_reachable_from_restarted_positions(self):
+        for arena, obj in objective_arenas(Random(7), 60):
+            product_game, cond = compile_objective(arena, obj)
+            n = arena.num_positions
+            labels = product_game.labels
+            assert labels[:n] == tuple((p, cond.initial) for p in range(n))
+            assert len(set(labels)) == len(labels)
+            assert product_game.initial == arena.initial
+            seen, stack = set(range(n)), list(range(n))
+            while stack:
+                for dst, _ in product_game.edges[stack.pop()]:
+                    if dst not in seen:
+                        seen.add(dst)
+                        stack.append(dst)
+            assert seen == set(range(product_game.num_positions))
+            for i, (p, q) in enumerate(labels):
+                assert product_game.owner[i] == arena.owner[p]
+                assert [(labels[d], r) for d, (r,) in product_game.edges[i]] == [
+                    ((dst, cond.delta[(q, color)][0]), cond.delta[(q, color)][1])
+                    for dst, color in arena.edges[p]]
 
 
 class TestSolveParity:
@@ -243,6 +276,12 @@ class TestSolve:
             w0, w1 = solve_parity_disjunction(arena)
             assert w0 == viazt.winning_region_0
             assert w1 == viazt.winning_region_1
+
+    def test_regions_agree_with_full_grid_product(self):
+        for arena, obj in objective_arenas(Random(322), 60):
+            result = solve(arena, obj)
+            assert (result.winning_region_0, result.winning_region_1) == \
+                solve_full_grid(arena, obj)
 
     def test_memory_strategy_shape(self):
         arena = Arena(
