@@ -113,10 +113,10 @@ class Automaton:
 
     def post(self, states, letter: str) -> frozenset[int]:
         """Set of successors of a state set under one letter."""
-        out = set()
-        for q in states:
-            out.update(d for d, _ in self.successors(q, letter))
-        return frozenset(out)
+        if letter not in self.alphabet:
+            raise ValueError(f"letter {letter!r} not in alphabet of {self.name}")
+        delta = self.delta
+        return frozenset(d for q in states for d, _ in delta.get((q, letter), ()))
 
     @cached_property
     def lasso_view(self) -> "LassoView":
@@ -430,60 +430,147 @@ def _member_product(view: LassoView, initial: int, unroll, wrap: int) -> bool:
         return [((d, j), vec) for d, vec in delta.get((q, unroll[i]), ())]
 
     _, edges = explore_graph([(initial, 0)], expand)
-    return any(has_parity_cycle(edges, c, 0) for c in range(len(view.channels)))
+    return any(parity_cycle(edges, [(c, 0)]) is not None
+               for c in range(len(view.channels)))
 
 
-def has_parity_cycle(edges, channel: int, parity: int) -> bool:
-    """True iff some cycle of the graph ``edges[u] = ((v, rank vector), ...)``
-    has a maximal rank of the given parity on `channel`.
+def parity_cycle(edges, demands) -> Optional[list[tuple[int, int]]]:
+    """A closed walk of the graph ``edges[u] = ((v, label), ...)`` whose
+    maximal rank on every demanded channel has the demanded parity, or None.
 
-    For each occurring rank r of that parity, one iterative Tarjan pass over
-    the edges of rank <= r; a rank-r edge inside a component closes a cycle
-    whose maximal rank is r.
+    `demands` lists ``(channel, parity)`` pairs, and ``label[channel]`` is an
+    edge's rank on that channel.  The walk is a list of ``(u, i)`` steps
+    along ``edges[u][i]``, each starting where the previous one ends and the
+    last ending where the first starts.
+
+    Emerson-Lei refinement: split the graph into strongly connected
+    components.  In a component whose maximal ranks meet every demand, a walk
+    through all its edges meets them too, and so does a walk through one
+    top-rank edge per demand, which is returned.  Otherwise every cycle
+    through an edge of the first failing demand's top rank fails that demand,
+    so the component's edges of that rank or above are dropped and what is
+    left is split again.  A split lowers one demand's rank cap, so a node
+    takes part in at most one split per occurring rank of each demanded
+    channel.  Tarjan's algorithm runs on an explicit stack, so the call depth
+    stays constant.
     """
+    for c, p in demands:
+        if not any(label[c] % 2 == p for out in edges for _, label in out):
+            return None  # no cycle has a maximal rank that no edge carries
     n = len(edges)
-    ranks = sorted({vec[channel] for out in edges for _, vec in out
-                    if vec[channel] % 2 == parity})
-    for r in ranks:
-        index = [-1] * n
-        low = [0] * n
-        comp = [-1] * n  # a visited node is on the stack until it gets one
-        stack: list[int] = []
+    channels = [c for c, _ in demands]
+    parities = [p for _, p in demands]
+    index = [-1] * n
+    low = [0] * n
+    comp = [-1] * n  # a visited node is on the stack until it gets one
+    work = [(range(n), edges)]  # node set, its out-edges inside the set
+    while work:
+        nodes, adj = work.pop()
+        if adj is not edges:
+            for u in nodes:
+                index[u] = comp[u] = -1
         count = 0
-        for root in range(n):
-            if index[root] >= 0:
+        stack: list[int] = []
+        for root in nodes:
+            if index[root] >= 0 or not adj[root]:
                 continue
             index[root] = low[root] = count
             count += 1
             stack.append(root)
-            work = [(root, iter(edges[root]))]
-            while work:
-                v, it = work[-1]
-                for u, vec in it:
-                    if vec[channel] > r:
-                        continue
+            frames = [(root, iter(adj[root]))]
+            while frames:
+                v, it = frames[-1]
+                for u, _ in it:
                     if index[u] < 0:
                         index[u] = low[u] = count
                         count += 1
                         stack.append(u)
-                        work.append((u, iter(edges[u])))
+                        frames.append((u, iter(adj[u])))
                         break
                     if comp[u] < 0 and index[u] < low[v]:
                         low[v] = index[u]
                 else:
-                    work.pop()
-                    if work and low[v] < low[work[-1][0]]:
-                        low[work[-1][0]] = low[v]
+                    frames.pop()
+                    if frames and low[v] < low[frames[-1][0]]:
+                        low[frames[-1][0]] = low[v]
                     if low[v] == index[v]:
                         while True:
                             u = stack.pop()
                             comp[u] = v
                             if u == v:
                                 break
-        if any(vec[channel] == r and comp[u] == comp[v]
-               for u, out in enumerate(edges) for v, vec in out):
-            return True
-    return False
+        # per component with an edge: top and least rank of each demand
+        ranges = {}
+        for u in nodes:
+            cu = comp[u]
+            for v, label in adj[u]:
+                if comp[v] != cu:
+                    continue
+                seen = ranges.get(cu)
+                if seen is None:
+                    ranges[cu] = ([label[c] for c in channels], [label[c] for c in channels])
+                    continue
+                top, least = seen
+                for j, c in enumerate(channels):
+                    if label[c] > top[j]:
+                        top[j] = label[c]
+                    elif label[c] < least[j]:
+                        least[j] = label[c]
+        splits = {}
+        for r, (top, least) in ranges.items():
+            failing = [j for j, p in enumerate(parities) if top[j] % 2 != p]
+            if not failing:
+                members = [u for u in nodes if comp[u] == r]
+                return _walk_through(edges, adj, members, comp, channels, top)
+            j = failing[0]
+            if least[j] < top[j]:  # else dropping the top rank leaves no edge
+                splits[r] = (channels[j], top[j] - 1, [])
+        if splits:
+            for u in nodes:
+                split = splits.get(comp[u])
+                if split is not None:
+                    split[2].append(u)
+            for r, (c, cap, members) in splits.items():
+                work.append((members, {u: [(v, label) for v, label in adj[u]
+                                           if comp[v] == r and label[c] <= cap]
+                                       for u in members}))
+    return None
+
+
+def _walk_through(edges, adj, members, comp, channels, top):
+    """A closed walk over the `adj` edges inside one strongly connected
+    component of `parity_cycle`, taking for each channel an edge of the
+    component's top rank there, as ``(u, i)`` steps along ``edges[u][i]``."""
+    r = comp[members[0]]
+    inner = [(u, e) for u in members for e in adj[u] if comp[e[0]] == r]
+    picks = []
+    for c, t in zip(channels, top):
+        step = next(s for s in inner if s[1][1][c] == t)
+        if step not in picks:
+            picks.append(step)
+
+    def path(src, dst):
+        prev = {src: None}
+        queue = [src]
+        for u in queue:
+            if u == dst:
+                break
+            for e in adj[u]:
+                if comp[e[0]] == r and e[0] not in prev:
+                    prev[e[0]] = (u, e)
+                    queue.append(e[0])
+        steps = []
+        while prev[dst] is not None:
+            steps.append(prev[dst])
+            dst = prev[dst][0]
+        return steps[::-1]
+
+    walk = []
+    for k, (u, e) in enumerate(picks):
+        walk.append((u, e))
+        walk += path(e[0], picks[(k + 1) % len(picks)][0])
+    # an edge of `adj` is the very tuple of `edges`, or one equal to it
+    return [(u, edges[u].index(e)) for u, e in walk]
 
 
 # ---------------------------------------------------------------------------
@@ -525,7 +612,8 @@ def equivalent_on_lassos(a: AnyAutomaton, b: AnyAutomaton, bound: int) -> Equiva
     word, which comes earlier in `iter_lassos` order; so the counterexample
     is the first lasso in that order on which the automata differ.  Sound as
     a refutation oracle; as an equivalence check it is exact only relative to
-    the bound.
+    the bound.  Of the monitors, only user-supplied ones rely on it, for
+    L(M) <= L(A); built monitors are validated exactly in `determinize`.
     """
     if set(a.alphabet) != set(b.alphabet):
         raise ValueError("alphabet mismatch")

@@ -221,9 +221,6 @@ def cmd_solve_game(args) -> int:
     arena, objective = parse_arena(Path(args.arena).read_text(), args.arena)
     if objective is None:
         raise ParseError(args.arena, 1, "an 'objective:' line")
-    problems = arena.validate()
-    if problems:
-        raise ParseError(args.arena, 1, "; ".join(problems))
     result = solve(arena, objective)
     payload = {
         "schema": SCHEMA,

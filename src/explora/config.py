@@ -2,8 +2,10 @@
 
 EXPLORE_CHANNEL_BUDGET caps the number of parity channels a game objective may
 use (per-token channels grow with the token count).  EXPLORE_LASSO_BOUND sets
-the default bound of the lasso-equivalence oracle.  Both are surfaced in the
-CLI's JSON output so runs are reproducible.
+the default bound of the lasso-equivalence oracle, which validates user
+monitors only: built monitors are validated exactly.  Both are surfaced in the
+CLI's JSON output (as ``channel_budget`` and ``lasso_bound``) so runs are
+reproducible.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import os
 DEFAULT_CHANNEL_BUDGET = 5
 DEFAULT_LASSO_BOUND = 6
 
-# Soft cap on how many lassos a *build-time* monitor validation may enumerate;
+# Soft cap on how many lassos a user-monitor validation may enumerate;
 # the bound is lowered (never below 2) until the count fits.  Large alphabets
 # (e.g. machine reductions) would otherwise make bound-6 checks take hours.
 ORACLE_LASSO_CAP = 60_000

@@ -50,4 +50,10 @@ class SolverCheckFailed(ValueError):
 
 class MonitorCheckFailed(ValueError):
     """A monitor construction failed its own re-check: the built automaton is
-    not deterministic and complete."""
+    not deterministic and complete, does not match its state labels, or, in
+    the elimination game, puts rank-3 edges off the monitor's breakpoints."""
+
+
+class ReductionCheckFailed(ValueError):
+    """A reduction failed its own re-check: `pcp_to_explorability` built an
+    automaton that rejects a short word, though its language is universal."""

@@ -28,7 +28,7 @@ from .automata import (Automaton, AnyAutomaton, MultiAutomaton,
                        canonical_parity, complete, explore_graph, iter_words,
                        member_finite)
 from .determinize import Monitor, resolve_monitor
-from .errors import ChannelBudgetExceeded, NonSinkTarget
+from .errors import ChannelBudgetExceeded, NonSinkTarget, ReductionCheckFailed
 from .games import (Arena, MaxEvenParity, Not, Or, Strategy, any_of, solve)
 
 
@@ -385,5 +385,6 @@ def pcp_to_explorability(inst: PCPInstance) -> Automaton:
         transitions, accepting)
     # union with the all-accepting component makes the language universal
     for word in iter_words(out.alphabet, 2):
-        assert member_finite(out, word), f"product unexpectedly rejects {word}"
+        if not member_finite(out, word):
+            raise ReductionCheckFailed(f"{out.name} unexpectedly rejects {word}")
     return out

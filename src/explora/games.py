@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from functools import reduce
 from typing import Iterable, Optional
 
-from .automata import explore_graph, has_parity_cycle
+from .automata import explore_graph, parity_cycle
 from .errors import ParseError, SolverCheckFailed
 
 Color = tuple[int, ...]
@@ -144,15 +144,16 @@ def format_objective(obj: Objective) -> str:
     return f"{tag} {format_objective(obj.left)} {format_objective(obj.right)}"
 
 
-def parse_objective(text: str, source: str = "<objective>") -> Objective:
-    """Prefix notation: ``p<channel>``, ``not E``, ``and E E``, ``or E E``."""
+def parse_objective(text: str, source: str = "<objective>", line: int = 1) -> Objective:
+    """Prefix notation: ``p<channel>``, ``not E``, ``and E E``, ``or E E``;
+    errors are reported at `line` of `source`."""
     tokens = text.split()
     pos = 0
 
     def expr() -> Objective:
         nonlocal pos
         if pos >= len(tokens):
-            raise ParseError(source, 1, "an objective term")
+            raise ParseError(source, line, "an objective term")
         tok = tokens[pos]
         pos += 1
         if tok == "not":
@@ -162,11 +163,11 @@ def parse_objective(text: str, source: str = "<objective>") -> Objective:
             return cls(expr(), expr())
         if tok.startswith("p") and tok[1:].isdigit():
             return MaxEvenParity(int(tok[1:]))
-        raise ParseError(source, 1, f"p<channel>/not/and/or, got {tok!r}")
+        raise ParseError(source, line, f"p<channel>/not/and/or, got {tok!r}")
 
     result = expr()
     if pos != len(tokens):
-        raise ParseError(source, 1, "end of objective expression")
+        raise ParseError(source, line, "end of objective expression")
     return result
 
 
@@ -307,6 +308,23 @@ class SolveResult:
     strategy_1: Strategy
 
 
+def _atom_condition(arena: Arena, obj: Objective) -> Optional[ConditionAutomaton]:
+    """The one-state condition automaton of ``p<c>``, which passes channel
+    c's rank through, or of ``not p<c>``, which shifts it up by one; None
+    for any other objective."""
+    shift = 1 if isinstance(obj, Not) else 0
+    atom = obj.sub if shift else obj
+    if not isinstance(atom, MaxEvenParity):
+        return None
+    c = atom.channel
+    colors = arena.occurring_colors()
+    lo, hi = arena.channels[c]
+    return ConditionAutomaton(
+        num_states=1, initial=0, lo=lo + shift, hi=hi + shift,
+        delta={(0, color): (0, color[c] + shift) for color in colors},
+        alphabet=colors)
+
+
 def compile_objective(arena: Arena, obj: Objective) -> tuple[Arena, ConditionAutomaton]:
     """Product of the arena with the condition automaton of the objective,
     interned from the pairs ``(p, initial condition state)`` of every arena
@@ -314,11 +332,14 @@ def compile_objective(arena: Arena, obj: Objective) -> tuple[Arena, ConditionAut
     position p with the condition restarted.  Only pairs reachable from these
     are built; ``labels[i]`` is the ``(p, q)`` pair of product position i.
     The single max-parity channel is won by owner 0 iff the objective holds
-    of the play's infinitely-occurring tuples.
+    of the play's infinitely-occurring tuples.  A single atom, negated or
+    not, needs no Zielonka tree.
     """
     if max_channel(obj) >= len(arena.channels):
         raise ValueError("objective references a channel the arena lacks")
-    cond = condition_automaton(zielonka_tree(obj, arena.occurring_colors()))
+    cond = _atom_condition(arena, obj)
+    if cond is None:
+        cond = condition_automaton(zielonka_tree(obj, arena.occurring_colors()))
     states = range(cond.num_states)
     # per color, per condition state: (next state, rank channel vector)
     step = {color: tuple((q2, (rank,)) for q2, rank in
@@ -488,7 +509,7 @@ def verify_strategy(game: Arena, region, strategy: Strategy, owner: int) -> bool
         if any(dst not in region for dst, _ in out):
             return False
         adj[p] = out
-    return not has_parity_cycle(adj, 0, 1 - owner)
+    return parity_cycle(adj, [(0, 1 - owner)]) is None
 
 
 def solve(arena: Arena, obj: Objective) -> SolveResult:
@@ -538,8 +559,8 @@ def parse_arena(text: str, source: str = "<string>") -> tuple[Arena, Optional[Ob
     no, line = r.next("'arena' header")
     if line != "arena":
         raise ParseError(source, no, "'arena' header")
-    n = r.int_field("positions")
-    initial = r.int_field("initial")
+    n = r.int_field("positions", 1)
+    initial = r.int_field("initial", 0, n - 1)
     k = r.int_field("channels")
     channels = r.channel_ranges(k)
     no, parts = r.keyword_line("owner")
@@ -551,7 +572,10 @@ def parse_arena(text: str, source: str = "<string>") -> tuple[Arena, Optional[Ob
     while r.peek() is not None:
         no, line = r.next("edge or objective line")
         if line.startswith("objective:"):
-            obj = parse_objective(line.split(":", 1)[1], source)
+            obj = parse_objective(line.split(":", 1)[1], source, no)
+            if max_channel(obj) >= k:
+                raise ParseError(source, no, f"objective channels below {k}, "
+                                 f"got p{max_channel(obj)}")
             continue
         parts = line.split()
         if parts[0] != "e" or len(parts) != 3 + k:
@@ -561,5 +585,12 @@ def parse_arena(text: str, source: str = "<string>") -> tuple[Arena, Optional[Ob
         src, dst = int(parts[1]), int(parts[2])
         if not (0 <= src < n and 0 <= dst < n):
             raise ParseError(source, no, f"positions in [0, {n - 1}], got {src} and {dst}")
-        edges[src].append((dst, tuple(int(p) for p in parts[3:])))
+        color = tuple(int(p) for p in parts[3:])
+        for c, ((lo, hi), rank) in enumerate(zip(channels, color)):
+            if not lo <= rank <= hi:
+                raise ParseError(source, no, f"channel {c} rank in [{lo}, {hi}], got {rank}")
+        edges[src].append((dst, color))
+    for p, out in enumerate(edges):
+        if not out:
+            raise ParseError(source, r.end, f"an edge out of position {p}")
     return Arena(owner, tuple(tuple(e) for e in edges), initial, tuple(channels)), obj

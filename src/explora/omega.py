@@ -22,6 +22,7 @@ from typing import Optional
 from .automata import (Automaton, Transition, canonical_parity, complete,
                        explore_graph)
 from .determinize import breakpoint_construction
+from .errors import MonitorCheckFailed
 from .games import Arena, solve_parity
 
 
@@ -47,7 +48,8 @@ def build_elimination_game(a: Automaton) -> Arena:
     relocation micro-positions; owner 0 is the eliminating player, whose
     objective is the built-in max-even condition (rank 2 = elimination is the
     only even rank).  Rank-3 edges coincide exactly with breakpoint (rank-1)
-    monitor transitions, which is asserted structurally.
+    monitor transitions, which is checked structurally: a mismatch raises
+    `MonitorCheckFailed`.
     """
     a = _as_cobuchi(a)
     monitor = breakpoint_construction(a).automaton
@@ -72,10 +74,8 @@ def build_elimination_game(a: Automaton) -> Arena:
         return [((support, q, p, letter), (1,)) for letter in a.alphabet]
 
     start = (frozenset({a.initial}), a.initial, monitor.initial)
+    # no size check: interned keys are distinct tuples over A's and M's states
     order, edges = explore_graph([start], expand)
-    n = a.num_states
-    bound = (2 ** n) * n * (3 ** n) * (1 + len(a.alphabet)) + (2 ** n) * (3 ** n)
-    assert len(order) <= bound
     arena = Arena(
         owner=tuple(0 if len(key) == 3 and key[0] != "elim" else 1 for key in order),
         edges=tuple(edges),
@@ -87,7 +87,9 @@ def build_elimination_game(a: Automaton) -> Arena:
     for i, key in enumerate(order):
         if len(key) == 4:
             _, mrank = mon_delta[(key[2], key[3])]
-            assert all((color[0] == 3) == (mrank == 1) for _, color in arena.edges[i])
+            if any((color[0] == 3) != (mrank == 1) for _, color in arena.edges[i]):
+                raise MonitorCheckFailed(
+                    f"rank-3 edges of position {i} miss the monitor's breakpoints")
     return arena
 
 

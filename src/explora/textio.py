@@ -42,9 +42,14 @@ class _Reader:
     def peek(self):
         return self.lines[self.pos] if self.pos < len(self.lines) else None
 
+    @property
+    def end(self) -> int:
+        """The line number just past the last line with content."""
+        return self.lines[-1][0] + 1 if self.lines else 1
+
     def next(self, expected: str):
         if self.pos >= len(self.lines):
-            raise ParseError(self.source, len(self.lines) + 1, expected)
+            raise ParseError(self.source, self.end, expected)
         item = self.lines[self.pos]
         self.pos += 1
         return item

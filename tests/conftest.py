@@ -7,8 +7,13 @@ machine transitions, and no length-1 accepting play.
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
 from random import Random
 
+import explora
 from explora.automata import complete
 from explora.generators import ATM, random_automaton
 
@@ -63,3 +68,14 @@ def automaton_corpus(seed: int, count: int, num_states: int, alphabet,
     return [complete(random_automaton(rng, num_states, alphabet, condition,
                                       max_branch=max_branch, parity=parity))
             for _ in range(count)]
+
+
+def run_optimized(script: str) -> subprocess.CompletedProcess:
+    """Run a Python script under `python -O`, which strips asserts, with
+    explora and this directory importable."""
+    paths = [str(Path(explora.__file__).resolve().parents[1]), str(Path(__file__).parent)]
+    if os.environ.get("PYTHONPATH"):
+        paths.append(os.environ["PYTHONPATH"])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+    return subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)

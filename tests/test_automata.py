@@ -8,7 +8,7 @@ from explora.automata import (Automaton, LassoWord, MultiAutomaton,
                               MultiTransition, _is_canonical,
                               _member_product, _member_run,
                               canonical_parity, complete, equivalent_on_lassos,
-                              equivalent_on_words, has_parity_cycle,
+                              equivalent_on_words, parity_cycle,
                               is_complete, is_deterministic, iter_lassos,
                               iter_words, member_finite, member_lasso,
                               validate)
@@ -410,36 +410,91 @@ def test_lasso_enumeration_order_is_fixed():
         "(a)", "(b)", "(aa)", "(ab)", "(ba)", "(bb)", "a(a)", "a(b)"]
 
 
-def simple_cycle_maxima(edges, channel):
-    """Independent oracle: the maximal rank on `channel` of every simple
-    cycle, by enumerating the edge paths from each cycle's least node.  A
-    cycle's maximal rank is that of one of the simple cycles it is made of."""
-    maxima = set()
+def simple_cycles(edges, width):
+    """Independent oracle: every simple cycle as (node set, maximal rank per
+    channel), by enumerating the edge paths from each cycle's least node."""
+    cycles = set()
 
     def walk(start, node, seen, top):
         for v, vec in edges[node]:
-            r = max(top, vec[channel])
+            here = tuple(map(max, top, vec))
             if v == start:
-                maxima.add(r)
+                cycles.add((frozenset(seen), here))
             elif v > start and v not in seen:
-                walk(start, v, seen | {v}, r)
+                walk(start, v, seen | {v}, here)
 
     for start in range(len(edges)):
-        walk(start, start, {start}, -1)
-    return maxima
+        walk(start, start, {start}, (-1,) * width)
+    return cycles
+
+
+def closed_walk_maxima(edges, width):
+    """Maximal rank vectors of all closed walks.  A closed walk's edges form
+    a union of simple cycles that is connected through shared nodes, and its
+    maximal ranks are those of the union."""
+    cycles = simple_cycles(edges, width)
+    seen = set(cycles)
+    todo = list(cycles)
+    while todo:
+        nodes, top = todo.pop()
+        for other, other_top in cycles:
+            if nodes & other:
+                union = (nodes | other, tuple(map(max, top, other_top)))
+                if union not in seen:
+                    seen.add(union)
+                    todo.append(union)
+    return {top for _, top in seen}
+
+
+def random_ranked_graph(rng, width):
+    # self-loops, nodes no edge reaches, and ranks drawn from a sparse set
+    n = rng.randint(1, 6)
+    ranks = rng.sample(range(0, 9), rng.randint(1, 3))
+    return [tuple((rng.randrange(n), tuple(rng.choice(ranks) for _ in range(width)))
+                  for _ in range(rng.randint(0, 3)))
+            for _ in range(n)]
+
+
+def assert_walk_meets(edges, walk, demands):
+    assert walk, "an empty walk"
+    for (u, i), (u2, _) in zip(walk, walk[1:] + walk[:1]):
+        assert edges[u][i][0] == u2, walk
+    for c, parity in demands:
+        assert max(edges[u][i][1][c] for u, i in walk) % 2 == parity, (walk, c)
 
 
 def test_has_parity_cycle_matches_cycle_enumeration():
-    # self-loops, nodes no edge reaches, and ranks drawn from a sparse set
     rng = Random(17)
     for _ in range(400):
-        n, width = rng.randint(1, 6), rng.randint(1, 2)
-        ranks = rng.sample(range(0, 9), rng.randint(1, 3))
-        edges = [tuple((rng.randrange(n), tuple(rng.choice(ranks) for _ in range(width)))
-                       for _ in range(rng.randint(0, 3)))
-                 for _ in range(n)]
+        width = rng.randint(1, 2)
+        edges = random_ranked_graph(rng, width)
+        maxima = {top for _, top in simple_cycles(edges, width)}
         for c in range(width):
-            maxima = simple_cycle_maxima(edges, c)
             for parity in (0, 1):
-                want = any(r % 2 == parity for r in maxima)
-                assert has_parity_cycle(edges, c, parity) == want, (edges, c, parity)
+                want = any(top[c] % 2 == parity for top in maxima)
+                walk = parity_cycle(edges, [(c, parity)])
+                assert (walk is not None) == want, (edges, c, parity)
+                if walk is not None:
+                    assert_walk_meets(edges, walk, [(c, parity)])
+
+
+def test_parity_cycle_with_two_demands_matches_closed_walks():
+    # two demands can be met by a walk through two simple cycles that meet
+    # neither alone, so the oracle combines cycles sharing a node
+    rng = Random(23)
+    combined = 0
+    for _ in range(600):
+        edges = random_ranked_graph(rng, 2)
+        maxima = closed_walk_maxima(edges, 2)
+        single = {top for _, top in simple_cycles(edges, 2)}
+        for p0 in (0, 1):
+            for p1 in (0, 1):
+                demands = [(0, p0), (1, p1)]
+                want = any(t0 % 2 == p0 and t1 % 2 == p1 for t0, t1 in maxima)
+                combined += want and not any(t0 % 2 == p0 and t1 % 2 == p1
+                                             for t0, t1 in single)
+                walk = parity_cycle(edges, demands)
+                assert (walk is not None) == want, (edges, demands)
+                if walk is not None:
+                    assert_walk_meets(edges, walk, demands)
+    assert combined > 0  # the corpus has walks no simple cycle matches

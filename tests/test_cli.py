@@ -236,6 +236,34 @@ objective: p0
     assert f"{arena}:8: expected" in out.err
 
 
+ARENA_BODY = """arena
+positions: 2
+initial: 0
+channels: 1
+range: 0 0 1
+owner: 0 1
+e 0 1 0
+e 1 0 1
+objective: p0
+"""
+
+
+@pytest.mark.parametrize("old, new, line", [
+    ("e 1 0 1\n", "e 1 0 5\n", 8),
+    ("objective: p0", "objective: and p0", 9),
+    ("objective: p0", "objective: p3", 9),
+    ("initial: 0", "initial: 2", 3),
+    ("e 1 0 1\n", "", 9),
+], ids=["rank-outside-range", "objective-syntax", "objective-channel",
+        "initial-outside", "no-edge-out"])
+def test_arena_error_reported_at_its_line(tmp_path, capsys, old, new, line):
+    arena = write(tmp_path, "bad.arena", ARENA_BODY.replace(old, new))
+    assert main(["solve-game", arena]) == 3
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert f"{arena}:{line}: expected" in out.err
+
+
 ARENA_HEAD = "arena\npositions: 2\ninitial: 0\n"
 ARENA_TAIL = "owner: 0 1\ne 0 1 0 1\ne 1 0 1 1\nobjective: or p0 p1\n"
 

@@ -13,7 +13,7 @@ from explora.explorability import (build_k_explorability_game,
 from explora.games import solve
 from explora.generators import gen_ak, gen_bk, gen_c, gen_fig4, random_automaton
 
-from conftest import automaton_corpus
+from conftest import automaton_corpus, run_optimized
 
 
 class TestBranchingFamily:
@@ -222,6 +222,23 @@ class TestHardnessProduct:
         assert any(verdicts.values())
         for k in (1, 2, 3):
             assert verdicts[k] == is_k_population_winnable(inst, k)
+
+    def test_universality_check_raises_under_optimize(self):
+        # the check must not be an assert, which `python -O` strips
+        done = run_optimized("""
+import sys
+import explora.explorability as ex
+from explora.automata import Automaton
+from explora.errors import ReductionCheckFailed
+ex.member_finite = lambda a, word: False
+nfa = Automaton.build("u", ["a"], 2, 0, "finite", [(0, "a", 0, 0), (1, "a", 1, 0)])
+try:
+    ex.pcp_to_explorability(ex.PCPInstance(nfa, 1))
+except ReductionCheckFailed:
+    sys.exit(0 if not __debug__ else 4)
+sys.exit(5)
+""")
+        assert done.returncode == 0, done.stderr
 
     def test_explorability_matches_population_verdicts(self):
         for src in [gen_ak(2), gen_c()]:

@@ -283,6 +283,30 @@ class TestSolve:
             assert (result.winning_region_0, result.winning_region_1) == \
                 solve_full_grid(arena, obj)
 
+    def test_single_atom_regions_agree_with_tree_path(self):
+        rng = Random(325)
+        for _ in range(80):
+            arena = random_parity_game(rng, rng.randint(2, 30), rng.randint(0, 6))
+            for obj in (MaxEvenParity(0), Not(MaxEvenParity(0))):
+                result = solve(arena, obj)
+                assert (result.winning_region_0, result.winning_region_1) == \
+                    solve_full_grid(arena, obj)
+
+    def test_single_atom_needs_no_zielonka_tree(self, monkeypatch):
+        # the tree is cubic in the ranks, and 400 ranks would take minutes
+        def refuse(*args):
+            raise AssertionError("zielonka_tree was called")
+
+        monkeypatch.setattr("explora.games.zielonka_tree", refuse)
+        arena = random_parity_game(Random(326), 400, 399)
+        assert len({color for color in arena.occurring_colors()}) > 300
+        direct = solve(arena, MaxEvenParity(0))
+        flipped = Arena(tuple(1 - o for o in arena.owner), arena.edges,
+                        arena.initial, arena.channels)
+        dual = solve(flipped, Not(MaxEvenParity(0)))
+        assert dual.winning_region_0 == direct.winning_region_1
+        assert len(direct.winning_region_0) + len(direct.winning_region_1) == 400
+
     def test_memory_strategy_shape(self):
         arena = Arena(
             owner=(0, 0),

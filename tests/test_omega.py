@@ -11,7 +11,7 @@ from explora.generators import gen_fig4
 from explora.omega import (build_elimination_game, is_omega_explorable,
                            is_omega_explorable_cobuchi, parity_to_buchi_omega)
 
-from conftest import ATM_CORPUS, automaton_corpus
+from conftest import ATM_CORPUS, automaton_corpus, run_optimized
 
 
 class TestEliminationGame:
@@ -48,6 +48,30 @@ class TestEliminationGame:
         assert cond.num_states <= 4
         assert (cond.hi - cond.lo) <= 3
         assert product_game.num_positions == arena.num_positions * cond.num_states
+
+    def test_breakpoint_rank_check_raises_under_optimize(self):
+        # a fault in the arena: one edge's rank-3 mark no longer follows the
+        # monitor's breakpoints; the check must not be an assert
+        done = run_optimized("""
+import sys
+import explora.omega as omega
+from explora.errors import MonitorCheckFailed
+from explora.generators import gen_fig4
+real = omega.explore_graph
+def faulty(roots, expand):
+    order, edges = real(roots, expand)
+    i = next(i for i, key in enumerate(order) if len(key) == 4)
+    dst, color = edges[i][0]
+    edges[i] = ((dst, (1,) if color == (3,) else (3,)),) + edges[i][1:]
+    return order, edges
+omega.explore_graph = faulty
+try:
+    omega.build_elimination_game(gen_fig4("left"))
+except MonitorCheckFailed:
+    sys.exit(0 if not __debug__ else 4)
+sys.exit(5)
+""")
+        assert done.returncode == 0, done.stderr
 
     def test_explorable_safety_automata_are_omega_explorable(self):
         rng = Random(73)
