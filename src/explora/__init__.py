@@ -4,9 +4,8 @@ games, and omega-explorability for safety/coBuchi conditions."""
 
 from .automata import (Automaton, EquivalenceVerdict, LassoWord,
                        MultiAutomaton, Transition, canonical_parity, complete,
-                       equivalent_on_lassos, equivalent_on_words,
-                       is_deterministic, iter_lassos, iter_words,
-                       member_finite, member_lasso, validate)
+                       equivalent_on_lassos, is_deterministic, iter_lassos,
+                       iter_words, member_finite, member_lasso, validate)
 from .constructions import (buchi_union_flatten, compose_monitor, to_13,
                             union_condition_automaton_02, union_power,
                             union_product)

@@ -623,16 +623,6 @@ def equivalent_on_lassos(a: AnyAutomaton, b: AnyAutomaton, bound: int) -> Equiva
     return EquivalenceVerdict(True)
 
 
-def equivalent_on_words(a: Automaton, b: Automaton, bound: int) -> EquivalenceVerdict:
-    """Finite-word analogue of equivalent_on_lassos."""
-    if set(a.alphabet) != set(b.alphabet):
-        raise ValueError("alphabet mismatch")
-    for word in iter_words(a.alphabet, bound):
-        if member_finite(a, word) != member_finite(b, word):
-            return EquivalenceVerdict(False, word)
-    return EquivalenceVerdict(True)
-
-
 def explore_graph(roots, expand):
     """BFS-intern a lazily expanded graph from the given root keys:
     `expand(key)` yields (successor key, label) pairs.  Returns the keys in
@@ -645,16 +635,13 @@ def explore_graph(roots, expand):
             index[key] = len(order)
             order.append(key)
     edges = []
-    i = 0
-    while i < len(order):
+    for key in order:  # the walk takes in the keys appended on the way
         out = []
-        for nxt, label in expand(order[i]):
+        for nxt, label in expand(key):
             j = index.get(nxt)
             if j is None:
-                j = len(order)
-                index[nxt] = j
+                j = index[nxt] = len(order)
                 order.append(nxt)
             out.append((j, label))
         edges.append(tuple(out))
-        i += 1
     return order, edges

@@ -127,7 +127,7 @@ def _token_channels(a: AnyAutomaton) -> tuple[tuple[int, int], ...]:
     return (a.rank_range,)
 
 
-def _build_finite_game(a: Automaton, monitor: Monitor, k: int, quotient: bool):
+def _build_finite_game(a: Automaton, monitor: Monitor, k: int):
     mon = monitor.automaton
     mon_delta = {key: succ[0][0] for key, succ in mon.delta.items()}
     start = tuple([a.initial] * k)
@@ -143,11 +143,7 @@ def _build_finite_game(a: Automaton, monitor: Monitor, k: int, quotient: bool):
             return [((tokens, m, letter), (1,)) for letter in a.alphabet]
         tokens, m, letter = key
         m2 = mon_delta[(m, letter)]
-        if quotient:
-            succs = _multiset_moves(a, tokens, letter)
-        else:
-            succs = [dsts for dsts, _ in _tuple_moves(a, tokens, letter)]
-        return [((dsts, m2), (1,)) for dsts in succs]
+        return [((dsts, m2), (1,)) for dsts in _multiset_moves(a, tokens, letter)]
 
     order, edges = explore_graph([(start, mon.initial)], expand)
     arena = Arena(
@@ -203,29 +199,22 @@ def _build_infinite_game(a: AnyAutomaton, monitor: Monitor, k: int):
     return arena, objective
 
 
-def build_k_explorability_game(a: AnyAutomaton, monitor: Monitor, k: int,
-                               quotient: Optional[bool] = None):
+def build_k_explorability_game(a: AnyAutomaton, monitor: Monitor, k: int):
     """Arena and Determiniser objective of the k-token explorability game.
 
-    Finite-word automata get the safety formulation over token multisets
-    (quotient defaults to True there); infinite-word automata keep token
-    tuples, since per-token parity channels are only meaningful along actual
-    runs.
+    Finite-word automata get the safety formulation over token multisets;
+    infinite-word automata keep token tuples, since per-token parity channels
+    are only meaningful along actual runs.
     """
     if k < 1:
         raise ValueError("token count must be at least 1")
     if monitor.is_finite:
-        arena, obj, _ = _build_finite_game(
-            a, monitor, k, quotient=True if quotient is None else quotient)
+        arena, obj, _ = _build_finite_game(a, monitor, k)
         return arena, obj
-    if quotient:
-        raise ValueError("the multiset quotient is only sound for the "
-                         "finite-word safety formulation")
     return _build_infinite_game(a, monitor, k)
 
 
 def _play(a: AnyAutomaton, monitor: Monitor, k: int,
-          quotient: Optional[bool] = None,
           witness: bool = False) -> tuple[bool, Optional[Strategy]]:
     """Play the k-explorability game of the (completed) automaton on the
     given monitor: whether the token player wins and, when `witness` is set
@@ -233,8 +222,7 @@ def _play(a: AnyAutomaton, monitor: Monitor, k: int,
     if k < 1:
         raise ValueError("token count must be at least 1")
     if monitor.is_finite:
-        arena, _, bad = _build_finite_game(
-            a, monitor, k, quotient=True if quotient is None else quotient)
+        arena, _, bad = _build_finite_game(a, monitor, k)
         attr = _spoiler_attractor(arena, bad)
         if arena.initial in attr:
             return False, None
@@ -258,11 +246,10 @@ def _completed(a: AnyAutomaton) -> AnyAutomaton:
 
 
 def is_k_explorable(a: AnyAutomaton, k: int,
-                    user_monitor: Optional[Automaton] = None,
-                    quotient: Optional[bool] = None) -> bool:
+                    user_monitor: Optional[Automaton] = None) -> bool:
     """True iff the token player wins the k-explorability game."""
     a = _completed(a)
-    won, _ = _play(a, resolve_monitor(a, user_monitor), k, quotient)
+    won, _ = _play(a, resolve_monitor(a, user_monitor), k)
     return won
 
 

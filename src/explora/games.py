@@ -7,10 +7,16 @@ protagonist of the objective.  Such an objective is compiled into a single
 max-parity condition by building the Zielonka tree of the induced Muller
 condition over occurring color tuples, deriving a deterministic parity
 condition automaton from it, and taking the part of its product with the
-arena that is reachable from the arena's positions.  The
-resulting single-channel parity game is solved by Zielonka's algorithm working
-directly on edge ranks over flat adjacency lists, with positional strategy
-extraction, and strategies are verified independently by cycle analysis.
+arena that is reachable from the arena's positions, interned with the int key
+``p * m + q`` for arena position p and condition state q.
+
+There is one graph layout from the product to the verifier: an `Arena`'s
+``edges[u]``, a tuple of ``(dst, (rank,))`` pairs, where an edge's index in
+that tuple names it in strategies.  `solve_parity` solves it by Zielonka's
+algorithm on edge ranks, reading these tuples as the successor lists; the one
+conversion, in `_EdgeRankGame`, adds the predecessor index and each
+position's rank bounds.  `verify_strategy` checks the positional strategies
+it extracts by cycle analysis on the same tuples.
 
 Attractor processing order, strategy edge choice and tree child order depend
 only on the input, so outputs are deterministic.
@@ -20,6 +26,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import reduce
+from itertools import product as _product, repeat
+from math import inf
 from typing import Iterable, Optional
 
 from .automata import explore_graph, parity_cycle
@@ -49,28 +57,6 @@ class Arena:
     @property
     def num_positions(self) -> int:
         return len(self.owner)
-
-    def validate(self) -> list[str]:
-        out = []
-        n = self.num_positions
-        if len(self.edges) != n:
-            out.append("edge table size differs from position count")
-        if not (0 <= self.initial < n):
-            out.append(f"initial position {self.initial} out of range")
-        for p, outgoing in enumerate(self.edges):
-            if not outgoing:
-                out.append(f"position {p} has no outgoing edge")
-            for dst, color in outgoing:
-                if not (0 <= dst < n):
-                    out.append(f"edge target {dst} out of range")
-                if len(color) != len(self.channels):
-                    out.append(f"color arity mismatch on edge {p}->{dst}")
-                else:
-                    for c, r in enumerate(color):
-                        lo, hi = self.channels[c]
-                        if not (lo <= r <= hi):
-                            out.append(f"rank {r} outside channel {c} on edge {p}->{dst}")
-        return out
 
     def occurring_colors(self) -> frozenset[Color]:
         return frozenset(color for outgoing in self.edges for _, color in outgoing)
@@ -193,7 +179,6 @@ def _maximal_differing_subsets(obj: Objective, tuples: frozenset[Color],
     width = len(next(iter(tuples)))
     values = [sorted({t[c] for t in tuples}) for c in range(width)]
     candidates: set[frozenset[Color]] = set()
-    from itertools import product as _product
     for caps in _product(*values):
         sub = frozenset(t for t in tuples if all(t[c] <= caps[c] for c in range(width)))
         if sub and sub != tuples and obj.holds(sub) != member:
@@ -340,37 +325,41 @@ def compile_objective(arena: Arena, obj: Objective) -> tuple[Arena, ConditionAut
     cond = _atom_condition(arena, obj)
     if cond is None:
         cond = condition_automaton(zielonka_tree(obj, arena.occurring_colors()))
-    states = range(cond.num_states)
+    m = cond.num_states
     # per color, per condition state: (next state, rank channel vector)
     step = {color: tuple((q2, (rank,)) for q2, rank in
-                         (cond.delta[(q, color)] for q in states))
+                         (cond.delta[(q, color)] for q in range(m)))
             for color in cond.alphabet}
-    moves = [[(dst, step[color]) for dst, color in out] for out in arena.edges]
+    moves = [[(dst * m, step[color]) for dst, color in out] for out in arena.edges]
 
     def expand(key):
-        p, q = key
+        p, q = divmod(key, m)
         out = []
-        for dst, row in moves[p]:
+        for base, row in moves[p]:
             q2, rank = row[q]
-            out.append(((dst, q2), rank))
+            out.append((base + q2, rank))
         return out
 
-    roots = [(p, cond.initial) for p in range(arena.num_positions)]
-    order, edges = explore_graph(roots, expand)
+    order, edges = explore_graph(range(cond.initial, arena.num_positions * m, m), expand)
+    labels = tuple(map(divmod, order, repeat(m)))
     product = Arena(
-        owner=tuple(arena.owner[p] for p, _ in order),
+        owner=tuple([arena.owner[p] for p, _ in labels]),
         edges=tuple(edges),
         initial=arena.initial,
         channels=((cond.lo, cond.hi),),
-        labels=tuple(order),
+        labels=labels,
     )
     return product, cond
 
 
 class _EdgeRankGame:
-    """A single-channel parity game as flat adjacency lists of (other end,
-    rank, edge index), solved by Zielonka's algorithm directly on edge ranks.
+    """A single-channel parity game solved by Zielonka's algorithm directly
+    on edge ranks.
 
+    The successor lists are the arena's own edge tuples, so an edge index is
+    its place in ``edges[u]``.  Built here, once per game: the predecessor
+    index, with the source, rank and edge index of each edge into v laid out
+    flat in ``pred[v]``, and the least and largest rank out of each position.
     A subgame is a position set `sub` with a rank cap: it keeps the edges of
     rank <= cap between positions of `sub`, and every position of `sub` keeps
     at least one.  `move[p]` ends up as the edge index the winner of p takes
@@ -378,47 +367,73 @@ class _EdgeRankGame:
     """
 
     def __init__(self, game: Arena):
-        self.owner = game.owner
-        self.succ = [[(dst, color[0], i) for i, (dst, color) in enumerate(out)]
-                     for out in game.edges]
-        self.pred: list[list[tuple[int, int, int]]] = [[] for _ in self.succ]
-        for u, out in enumerate(self.succ):
-            for v, rank, i in out:
-                self.pred[v].append((u, rank, i))
-        self.move = [0] * len(self.succ)
+        self.owner, self.succ = game.owner, game.edges
+        self.pred: list[list[int]] = [[] for _ in game.edges]
+        self.low, self.high = [], []
+        for u, out in enumerate(game.edges):
+            lo, hi = inf, -inf
+            for i, (v, (r,)) in enumerate(out):
+                self.pred[v] += u, r, i
+                if r < lo:
+                    lo = r
+                if r > hi:
+                    hi = r
+            self.low.append(lo)
+            self.high.append(hi)
+        self.move = [0] * len(game.edges)
 
-    def attractor(self, sub, player: int, cap: int, targets=(), top=None) -> set:
+    def attractor(self, sub, player: int, cap: int, targets=(), top=False) -> set:
         """Positions of the subgame (sub, cap) from which `player` forces
-        reaching `targets` or, when `top` is given, taking an edge of rank
-        `top`; records the edge each attracted `player` position takes."""
+        reaching `targets` or, when `top` is set, taking an edge of rank
+        `cap`; records the edge each attracted `player` position takes."""
         owner, succ, pred, move = self.owner, self.succ, self.pred, self.move
         attr = set(targets)
         queue = list(attr)
         left: dict[int, int] = {}  # opponent position -> edges not yet pulled
-
-        def pull(u: int, i: int):
-            if owner[u] == player:
-                move[u] = i
-            else:
-                k = left.get(u)
-                if k is None:
-                    k = sum(1 for v, r, _ in succ[u] if r <= cap and v in sub)
-                left[u] = k = k - 1
-                if k:
-                    return
-            attr.add(u)
-            queue.append(u)
-
-        if top is not None:
+        if top:
+            # a player position takes its first rank-cap edge; an opponent one
+            # keeps its lower edges, the only ones pulled from here on
+            low, high = self.low, self.high
             for u in sub:
-                for v, r, i in succ[u]:
-                    if r == top and v in sub and u not in attr:
-                        pull(u, i)
-        while queue:
-            for u, r, i in pred[queue.pop()]:
-                # a rank-top edge was pulled when seeding
-                if r <= cap and r != top and u in sub and u not in attr:
-                    pull(u, i)
+                if high[u] < cap:
+                    continue
+                first, k = None, 0
+                for i, (v, (r,)) in enumerate(succ[u]):
+                    if r <= cap and v in sub:
+                        if r < cap:
+                            k += 1
+                        elif first is None:
+                            first = i
+                            if owner[u] == player or low[u] >= cap:
+                                break
+                if first is None:
+                    continue
+                if owner[u] == player:
+                    move[u] = first
+                elif k:
+                    left[u] = k
+                    continue
+                attr.add(u)
+                queue.append(u)
+            cap -= 1
+        while queue and len(attr) < len(sub):
+            edges = iter(pred[queue.pop()])
+            for u, r, i in zip(edges, edges, edges):
+                if r <= cap and u in sub and u not in attr:
+                    if owner[u] == player:
+                        move[u] = i
+                    else:
+                        k = left.get(u)
+                        if k is None:
+                            k = 0
+                            for v, (rv,) in succ[u]:
+                                if rv <= cap and v in sub:
+                                    k += 1
+                        left[u] = k = k - 1
+                        if k:
+                            continue
+                    attr.add(u)
+                    queue.append(u)
         return attr
 
     def zielonka(self, sub: set, cap: int):
@@ -429,7 +444,9 @@ class _EdgeRankGame:
         which is sound because a rank-d edge left there starts at an opponent
         position that also has a lower one.  If the opponent wins nothing
         there, sigma wins `sub`; otherwise the opponent's attractor to its
-        region is removed and the loop goes on.
+        region is removed and the loop goes on.  No edge of `sub` ranks above
+        d, nor will once `sub` shrinks, so d becomes the cap, and the search
+        for the next d stops at the first edge of rank cap.
 
         A generator for `_trampoline`: it yields the subgame below d and is
         sent back its regions, so however many ranks there are, the Python
@@ -438,9 +455,16 @@ class _EdgeRankGame:
         won: tuple[set, set] = (set(), set())
         succ = self.succ
         while sub:
-            d = max(r for u in sub for v, r, _ in succ[u] if r <= cap and v in sub)
+            d = -inf
+            for u in sub:
+                for v, (r,) in succ[u]:
+                    if d < r <= cap and v in sub:
+                        d = r
+                if d == cap:
+                    break
+            cap = d
             sigma = d % 2
-            attr = self.attractor(sub, sigma, cap, top=d)
+            attr = self.attractor(sub, sigma, cap, top=True)
             lost = (yield self.zielonka(sub - attr, d - 1))[1 - sigma]
             if not lost:
                 won[sigma].update(sub)
@@ -477,8 +501,7 @@ def solve_parity(game: Arena) -> SolveResult:
         raise ValueError("solve_parity expects a single-channel game")
     n = game.num_positions
     solver = _EdgeRankGame(game)
-    cap = max((r for out in solver.succ for _, r, _ in out), default=0)
-    w0, w1 = _trampoline(solver.zielonka(set(range(n)), cap))
+    w0, w1 = _trampoline(solver.zielonka(set(range(n)), max(solver.high, default=0)))
     region0, region1 = frozenset(w0), frozenset(w1)
     if region0 | region1 != frozenset(range(n)) or region0 & region1:
         raise SolverCheckFailed("winning regions do not partition the positions")
@@ -506,8 +529,9 @@ def verify_strategy(game: Arena, region, strategy: Strategy, owner: int) -> bool
             if idx is None or not 0 <= idx < len(out):
                 return False
             out = (out[idx],)
-        if any(dst not in region for dst, _ in out):
-            return False
+        for dst, _ in out:
+            if dst not in region:
+                return False
         adj[p] = out
     return parity_cycle(adj, [(0, 1 - owner)]) is None
 
@@ -536,7 +560,7 @@ def solve(arena: Arena, obj: Objective) -> SolveResult:
 # arena text format (solve-game CLI)
 
 
-def format_arena(arena: Arena, obj: Optional[Objective] = None) -> str:
+def format_arena(arena: Arena, obj: Objective) -> str:
     out = ["arena",
            f"positions: {arena.num_positions}",
            f"initial: {arena.initial}",
@@ -547,12 +571,11 @@ def format_arena(arena: Arena, obj: Optional[Objective] = None) -> str:
     for p in range(arena.num_positions):
         for dst, color in arena.edges[p]:
             out.append(f"e {p} {dst} " + " ".join(map(str, color)))
-    if obj is not None:
-        out.append("objective: " + format_objective(obj))
+    out.append("objective: " + format_objective(obj))
     return "\n".join(out) + "\n"
 
 
-def parse_arena(text: str, source: str = "<string>") -> tuple[Arena, Optional[Objective]]:
+def parse_arena(text: str, source: str = "<string>") -> tuple[Arena, Objective]:
     from .textio import _Reader, _is_int  # shared line reader
 
     r = _Reader(text, source)
@@ -593,4 +616,6 @@ def parse_arena(text: str, source: str = "<string>") -> tuple[Arena, Optional[Ob
     for p, out in enumerate(edges):
         if not out:
             raise ParseError(source, r.end, f"an edge out of position {p}")
+    if obj is None:
+        raise ParseError(source, r.end, "an 'objective:' line")
     return Arena(owner, tuple(tuple(e) for e in edges), initial, tuple(channels)), obj

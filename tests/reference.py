@@ -10,9 +10,15 @@ from __future__ import annotations
 from collections import deque
 from typing import Optional
 
-from explora.automata import EquivalenceVerdict, iter_lassos, member_lasso
-from explora.games import (Arena, Color, ConditionAutomaton, condition_automaton,
-                           solve_parity, zielonka_tree)
+from explora.automata import (EquivalenceVerdict, complete, explore_graph,
+                              iter_lassos, iter_words, member_finite,
+                              member_lasso)
+from explora.determinize import resolve_monitor
+from explora.errors import SolverCheckFailed
+from explora.explorability import _spoiler_attractor, _tuple_moves
+from explora.games import (Arena, Color, ConditionAutomaton, SolveResult,
+                           Strategy, _trampoline, condition_automaton,
+                           solve_parity, verify_strategy, zielonka_tree)
 
 
 def equivalent_on_all_lassos(a, b, bound: int) -> EquivalenceVerdict:
@@ -23,6 +29,16 @@ def equivalent_on_all_lassos(a, b, bound: int) -> EquivalenceVerdict:
     for w in iter_lassos(a.alphabet, bound):
         if member_lasso(a, w) != member_lasso(b, w):
             return EquivalenceVerdict(False, w)
+    return EquivalenceVerdict(True)
+
+
+def equivalent_on_words(a, b, bound: int) -> EquivalenceVerdict:
+    """Language equivalence checked on every finite word up to the bound."""
+    if set(a.alphabet) != set(b.alphabet):
+        raise ValueError("alphabet mismatch")
+    for word in iter_words(a.alphabet, bound):
+        if member_finite(a, word) != member_finite(b, word):
+            return EquivalenceVerdict(False, word)
     return EquivalenceVerdict(True)
 
 
@@ -147,3 +163,141 @@ def solve_parity_disjunction(arena: Arena) -> tuple[frozenset, frozenset]:
     w0, w1 = rec(set(range(total)))
     return (frozenset(v for v in w0 if v < n),
             frozenset(v for v in w1 if v < n))
+
+
+class _EdgeRankGame:
+    """A single-channel parity game as flat adjacency lists of (other end,
+    rank, edge index), solved by Zielonka's algorithm directly on edge ranks.
+
+    A subgame is a position set `sub` with a rank cap: it keeps the edges of
+    rank <= cap between positions of `sub`, and every position of `sub` keeps
+    at least one.  `move[p]` ends up as the edge index the winner of p takes
+    there, when p is the winner's.
+    """
+
+    def __init__(self, game: Arena):
+        self.owner = game.owner
+        self.succ = [[(dst, color[0], i) for i, (dst, color) in enumerate(out)]
+                     for out in game.edges]
+        self.pred: list[list[tuple[int, int, int]]] = [[] for _ in self.succ]
+        for u, out in enumerate(self.succ):
+            for v, rank, i in out:
+                self.pred[v].append((u, rank, i))
+        self.move = [0] * len(self.succ)
+
+    def attractor(self, sub, player: int, cap: int, targets=(), top=None) -> set:
+        """Positions of the subgame (sub, cap) from which `player` forces
+        reaching `targets` or, when `top` is given, taking an edge of rank
+        `top`; records the edge each attracted `player` position takes."""
+        owner, succ, pred, move = self.owner, self.succ, self.pred, self.move
+        attr = set(targets)
+        queue = list(attr)
+        left: dict[int, int] = {}  # opponent position -> edges not yet pulled
+
+        def pull(u: int, i: int):
+            if owner[u] == player:
+                move[u] = i
+            else:
+                k = left.get(u)
+                if k is None:
+                    k = sum(1 for v, r, _ in succ[u] if r <= cap and v in sub)
+                left[u] = k = k - 1
+                if k:
+                    return
+            attr.add(u)
+            queue.append(u)
+
+        if top is not None:
+            for u in sub:
+                for v, r, i in succ[u]:
+                    if r == top and v in sub and u not in attr:
+                        pull(u, i)
+        while queue:
+            for u, r, i in pred[queue.pop()]:
+                # a rank-top edge was pulled when seeding
+                if r <= cap and r != top and u in sub and u not in attr:
+                    pull(u, i)
+        return attr
+
+    def zielonka(self, sub: set, cap: int):
+        """Winning regions of players 0 and 1 in the subgame (sub, cap).
+
+        With d the largest rank left and sigma its parity's player, sigma
+        attracts to taking a rank-d edge; what remains is solved below d,
+        which is sound because a rank-d edge left there starts at an opponent
+        position that also has a lower one.  If the opponent wins nothing
+        there, sigma wins `sub`; otherwise the opponent's attractor to its
+        region is removed and the loop goes on.
+
+        A generator for `_trampoline`: it yields the subgame below d and is
+        sent back its regions, so however many ranks there are, the Python
+        call depth stays constant.
+        """
+        won: tuple[set, set] = (set(), set())
+        succ = self.succ
+        while sub:
+            d = max(r for u in sub for v, r, _ in succ[u] if r <= cap and v in sub)
+            sigma = d % 2
+            attr = self.attractor(sub, sigma, cap, top=d)
+            lost = (yield self.zielonka(sub - attr, d - 1))[1 - sigma]
+            if not lost:
+                won[sigma].update(sub)
+                break
+            lost = self.attractor(sub, 1 - sigma, cap, targets=lost)
+            won[1 - sigma].update(lost)
+            sub = sub - lost
+        return won
+
+
+def solve_parity_reference(game: Arena) -> SolveResult:
+    """Zielonka's algorithm on edge ranks over adjacency lists copied from the
+    arena, scanning every edge for each subgame's top rank: the solver that
+    `games.solve_parity` must match in regions and in both move maps."""
+    if len(game.channels) != 1:
+        raise ValueError("solve_parity expects a single-channel game")
+    n = game.num_positions
+    solver = _EdgeRankGame(game)
+    cap = max((r for out in solver.succ for _, r, _ in out), default=0)
+    w0, w1 = _trampoline(solver.zielonka(set(range(n)), cap))
+    region0, region1 = frozenset(w0), frozenset(w1)
+    if region0 | region1 != frozenset(range(n)) or region0 & region1:
+        raise SolverCheckFailed("winning regions do not partition the positions")
+
+    def moves(region, owner_bit):
+        return {p: solver.move[p] for p in sorted(region) if game.owner[p] == owner_bit}
+
+    strategy_0 = Strategy(0, moves(region0, 0))
+    strategy_1 = Strategy(1, moves(region1, 1))
+    if not (verify_strategy(game, region0, strategy_0, 0)
+            and verify_strategy(game, region1, strategy_1, 1)):
+        raise SolverCheckFailed("extracted strategies failed verification")
+    return SolveResult(region0, region1, strategy_0, strategy_1)
+
+
+def is_k_explorable_tuples(a, k: int) -> bool:
+    """Finite-word k-explorability decided on token tuples, every joint move
+    of the k tokens a separate position, instead of the multisets the library
+    plays on: the safety game "never: monitor accepting while no token is",
+    lost by the token player on the letter player's attractor to a bad
+    position."""
+    a = complete(a)
+    mon = resolve_monitor(a).automaton
+    mon_delta = {key: succ[0][0] for key, succ in mon.delta.items()}
+
+    def bad(tokens, m) -> bool:
+        return m in mon.accepting and not any(q in a.accepting for q in tokens)
+
+    def expand(key):
+        if len(key) == 2:
+            if bad(*key):
+                return [(key, (2,))]
+            return [((*key, letter), (1,)) for letter in a.alphabet]
+        tokens, m, letter = key
+        m2 = mon_delta[(m, letter)]
+        return [((dsts, m2), (1,)) for dsts, _ in _tuple_moves(a, tokens, letter)]
+
+    order, edges = explore_graph([(tuple([a.initial] * k), mon.initial)], expand)
+    arena = Arena(tuple(1 if len(key) == 2 else 0 for key in order), tuple(edges),
+                  0, ((1, 2),))
+    bad_ids = [i for i, key in enumerate(order) if len(key) == 2 and bad(*key)]
+    return arena.initial not in _spoiler_attractor(arena, bad_ids)

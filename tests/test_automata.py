@@ -8,15 +8,14 @@ from explora.automata import (Automaton, LassoWord, MultiAutomaton,
                               MultiTransition, _is_canonical,
                               _member_product, _member_run,
                               canonical_parity, complete, equivalent_on_lassos,
-                              equivalent_on_words, parity_cycle,
-                              is_complete, is_deterministic, iter_lassos,
-                              iter_words, member_finite, member_lasso,
-                              validate)
+                              parity_cycle, is_complete, is_deterministic,
+                              iter_lassos, iter_words, member_finite,
+                              member_lasso, validate)
 from explora.determinize import breakpoint_construction
 from explora.generators import gen_ak, gen_bk, gen_c, gen_fig4, random_automaton
 
 from conftest import automaton_corpus
-from reference import equivalent_on_all_lassos
+from reference import equivalent_on_all_lassos, equivalent_on_words
 
 
 def brute_force_accepts_finite(a, word):

@@ -4,8 +4,8 @@ from random import Random
 import pytest
 
 from explora.automata import (Automaton, MultiAutomaton, complete,
-                              equivalent_on_lassos, equivalent_on_words,
-                              is_deterministic, iter_lassos, member_lasso)
+                              equivalent_on_lassos, is_deterministic,
+                              iter_lassos, member_lasso)
 from explora.constructions import (buchi_union_flatten, compose_monitor,
                                    rank_tuple_letter, to_13,
                                    union_condition_automaton_02, union_power,
@@ -15,6 +15,7 @@ from explora.explorability import is_k_explorable
 from explora.generators import gen_ak, random_automaton
 
 from conftest import automaton_corpus
+from reference import equivalent_on_words
 
 
 def det_parity_14():

@@ -11,9 +11,10 @@ from explora.explorability import (build_k_explorability_game,
                                    is_k_population_winnable, pcp_reduce,
                                    pcp_to_explorability)
 from explora.games import solve
-from explora.generators import gen_ak, gen_bk, gen_c, gen_fig4, random_automaton
+from explora.generators import gen_ak, gen_bk, gen_c, random_automaton
 
 from conftest import automaton_corpus, run_optimized
+from reference import is_k_explorable_tuples
 
 
 class TestBranchingFamily:
@@ -80,8 +81,7 @@ class TestGameStructure:
             a = complete(random_automaton(rng, rng.randint(2, 4), ["a", "b"],
                                           "finite"))
             for k in (1, 2):
-                assert is_k_explorable(a, k, quotient=True) == \
-                    is_k_explorable(a, k, quotient=False)
+                assert is_k_explorable(a, k) == is_k_explorable_tuples(a, k)
 
     def test_safety_game_agrees_with_generic_pipeline(self):
         # the attractor fast path and the compiled parity game must coincide
@@ -93,11 +93,6 @@ class TestGameStructure:
                 arena, objective = build_k_explorability_game(a, monitor, k)
                 via_solver = arena.initial in solve(arena, objective).winning_region_0
                 assert via_solver == is_k_explorable(a, k)
-
-    def test_quotient_refused_on_infinite_words(self):
-        a = gen_fig4("left")
-        with pytest.raises(ValueError):
-            build_k_explorability_game(a, resolve_monitor(a), 2, quotient=True)
 
     def test_channel_budget(self):
         a = automaton_corpus(52, 1, 2, ["a"], "cobuchi")[0]

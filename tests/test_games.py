@@ -8,14 +8,18 @@ from random import Random
 import pytest
 
 import explora
-from explora.automata import LassoView, _member_run
+from explora.automata import LassoView, _member_run, complete
+from explora.determinize import resolve_monitor
 from explora.errors import SolverCheckFailed
+from explora.explorability import build_k_explorability_game
 from explora.games import (And, Arena, MaxEvenParity, Not, Or, Strategy,
                            compile_objective, condition_automaton, max_channel,
                            solve, solve_parity, verify_strategy, zielonka_tree)
-from explora.generators import random_multi_arena, random_parity_game
+from explora.generators import (random_automaton, random_multi_arena,
+                                random_parity_game)
 
-from reference import solve_full_grid, solve_parity_disjunction
+from reference import (solve_full_grid, solve_parity_disjunction,
+                       solve_parity_reference)
 
 
 def tuples_of(channels):
@@ -232,6 +236,44 @@ sys.exit(5)
             sys.setrecursionlimit(old)
 
 
+class TestAgreesWithReferenceSolver:
+    """`solve_parity` reads the arena's own edge lists and searches each
+    subgame's top rank with an early stop; its regions and both move maps
+    must be those of the reference solver, which copies the edges and scans
+    them all."""
+
+    @staticmethod
+    def assert_same(game):
+        got, want = solve_parity(game), solve_parity_reference(game)
+        assert got.winning_region_0 == want.winning_region_0
+        assert got.winning_region_1 == want.winning_region_1
+        assert got.strategy_0.moves == want.strategy_0.moves
+        assert got.strategy_1.moves == want.strategy_1.moves
+
+    def test_random_parity_games(self):
+        rng = Random(701)
+        for _ in range(3000):
+            self.assert_same(random_parity_game(rng, rng.randint(1, 40), rng.randint(0, 7)))
+
+    def test_criterion_9_corpus(self):
+        rng = Random(501)  # the games of test_criterion_9_solver_soundness
+        for _ in range(200):
+            self.assert_same(random_parity_game(rng, rng.randint(2, 200), rng.randint(1, 3)))
+        obj = Or(MaxEvenParity(0), MaxEvenParity(1))
+        for _ in range(50):
+            channels = ((0, rng.randint(1, 3)), (0, rng.randint(1, 3)))
+            arena = random_multi_arena(rng, rng.randint(2, 60), channels)
+            self.assert_same(compile_objective(arena, obj)[0])
+
+    def test_explorability_products(self):
+        for seed in range(4):
+            a = complete(random_automaton(Random(seed), 3, ["a", "b"], "cobuchi"))
+            monitor = resolve_monitor(a)
+            for k in (2, 3):
+                arena, objective = build_k_explorability_game(a, monitor, k)
+                self.assert_same(compile_objective(arena, objective)[0])
+
+
 class TestVerifyStrategy:
     def test_edge_leaving_region_fails(self):
         game = Arena((0, 1), (((1, (2,)), (0, (2,))), ((0, (2,)),)), 0, ((1, 2),))
@@ -319,14 +361,6 @@ class TestSolve:
         for (pos, mem) in result.strategy_0.moves:
             assert 0 <= pos < arena.num_positions
             assert 0 <= mem < result.strategy_0.memory.num_states
-
-
-def test_arena_validate():
-    arena = Arena((0, 1), (((1, (2,)),), ()), 0, ((1, 2),))
-    problems = arena.validate()
-    assert any("no outgoing" in p for p in problems)
-    bad_color = Arena((0,), (((0, (5,)),),), 0, ((1, 2),))
-    assert any("outside channel" in p for p in bad_color.validate())
 
 
 def test_solve_parity_rejects_multichannel():

@@ -14,7 +14,6 @@ ALLOWED = {
     ("constructions.py", "to_13"),
     ("constructions.py", "union_condition_automaton_02"),
     ("generators.py", "atm_reduce"),
-    ("hdgames.py", "build_token_game"),
     ("omega.py", "parity_to_buchi_omega"),
 }
 
