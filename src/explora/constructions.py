@@ -119,10 +119,10 @@ def to_13(a: Automaton) -> Automaton:
             if t.src == a.initial:
                 transitions.append(Transition(0, t.letter, off + t.dst,
                                               remap(t.rank, l)))
-    out = Automaton.build(f"to13({a.name})", a.alphabet, 1 + n * len(evens), 0,
-                          "parity", transitions, parity=(1, 3))
-    assert out.num_states == n * len(evens) + 1
-    return out
+    # the size |A| * d/2 + 1 is the state count passed here, and every state
+    # off + q written above lies below it
+    return Automaton.build(f"to13({a.name})", a.alphabet, 1 + n * len(evens), 0,
+                           "parity", transitions, parity=(1, 3))
 
 
 def rank_tuple_letter(ranks: tuple[int, ...]) -> str:
@@ -153,10 +153,10 @@ def union_condition_automaton_02(k: int) -> Automaton:
             else:
                 dst, rank = index[tuple(s[i] | b[i] for i in range(k))], 0
             transitions.append(Transition(index[s], rank_tuple_letter(b), dst, rank))
-    out = Automaton.build(f"cond02_{k}", letters, len(states), zero, "parity",
-                          transitions, parity=(0, 2))
-    assert out.num_states == 2 ** k and is_deterministic(out)
-    return out
+    # 2^k states by the product above, one transition per (state, letter);
+    # compose_monitor re-checks determinism before it reads the result
+    return Automaton.build(f"cond02_{k}", letters, len(states), zero, "parity",
+                           transitions, parity=(0, 2))
 
 
 def compose_monitor(b: MultiAutomaton, c: Automaton) -> Automaton:

@@ -14,13 +14,16 @@ the multiset quotient does not apply) and is solved through the parity
 pipeline with the objective
 
     NOT MaxEvenParity(monitor) OR (OR over the token channels).
+
+The token moves do not depend on the monitor state, so both builders compute
+them once per (tokens, letter) and share them between every monitor state
+that meets that pair; the memo lives for one build.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, replace
-from itertools import combinations_with_replacement, product
+from itertools import combinations_with_replacement, groupby, product
 from typing import Optional
 
 from . import config
@@ -60,12 +63,13 @@ class ExplorabilityVerdict:
 # shared helpers
 
 
-def _multiset_moves(a: AnyAutomaton, tokens: tuple[int, ...], letter: str):
-    """Distinct successor multisets reachable by moving every token."""
-    per_state = []
-    for state, count in sorted(Counter(tokens).items()):
-        dsts = sorted({d for d, *_ in a.successors(state, letter)})
-        per_state.append(list(combinations_with_replacement(dsts, count)))
+def _multiset_moves(dests, tokens: tuple[int, ...], letter: str):
+    """Distinct successor multisets reachable by moving every token of the
+    sorted tuple `tokens`, in sorted order; `dests` maps (state, letter) to
+    its sorted distinct destinations."""
+    per_state = [list(combinations_with_replacement(dests.get((q, letter), ()),
+                                                    len(list(run))))
+                 for q, run in groupby(tokens)]
     return sorted({
         tuple(sorted(x for group in combo for x in group))
         for combo in product(*per_state)
@@ -127,23 +131,29 @@ def _token_channels(a: AnyAutomaton) -> tuple[tuple[int, int], ...]:
     return (a.rank_range,)
 
 
+_BAD = (2,)  # colour of the self-loop on a lost finite-game position
+
+
 def _build_finite_game(a: Automaton, monitor: Monitor, k: int):
     mon = monitor.automaton
     mon_delta = {key: succ[0][0] for key, succ in mon.delta.items()}
+    mon_accepting, accepting = mon.accepting, a.accepting
+    dests = {key: tuple(sorted({d for d, _ in succ})) for key, succ in a.delta.items()}
     start = tuple([a.initial] * k)
-
-    def bad(tokens, m) -> bool:
-        return m in mon.accepting and not any(q in a.accepting for q in tokens)
+    token_moves: dict = {}  # (tokens, letter) -> successor multisets
 
     def expand(key):
         if len(key) == 2:
             tokens, m = key
-            if bad(tokens, m):
-                return [(key, (2,))]
+            if m in mon_accepting and accepting.isdisjoint(tokens):
+                return [(key, _BAD)]
             return [((tokens, m, letter), (1,)) for letter in a.alphabet]
         tokens, m, letter = key
         m2 = mon_delta[(m, letter)]
-        return [((dsts, m2), (1,)) for dsts in _multiset_moves(a, tokens, letter)]
+        moves = token_moves.get((tokens, letter))
+        if moves is None:
+            moves = token_moves[(tokens, letter)] = _multiset_moves(dests, tokens, letter)
+        return [((dsts, m2), (1,)) for dsts in moves]
 
     order, edges = explore_graph([(start, mon.initial)], expand)
     arena = Arena(
@@ -153,7 +163,8 @@ def _build_finite_game(a: Automaton, monitor: Monitor, k: int):
         channels=((1, 2),),
         labels=tuple(order),
     )
-    bad_ids = [i for i, key in enumerate(order) if len(key) == 2 and bad(*key)]
+    # a bad position is exactly one whose only edge is its colour-2 self-loop
+    bad_ids = [i for i, out in enumerate(edges) if out == ((i, _BAD),)]
     return arena, Not(MaxEvenParity(0)), bad_ids
 
 
@@ -170,9 +181,7 @@ def _build_infinite_game(a: AnyAutomaton, monitor: Monitor, k: int):
             f"{config.channel_budget()} (set EXPLORE_CHANNEL_BUDGET to raise)")
     neutral = tuple(lo for lo, _ in channels)
     start = (tuple([a.initial] * k), mon.initial)
-    # the token moves do not depend on the monitor state: one entry per
-    # (tokens, letter), shared by every monitor state that meets it
-    token_moves: dict = {}
+    token_moves: dict = {}  # (tokens, letter) -> joint moves with ranks
 
     def expand(key):
         if len(key) == 2:

@@ -130,23 +130,29 @@ def format_objective(obj: Objective) -> str:
     return f"{tag} {format_objective(obj.left)} {format_objective(obj.right)}"
 
 
+OBJECTIVE_DEPTH = 100  # operators on one path, well inside the recursion limit
+
+
 def parse_objective(text: str, source: str = "<objective>", line: int = 1) -> Objective:
-    """Prefix notation: ``p<channel>``, ``not E``, ``and E E``, ``or E E``;
-    errors are reported at `line` of `source`."""
+    """Prefix notation: ``p<channel>``, ``not E``, ``and E E``, ``or E E``,
+    nested at most OBJECTIVE_DEPTH operators deep; errors are reported at
+    `line` of `source`."""
     tokens = text.split()
     pos = 0
 
-    def expr() -> Objective:
+    def expr(depth: int = 0) -> Objective:
         nonlocal pos
         if pos >= len(tokens):
             raise ParseError(source, line, "an objective term")
         tok = tokens[pos]
         pos += 1
+        if tok in ("not", "and", "or") and depth == OBJECTIVE_DEPTH:
+            raise ParseError(source, line, f"at most {OBJECTIVE_DEPTH} nested operators")
         if tok == "not":
-            return Not(expr())
+            return Not(expr(depth + 1))
         if tok in ("and", "or"):
             cls = And if tok == "and" else Or
-            return cls(expr(), expr())
+            return cls(expr(depth + 1), expr(depth + 1))
         if tok.startswith("p") and tok[1:].isdigit():
             return MaxEvenParity(int(tok[1:]))
         raise ParseError(source, line, f"p<channel>/not/and/or, got {tok!r}")
@@ -584,7 +590,7 @@ def parse_arena(text: str, source: str = "<string>") -> tuple[Arena, Objective]:
         raise ParseError(source, no, "'arena' header")
     n = r.int_field("positions", 1)
     initial = r.int_field("initial", 0, n - 1)
-    k = r.int_field("channels")
+    k = r.int_field("channels", 1)
     channels = r.channel_ranges(k)
     no, parts = r.keyword_line("owner")
     if len(parts) != n or not all(p in ("0", "1") for p in parts):

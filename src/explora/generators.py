@@ -221,8 +221,9 @@ def atm_reduce(m: ATM, word: str) -> Automaton:
     names += [("mem", b, i) for i in range(1, P + 1) for b in "01"]
     names += [("E",)] + [("A", ti) for ti in range(len(trans_list))]
     names += [("q0",), ("store",), ("bot",), ("top",)]
+    # the state count is len(names), which the blocks above fix; every block
+    # tags its names, so they are distinct and idx numbers all of them
     idx = {nm: i for i, nm in enumerate(names)}
-    assert len(names) == m.num_states + P + 2 * P + (1 + len(trans_list)) + 4
 
     letters = [f"a_t{ti}_p{p}" for ti in range(len(trans_list))
                for p in range(1, P + 1)]

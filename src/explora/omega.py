@@ -130,10 +130,9 @@ def parity_to_buchi_omega(a: Automaton) -> Automaton:
                                           2 if t.rank == l else 1))
     for letter in a.alphabet:
         transitions.append(Transition(sink, letter, sink, 1))
-    out = Automaton.build(f"buchi({a.name})", a.alphabet, sink + 1, a.initial,
-                          "buchi", transitions)
-    assert out.num_states == n * (1 + len(evens)) + 1
-    return out
+    # n * (1 + d/2) + 1 states: the sink is the last, after every l-copy
+    return Automaton.build(f"buchi({a.name})", a.alphabet, sink + 1, a.initial,
+                           "buchi", transitions)
 
 
 def is_omega_explorable(a: Automaton) -> OmegaVerdict:

@@ -171,7 +171,7 @@ def _parse_single_body(r: _Reader, name, alphabet, num_states, initial) -> Autom
 
 
 def _parse_multi_body(r: _Reader, name, alphabet, num_states, initial) -> MultiAutomaton:
-    k = r.int_field("channels")
+    k = r.int_field("channels", 1)
     ranges = r.channel_ranges(k)
     letters = frozenset(alphabet)
     transitions = []

@@ -7,18 +7,20 @@ the optimised code to it.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
+from itertools import combinations_with_replacement, product
 from typing import Optional
 
 from explora.automata import (EquivalenceVerdict, complete, explore_graph,
                               iter_lassos, iter_words, member_finite,
                               member_lasso)
-from explora.determinize import resolve_monitor
+from explora.determinize import Monitor, resolve_monitor
 from explora.errors import SolverCheckFailed
 from explora.explorability import _spoiler_attractor, _tuple_moves
-from explora.games import (Arena, Color, ConditionAutomaton, SolveResult,
-                           Strategy, _trampoline, condition_automaton,
-                           solve_parity, verify_strategy, zielonka_tree)
+from explora.games import (Arena, Color, ConditionAutomaton, MaxEvenParity,
+                           Not, SolveResult, Strategy, _trampoline,
+                           condition_automaton, solve_parity, verify_strategy,
+                           zielonka_tree)
 
 
 def equivalent_on_all_lassos(a, b, bound: int) -> EquivalenceVerdict:
@@ -301,3 +303,48 @@ def is_k_explorable_tuples(a, k: int) -> bool:
                   0, ((1, 2),))
     bad_ids = [i for i, key in enumerate(order) if len(key) == 2 and bad(*key)]
     return arena.initial not in _spoiler_attractor(arena, bad_ids)
+
+
+def multiset_moves_reference(a, tokens: tuple[int, ...], letter: str):
+    """Distinct successor multisets reachable by moving every token."""
+    per_state = []
+    for state, count in sorted(Counter(tokens).items()):
+        dsts = sorted({d for d, *_ in a.successors(state, letter)})
+        per_state.append(list(combinations_with_replacement(dsts, count)))
+    return sorted({
+        tuple(sorted(x for group in combo for x in group))
+        for combo in product(*per_state)
+    })
+
+
+def build_finite_game_reference(a, monitor: Monitor, k: int):
+    """The finite-word k-token safety game built position by position: token
+    moves recomputed at every token-player position, and the bad test run
+    again to collect the bad positions."""
+    mon = monitor.automaton
+    mon_delta = {key: succ[0][0] for key, succ in mon.delta.items()}
+    start = tuple([a.initial] * k)
+
+    def bad(tokens, m) -> bool:
+        return m in mon.accepting and not any(q in a.accepting for q in tokens)
+
+    def expand(key):
+        if len(key) == 2:
+            tokens, m = key
+            if bad(tokens, m):
+                return [(key, (2,))]
+            return [((tokens, m, letter), (1,)) for letter in a.alphabet]
+        tokens, m, letter = key
+        m2 = mon_delta[(m, letter)]
+        return [((dsts, m2), (1,)) for dsts in multiset_moves_reference(a, tokens, letter)]
+
+    order, edges = explore_graph([(start, mon.initial)], expand)
+    arena = Arena(
+        owner=tuple(1 if len(key) == 2 else 0 for key in order),
+        edges=tuple(edges),
+        initial=0,
+        channels=((1, 2),),
+        labels=tuple(order),
+    )
+    bad_ids = [i for i, key in enumerate(order) if len(key) == 2 and bad(*key)]
+    return arena, Not(MaxEvenParity(0)), bad_ids

@@ -255,8 +255,9 @@ objective: p0
     ("initial: 0", "initial: 2", 3),
     ("e 1 0 1\n", "", 9),
     ("objective: p0\n", "", 9),
+    ("objective: p0", "objective: " + "not " * 2000 + "p0", 9),
 ], ids=["rank-outside-range", "objective-syntax", "objective-channel",
-        "initial-outside", "no-edge-out", "no-objective"])
+        "initial-outside", "no-edge-out", "no-objective", "objective-too-deep"])
 def test_arena_error_reported_at_its_line(tmp_path, capsys, old, new, line):
     arena = write(tmp_path, "bad.arena", ARENA_BODY.replace(old, new))
     assert main(["solve-game", arena]) == 3

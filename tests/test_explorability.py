@@ -5,7 +5,7 @@ import pytest
 from explora.automata import Automaton, complete, member_finite, iter_words
 from explora.determinize import resolve_monitor
 from explora.errors import ChannelBudgetExceeded, NonSinkTarget
-from explora.explorability import (build_k_explorability_game,
+from explora.explorability import (_build_finite_game, build_k_explorability_game,
                                    explorability_bounded,
                                    explorability_witness, is_k_explorable,
                                    is_k_population_winnable, pcp_reduce,
@@ -14,7 +14,7 @@ from explora.games import solve
 from explora.generators import gen_ak, gen_bk, gen_c, random_automaton
 
 from conftest import automaton_corpus, run_optimized
-from reference import is_k_explorable_tuples
+from reference import build_finite_game_reference, is_k_explorable_tuples
 
 
 class TestBranchingFamily:
@@ -113,6 +113,83 @@ class TestGameStructure:
         w = explorability_witness(gen_ak(2), 2)
         assert w is not None and w.moves
         assert explorability_witness(gen_ak(2), 1) is None
+
+
+def _finite_game_corpus():
+    """(name, automaton, k) cases of the finite-word game builder."""
+    rng = Random(81)
+    cases = []
+    for i in range(12):
+        a = random_automaton(rng, rng.randint(6, 8), "abc"[:rng.randint(2, 3)], "finite")
+        if i % 2:  # partial: drop about a quarter of the transitions
+            a = Automaton.build(a.name, a.alphabet, a.num_states, a.initial, "finite",
+                                [t for t in a.transitions if rng.random() < 0.75],
+                                a.accepting)
+        cases += [(f"random-{i}", a, k) for k in (1, 2, 3)]
+    # destinations repeated under another rank, which finite mode ignores
+    a = random_automaton(rng, 6, "ab", "finite")
+    repeated = Automaton.build("repeated", a.alphabet, a.num_states, a.initial, "finite",
+                               list(a.transitions) + [(t.src, t.letter, t.dst, 1)
+                                                      for t in a.transitions],
+                               a.accepting)
+    cases += [("repeated", repeated, k) for k in (1, 2, 3)]
+    cases += [(f"ak{n}", complete(gen_ak(n)), k) for n in (3, 4, 5) for k in (1, 2, n)]
+    cases += [(f"bk{n}", complete(gen_bk(n)), k) for n in (1, 2) for k in (1, 2, 2 ** n)]
+    cases += [("c", complete(gen_c()), k) for k in (1, 2, 3)]
+    return cases
+
+
+class TestFiniteGameMatchesReference:
+    """The finite-word builder against the one it was optimised from, which
+    recomputes the token moves at every position and runs the bad test twice:
+    same positions in the same order, same edges and the same bad positions,
+    hence the same verdicts and witnesses."""
+
+    @staticmethod
+    def assert_same_game(a, monitor, k):
+        arena, objective, bad = _build_finite_game(a, monitor, k)
+        ref, ref_objective, ref_bad = build_finite_game_reference(a, monitor, k)
+        assert arena.owner == ref.owner
+        assert arena.edges == ref.edges
+        assert arena.labels == ref.labels
+        assert (arena.initial, arena.channels) == (ref.initial, ref.channels)
+        assert (objective, bad) == (ref_objective, ref_bad)
+
+    @pytest.mark.parametrize("a, k", [pytest.param(a, k, id=f"{name}-k{k}")
+                                      for name, a, k in _finite_game_corpus()])
+    def test_same_arena_as_reference(self, a, k):
+        self.assert_same_game(a, resolve_monitor(a), k)
+
+    def test_same_arena_on_population_games(self, monkeypatch):
+        # record the games `is_k_population_winnable` plays, then rebuild each
+        import explora.explorability as ex
+        played = []
+        monkeypatch.setattr(ex, "_build_finite_game",
+                            lambda *args: played.append(args) or _build_finite_game(*args))
+        for a in (gen_ak(3), gen_bk(1), gen_c()):
+            inst = pcp_reduce(a)
+            for k in (1, 2, 3):
+                is_k_population_winnable(inst, k)
+        assert len(played) == 9
+        for args in played:
+            self.assert_same_game(*args)
+
+    @pytest.mark.parametrize("name", ["ak3", "bk2", "c", "random-1", "repeated"])
+    def test_witness_files_identical(self, tmp_path, monkeypatch, name):
+        import explora.explorability as ex
+        from explora.cli import main
+        from explora.textio import format_automaton
+        a, kmax = {case: (a, k) for case, a, k in _finite_game_corpus()}[name]
+        path = tmp_path / "a.aut"
+        path.write_text(format_automaton(a))
+        outputs = []
+        for build in (_build_finite_game, build_finite_game_reference):
+            monkeypatch.setattr(ex, "_build_finite_game", build)
+            witness = tmp_path / f"witness-{len(outputs)}.json"
+            code = main(["explorable", "--max-k", str(kmax), "--witness", str(witness),
+                         str(path)])
+            outputs.append((code, witness.read_bytes() if witness.exists() else None))
+        assert outputs[0] == outputs[1]
 
 
 class TestMonotonicity:

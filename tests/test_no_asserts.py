@@ -1,8 +1,7 @@
 """No self-check of the library may be an `assert`, which `python -O` strips.
 
-The only asserts left are size bounds of constructions whose result the
-tests check independently; they are listed by file and enclosing function,
-so that a new self-check written as an assert fails here.
+The library holds no assert.  An exception would be listed here by file and
+enclosing function, so that a new self-check written as an assert fails.
 """
 
 import ast
@@ -10,12 +9,7 @@ from pathlib import Path
 
 import explora
 
-ALLOWED = {
-    ("constructions.py", "to_13"),
-    ("constructions.py", "union_condition_automaton_02"),
-    ("generators.py", "atm_reduce"),
-    ("omega.py", "parity_to_buchi_omega"),
-}
+ALLOWED: set[tuple[str, str]] = set()
 
 
 def asserts_by_function(tree):

@@ -57,6 +57,19 @@ def test_bad_transition_arity():
     assert e.value.line == 6
 
 
+@pytest.mark.parametrize("count", ["0", "-1"])
+def test_channel_count_must_be_positive(count):
+    # with -1 channels, `t 0 a` once had the arity of a transition line
+    text = f"automaton m\nalphabet: a\nstates: 1\ninitial: 0\nchannels: {count}\nt 0 a\n"
+    with pytest.raises(ParseError) as e:
+        parse_automaton(text)
+    assert e.value.line == 5
+    arena = f"arena\npositions: 1\ninitial: 0\nchannels: {count}\nowner: 0\ne 0 0\n"
+    with pytest.raises(ParseError) as e:
+        parse_arena(arena + "objective: p0\n")
+    assert e.value.line == 4
+
+
 def test_lasso_syntax():
     w = parse_lasso("ab(ba)")
     assert w == LassoWord.of("ab", "ba")
