@@ -9,6 +9,7 @@ and timing, plus the environment knobs for reproducibility.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -139,6 +140,8 @@ def cmd_explorable(args) -> int:
 
 
 def cmd_hd(args) -> int:
+    if not args.via_g2 and (args.witness_k is not None or args.unchecked):
+        raise ValueError("--witness-k and --unchecked need --via-g2")
     rep = _Report(args, "hd", args.automaton)
     a = _read(args.automaton, Automaton if args.via_g2 else (Automaton, MultiAutomaton))
     if args.via_g2:
@@ -231,7 +234,12 @@ def cmd_solve_game(args) -> int:
     return 0 if arena.initial in result.winning_region_0 else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call and shared by every later one.
+    Parsing reads a parser and never writes it: each call gets a fresh
+    namespace, and help and usage are formatted, at the terminal's current
+    width, when they are printed."""
     parser = argparse.ArgumentParser(
         prog="explora",
         description="degrees of non-determinism for automata: explorability, "
@@ -328,9 +336,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as e:
         return 3 if e.code not in (0, None) else 0
     try:

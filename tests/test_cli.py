@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from explora import cli
 from explora.cli import main
 from explora.generators import format_atm, gen_ak, gen_c, gen_fig4
 from explora.textio import format_automaton, parse_automaton
@@ -78,6 +83,17 @@ t 0 a 0 2
     d = write(tmp_path, "d.aut", det)
     assert main(["hd", "--exact", d]) == 0
     assert main(["hd", "--via-g2", "--witness-k", "1", d]) == 0
+
+
+@pytest.mark.parametrize("flags", [["--witness-k", "2"], ["--unchecked"],
+                                   ["--exact", "--witness-k", "1"]],
+                         ids=["witness-k", "unchecked", "exact-witness-k"])
+def test_hd_token_game_flags_need_via_g2(tmp_path, capsys, flags):
+    c = write(tmp_path, "c.aut", format_automaton(gen_c()))
+    assert main(["hd", *flags, c]) == 3
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("error: ") and "--via-g2" in out.err
 
 
 def test_pcp_pipeline(tmp_path):
@@ -311,3 +327,90 @@ def test_env_knobs_surface_in_json(tmp_path, capsys, monkeypatch):
     payload = json.loads(capsys.readouterr().out)
     assert payload["channel_budget"] == 7
     assert payload["lasso_bound"] == 4
+
+
+DET = "automaton d\nalphabet: a\nstates: 1\ninitial: 0\ncondition: buchi\nt 0 a 0 2\n"
+
+# One sequence of calls, with and without optional flags, mixing verdicts with
+# usage errors, a parse error and help; "{w}" is a fresh witness file path.
+REUSE_CALLS = [
+    (["k-explorable", "-k", "2", "--witness", "{w}", "{a2}"], 0),
+    (["k-explorable", "-k", "2", "{a2}"], 0),
+    (["hd", "--via-g2", "--witness-k", "1", "{d}"], 0),
+    (["hd", "{d}"], 0),
+    (["hd", "--via-g2", "--witness-k", "1", "{c}"], 3),
+    (["hd", "{c}"], 1),
+    (["--json", "explorable", "--max-k", "3", "--witness", "{w}", "{a2}"], 0),
+    (["explorable", "--max-k", "3", "{a2}"], 0),
+    (["--json", "hd", "--exact", "{c}"], 1),
+    (["hd", "--exact", "{c}"], 1),
+    (["k-explorable", "{a2}"], 3),
+    (["hd", "--witness-k", "1", "{d}"], 3),
+    (["k-explorable", "-k", "1", "{bad}"], 3),
+    (["--help"], 0),
+    (["hd", "--help"], 0),
+    (["--help"], 0),
+    (["--json", "k-explorable", "-k", "1", "{a2}"], 1),
+]
+
+
+def _run_calls(inputs, outdir, capsys):
+    """Exit code, stdout (JSON `timings_ms` dropped), stderr and the files
+    each call of REUSE_CALLS writes."""
+    outdir.mkdir()
+    seen = []
+    for i, (argv, _) in enumerate(REUSE_CALLS):
+        argv = [str(outdir / f"w{i}.json") if arg == "{w}" else inputs.get(arg, arg)
+                for arg in argv]
+        code = main(argv)
+        out, err = capsys.readouterr()
+        lines = []
+        for line in out.splitlines():
+            if line.startswith("{"):
+                payload = json.loads(line)
+                payload.pop("timings_ms")
+                line = json.dumps(payload)
+            lines.append(line)
+        files = {}
+        for path in sorted(outdir.iterdir()):
+            files[path.name] = path.read_text()
+            path.unlink()
+        seen.append((code, lines, err, files))
+    return seen
+
+
+def test_reused_parser_keeps_no_state_between_calls(tmp_path, capsys, monkeypatch):
+    inputs = {
+        "{a2}": write(tmp_path, "a2.aut", format_automaton(gen_ak(2))),
+        "{c}": write(tmp_path, "c.aut", format_automaton(gen_c())),
+        "{d}": write(tmp_path, "d.aut", DET),
+        "{bad}": write(tmp_path, "bad.aut", "automaton x\nalphabet a\n"),
+    }
+    reused = _run_calls(inputs, tmp_path / "reused", capsys)
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    fresh = _run_calls(inputs, tmp_path / "fresh", capsys)
+    assert [code for code, *_ in reused] == [code for _, code in REUSE_CALLS]
+    # only the calls with --witness write a file
+    assert [sorted(files) for *_, files in reused[:2]] == [["w0.json"], []]
+    assert reused[13] == reused[15]
+    for call, got, want in zip(REUSE_CALLS, reused, fresh):
+        assert got == want, call
+
+
+def test_main_builds_its_parser_once(tmp_path):
+    a2 = write(tmp_path, "a2.aut", format_automaton(gen_ak(2)))
+    cli.build_parser.cache_clear()
+    assert main(["k-explorable", "-k", "2", a2]) == 0
+    assert main(["k-explorable", "-k", "1", a2]) == 1
+    assert main(["no-such-command"]) == 3
+    info = cli.build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
+
+
+def test_import_builds_no_parser():
+    script = "import explora.cli as c; print(c.build_parser.cache_info().currsize)"
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "0"

@@ -3,7 +3,8 @@
 Each example takes a small valid input, drops, duplicates or garbles some of
 its lines or puts a number out of range, and runs a command on it.  Whatever
 the text, the exit code is one of 0-3, no exception escapes, and a run that
-exits 3 (usage or parse error) prints no verdict.
+exits 3 (usage or parse error) prints no verdict.  Mutated lasso text makes
+`parse_lasso` raise `ParseError` or nothing.
 """
 
 from __future__ import annotations
@@ -18,9 +19,10 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from explora.automata import Automaton
 from explora.cli import _format_pcp, main
 from explora.constructions import union_power
+from explora.errors import ParseError
 from explora.explorability import pcp_reduce
 from explora.generators import format_atm, gen_ak, gen_bk, gen_fig4
-from explora.textio import format_automaton
+from explora.textio import format_automaton, format_lasso, parse_lasso
 
 from conftest import ATM_CORPUS
 
@@ -28,6 +30,13 @@ COBUCHI = Automaton.build("cob", "ab", 2, 0, "cobuchi",
                           [(0, "a", 0, 0), (0, "a", 1, 1), (0, "b", 0, 1),
                            (1, "a", 1, 0), (1, "b", 0, 0)])
 BUCHI = Automaton.build("b", "ab", 1, 0, "buchi", [(0, "a", 0, 2), (0, "b", 0, 1)])
+# infinitely many a's: a nondeterministic automaton ("{b}", never mutated) and
+# a deterministic monitor for it, the mutated input of the --monitor seed
+NONDET_BUCHI = Automaton.build("nb", "ab", 2, 0, "buchi",
+                               [(0, "a", 0, 2), (0, "a", 1, 2), (0, "b", 0, 1),
+                                (1, "a", 1, 2), (1, "b", 0, 1)])
+MONITOR = Automaton.build("m", "ab", 2, 0, "buchi",
+                          [(0, "a", 1, 2), (0, "b", 0, 1), (1, "a", 1, 2), (1, "b", 0, 1)])
 ARENA = """arena
 positions: 3
 initial: 0
@@ -42,7 +51,8 @@ e 2 2 2 2
 objective: or p0 not p1
 """
 
-# (input text, commands run on it; "{x}" is the input file)
+# (input text, commands run on it; "{x}" is the input file, "{b}" a file
+# holding NONDET_BUCHI)
 SEEDS = [
     (format_automaton(gen_ak(2)),
      [["k-explorable", "-k", "2", "{x}"], ["explorable", "--max-k", "2", "{x}"],
@@ -57,6 +67,9 @@ SEEDS = [
      [["population", "-k", "2", "{x}"], ["pcp-to-nfa", "{x}"]]),
     (ARENA, [["solve-game", "{x}"]]),
     (format_atm(ATM_CORPUS[0][1]), [["generate", "atm", "{x}", "0"]]),
+    (format_automaton(MONITOR),
+     [["k-explorable", "-k", "1", "--monitor", "{x}", "{b}"],
+      ["hd", "--exact", "--monitor", "{x}", "{b}"]]),
 ]
 
 # In and out of range for state ids, ranks, channel and position counts, plus
@@ -94,7 +107,7 @@ def mutated(draw):
     return "\n".join(lines) + "\n", draw(st.sampled_from(commands))
 
 
-@settings(max_examples=120, deadline=None, derandomize=True,
+@settings(max_examples=200, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.too_slow])
 @given(mutated())
 def test_mutated_inputs_keep_the_exit_code_contract(case):
@@ -102,7 +115,10 @@ def test_mutated_inputs_keep_the_exit_code_contract(case):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "input.txt"
         path.write_text(text)
-        argv = [str(path) if arg == "{x}" else arg for arg in command]
+        buchi = Path(tmp) / "buchi.txt"
+        buchi.write_text(format_automaton(NONDET_BUCHI))
+        files = {"{x}": str(path), "{b}": str(buchi)}
+        argv = [files.get(arg, arg) for arg in command]
         if argv[0] in ("pcp-reduce", "pcp-to-nfa", "generate", "construct"):
             argv += ["-o", str(Path(tmp) / "out.txt")]
         out, err = io.StringIO(), io.StringIO()
@@ -112,3 +128,26 @@ def test_mutated_inputs_keep_the_exit_code_contract(case):
     if code == 3:
         assert out.getvalue() == "", (text, argv, out.getvalue())
         assert err.getvalue().startswith("error: "), (text, argv, err.getvalue())
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(st.sampled_from(["drop", "duplicate", "insert"]),
+                          st.integers(0, 20), st.sampled_from("ab() \t\n")),
+                max_size=4))
+def test_mutated_lasso_text_raises_only_parse_errors(edits):
+    chars = list("ab(ba)")
+    for kind, i, c in edits:
+        i %= len(chars) + 1
+        if kind == "drop" and i < len(chars):
+            del chars[i]
+        elif kind == "duplicate" and i < len(chars):
+            chars.insert(i, chars[i])
+        else:
+            chars.insert(i, c)
+    text = "".join(chars)
+    try:
+        w = parse_lasso(text, "lasso")
+    except ParseError as e:
+        assert str(e).startswith("lasso:1: expected"), e
+    else:
+        assert w.period and parse_lasso(format_lasso(w)) == w
