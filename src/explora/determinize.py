@@ -273,22 +273,34 @@ def resolve_monitor(a: AnyAutomaton, user: Optional[Automaton] = None) -> Monito
 
     Buchi, general parity and multi-channel automata need a user-supplied
     monitor (we deliberately do not implement full omega-determinization);
-    see `_user_monitor` for how it is validated.  Built monitors are
-    validated exactly.
+    see `_user_monitor` for how it is validated.  Finite, safety, coBuchi,
+    parity [0,1] and reachability automata get a built monitor, validated
+    exactly, and refuse a user-supplied one with a ValueError.
     """
     if isinstance(a, MultiAutomaton):
         return _user_monitor(a, user)
+    build = _monitor_builder(a)
+    if build is None:
+        if user is None and is_deterministic(a):
+            return _user_monitor(a, a)  # a deterministic automaton monitors itself
+        return _user_monitor(a, user)
+    if user is not None:
+        raise ValueError(f"{a.condition} automaton {a.name} takes no user monitor: "
+                         "explora builds its monitor")
+    return build(a)
+
+
+def _monitor_builder(a: Automaton):
+    """The construction of a's monitor, or None if it needs a user one."""
     if a.condition == "finite":
-        return subset_construction(a)
+        return subset_construction
     if a.condition in ("safety", "cobuchi"):
-        return breakpoint_construction(canonical_parity(a))
+        return lambda a: breakpoint_construction(canonical_parity(a))
     if a.condition == "parity" and a.rank_range == (0, 1):
-        return breakpoint_construction(a)
+        return breakpoint_construction
     if a.condition == "reachability":
-        return _reachability_monitor(a)
-    if user is None and is_deterministic(a):
-        return _user_monitor(a, a)  # a deterministic automaton monitors itself
-    return _user_monitor(a, user)
+        return _reachability_monitor
+    return None
 
 
 def monitor_to_text(monitor: Monitor) -> str:

@@ -7,8 +7,11 @@ moves every token along a matching transition, and Determiniser wins if some
 token's run is accepting whenever the chosen word is in the language.
 
 For finite-word automata the game is a safety game over token multisets
-paired with a subset monitor ("never: monitor accepting while no token is"),
-solved directly by attractor computation.  For infinite-word automata the
+paired with a subset monitor ("never: monitor accepting while no token is").
+It is solved on the fly: the letter player's attractor to the bad positions
+grows during the walk that interns the arena, and a play of the game stops
+the walk as soon as the initial position is attracted, so a lost game is
+decided without building its whole arena.  For infinite-word automata the
 game keeps token tuples (per-token rank channels must follow actual runs, so
 the multiset quotient does not apply) and is solved through the parity
 pipeline with the objective
@@ -22,6 +25,7 @@ that meets that pair; the memo lives for one build.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, replace
 from itertools import combinations_with_replacement, groupby, product
 from typing import Optional
@@ -93,34 +97,6 @@ def _tuple_moves(a: AnyAutomaton, tokens: tuple[int, ...], letter: str):
     return sorted(moves)
 
 
-def _spoiler_attractor(arena: Arena, bad_ids) -> set[int]:
-    """Positions from which the letter player forces reaching a bad sink."""
-    n = arena.num_positions
-    pred: list[list[int]] = [[] for _ in range(n)]
-    for p in range(n):
-        for dst, _ in arena.edges[p]:
-            pred[dst].append(p)
-    attr = set(bad_ids)
-    queue = sorted(attr)
-    cnt: dict[int, int] = {}
-    while queue:
-        v = queue.pop()
-        for u in pred[v]:
-            if u in attr:
-                continue
-            if arena.owner[u] == 1:
-                attr.add(u)
-                queue.append(u)
-            else:
-                if u not in cnt:
-                    cnt[u] = len(arena.edges[u])
-                cnt[u] -= 1
-                if cnt[u] == 0:
-                    attr.add(u)
-                    queue.append(u)
-    return attr
-
-
 # ---------------------------------------------------------------------------
 # the k-explorability game
 
@@ -134,7 +110,25 @@ def _token_channels(a: AnyAutomaton) -> tuple[tuple[int, int], ...]:
 _BAD = (2,)  # colour of the self-loop on a lost finite-game position
 
 
-def _build_finite_game(a: Automaton, monitor: Monitor, k: int):
+def _build_finite_game(a: Automaton, monitor: Monitor, k: int, stop: bool = False):
+    """The finite-word k-token safety game, with the letter player's attractor
+    to its bad positions grown during the walk that interns the arena.
+
+    A (tokens, m) position belongs to the letter player and a (tokens, m,
+    letter) position to the token player.  The walk attracts a (tokens, m)
+    position when it is bad (the monitor accepts while no token does), or as
+    soon as one of its letter successors is attracted.  It attracts a
+    (tokens, m, letter) position once it has successors and all of them are
+    attracted; they are all known when it is expanded.  So the attractor of
+    a partial walk is a subset of the full one, and on a finished walk the
+    two are equal.  Each (tokens, m, letter) position is fresh when its
+    parent is expanded and has no other predecessor, so only the token
+    player's positions wait on counters.
+
+    Returns the arena and its attractor.  With `stop`, the walk ends as soon
+    as the initial position is attracted, the game is lost, and no arena is
+    built: the result is None and the attractor found so far.
+    """
     mon = monitor.automaton
     mon_delta = {key: succ[0][0] for key, succ in mon.delta.items()}
     mon_accepting, accepting = mon.accepting, a.accepting
@@ -155,7 +149,51 @@ def _build_finite_game(a: Automaton, monitor: Monitor, k: int):
             moves = token_moves[(tokens, letter)] = _multiset_moves(dests, tokens, letter)
         return [((dsts, m2), (1,)) for dsts in moves]
 
-    order, edges = explore_graph([(start, mon.initial)], expand)
+    attr: set[int] = set()
+    parent: dict[int, int] = {}  # token-player position -> its one predecessor
+    missing: dict[int, int] = {}  # token-player position -> successors outside attr
+    waiting: defaultdict[int, list[int]] = defaultdict(list)  # letter-player position -> who counts it
+
+    def attract(v):
+        # v is a letter-player position outside attr
+        attr.add(v)
+        stack = [v]
+        while stack:
+            for t in waiting.pop(stack.pop(), ()):
+                missing[t] -= 1
+                if not missing[t]:
+                    attr.add(t)
+                    p = parent[t]
+                    if p not in attr:
+                        attr.add(p)
+                        stack.append(p)
+
+    def visit(i, key, out):
+        if len(key) == 2:
+            if out != ((i, _BAD),):
+                for t, _ in out:
+                    parent[t] = i
+                return False
+            attract(i)
+            return stop and 0 in attr
+        n = 0
+        for v, _ in out:
+            if v not in attr:
+                waiting[v].append(i)
+                n += 1
+        if n:
+            missing[i] = n
+        elif out:
+            attr.add(i)
+            p = parent[i]
+            if p not in attr:
+                attract(p)
+                return stop and 0 in attr
+        return False
+
+    order, edges = explore_graph([(start, mon.initial)], expand, visit)
+    if stop and 0 in attr:
+        return None, attr
     arena = Arena(
         owner=tuple(1 if len(key) == 2 else 0 for key in order),
         edges=tuple(edges),
@@ -163,9 +201,7 @@ def _build_finite_game(a: Automaton, monitor: Monitor, k: int):
         channels=((1, 2),),
         labels=tuple(order),
     )
-    # a bad position is exactly one whose only edge is its colour-2 self-loop
-    bad_ids = [i for i, out in enumerate(edges) if out == ((i, _BAD),)]
-    return arena, Not(MaxEvenParity(0)), bad_ids
+    return arena, attr
 
 
 def _build_infinite_game(a: AnyAutomaton, monitor: Monitor, k: int):
@@ -218,8 +254,8 @@ def build_k_explorability_game(a: AnyAutomaton, monitor: Monitor, k: int):
     if k < 1:
         raise ValueError("token count must be at least 1")
     if monitor.is_finite:
-        arena, obj, _ = _build_finite_game(a, monitor, k)
-        return arena, obj
+        arena, _ = _build_finite_game(a, monitor, k)
+        return arena, Not(MaxEvenParity(0))
     return _build_infinite_game(a, monitor, k)
 
 
@@ -231,9 +267,8 @@ def _play(a: AnyAutomaton, monitor: Monitor, k: int,
     if k < 1:
         raise ValueError("token count must be at least 1")
     if monitor.is_finite:
-        arena, _, bad = _build_finite_game(a, monitor, k)
-        attr = _spoiler_attractor(arena, bad)
-        if arena.initial in attr:
+        arena, attr = _build_finite_game(a, monitor, k, stop=True)
+        if arena is None:
             return False, None
         if not witness:
             return True, None

@@ -16,7 +16,7 @@ from explora.automata import (EquivalenceVerdict, complete, explore_graph,
                               member_lasso)
 from explora.determinize import Monitor, resolve_monitor
 from explora.errors import SolverCheckFailed
-from explora.explorability import _spoiler_attractor, _tuple_moves
+from explora.explorability import _tuple_moves
 from explora.games import (Arena, Color, ConditionAutomaton, MaxEvenParity,
                            Not, SolveResult, Strategy, _trampoline,
                            condition_automaton, solve_parity, verify_strategy,
@@ -276,6 +276,35 @@ def solve_parity_reference(game: Arena) -> SolveResult:
     return SolveResult(region0, region1, strategy_0, strategy_1)
 
 
+def _spoiler_attractor(arena: Arena, bad_ids) -> set[int]:
+    """Positions from which the letter player forces reaching a bad sink,
+    computed on the finished arena from a predecessor index."""
+    n = arena.num_positions
+    pred: list[list[int]] = [[] for _ in range(n)]
+    for p in range(n):
+        for dst, _ in arena.edges[p]:
+            pred[dst].append(p)
+    attr = set(bad_ids)
+    queue = sorted(attr)
+    cnt: dict[int, int] = {}
+    while queue:
+        v = queue.pop()
+        for u in pred[v]:
+            if u in attr:
+                continue
+            if arena.owner[u] == 1:
+                attr.add(u)
+                queue.append(u)
+            else:
+                if u not in cnt:
+                    cnt[u] = len(arena.edges[u])
+                cnt[u] -= 1
+                if cnt[u] == 0:
+                    attr.add(u)
+                    queue.append(u)
+    return attr
+
+
 def is_k_explorable_tuples(a, k: int) -> bool:
     """Finite-word k-explorability decided on token tuples, every joint move
     of the k tokens a separate position, instead of the multisets the library
@@ -348,3 +377,14 @@ def build_finite_game_reference(a, monitor: Monitor, k: int):
     )
     bad_ids = [i for i, key in enumerate(order) if len(key) == 2 and bad(*key)]
     return arena, Not(MaxEvenParity(0)), bad_ids
+
+
+def solve_finite_game_reference(a, monitor: Monitor, k: int, stop: bool = False):
+    """The finite-word game built in full and its attractor computed after, in
+    a second pass, returned as `_build_finite_game` returns them: no arena
+    when `stop` is set and the initial position is attracted."""
+    arena, _, bad_ids = build_finite_game_reference(a, monitor, k)
+    attr = _spoiler_attractor(arena, bad_ids)
+    if stop and arena.initial in attr:
+        return None, attr
+    return arena, attr

@@ -96,6 +96,34 @@ def test_hd_token_game_flags_need_via_g2(tmp_path, capsys, flags):
     assert out.err.startswith("error: ") and "--via-g2" in out.err
 
 
+# nondeterministic coBuchi: 0 -a-> 0 or 1
+NONDET_COBUCHI = """automaton cob
+alphabet: a b
+states: 2
+initial: 0
+condition: cobuchi
+t 0 a 0 0
+t 0 a 1 1
+t 0 b 0 1
+t 1 a 1 0
+t 1 b 0 0
+"""
+
+
+@pytest.mark.parametrize("command", [
+    ["k-explorable", "-k", "4"], ["explorable", "--max-k", "2"], ["hd", "--exact"],
+], ids=["k-explorable", "explorable", "hd-exact"])
+@pytest.mark.parametrize("condition", ["finite", "cobuchi"])
+def test_monitor_refused_where_explora_builds_it(tmp_path, capsys, command, condition):
+    text = format_automaton(gen_ak(2)) if condition == "finite" else NONDET_COBUCHI
+    x = write(tmp_path, "x.aut", text)
+    assert main([*command, "--monitor", x, x]) == 3
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("error: ") and f"{condition} automaton" in out.err
+    assert "explora builds its monitor" in out.err
+
+
 def test_pcp_pipeline(tmp_path):
     a2 = write(tmp_path, "a2.aut", format_automaton(gen_ak(2)))
     pcp = str(tmp_path / "a2.pcp")

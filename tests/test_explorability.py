@@ -2,7 +2,7 @@ from random import Random
 
 import pytest
 
-from explora.automata import Automaton, complete, member_finite, iter_words
+from explora.automata import Automaton, complete, explore_graph, member_finite, iter_words
 from explora.determinize import resolve_monitor
 from explora.errors import ChannelBudgetExceeded, NonSinkTarget
 from explora.explorability import (_build_finite_game, build_k_explorability_game,
@@ -14,7 +14,8 @@ from explora.games import solve
 from explora.generators import gen_ak, gen_bk, gen_c, random_automaton
 
 from conftest import automaton_corpus, run_optimized
-from reference import build_finite_game_reference, is_k_explorable_tuples
+from reference import (_spoiler_attractor, build_finite_game_reference,
+                       is_k_explorable_tuples, solve_finite_game_reference)
 
 
 class TestBranchingFamily:
@@ -139,21 +140,43 @@ def _finite_game_corpus():
     return cases
 
 
+def _bad_positions(arena):
+    return [i for i, out in enumerate(arena.edges) if out == ((i, (2,)),)]
+
+
+def _population_games(monkeypatch):
+    """(automaton, monitor, k) of the games `is_k_population_winnable` plays
+    on the reductions of ak3, bk1 and c at k = 1..3."""
+    import explora.explorability as ex
+    played = []
+    monkeypatch.setattr(ex, "_build_finite_game",
+                        lambda *args, **kw: played.append(args) or _build_finite_game(*args, **kw))
+    for a in (gen_ak(3), gen_bk(1), gen_c()):
+        inst = pcp_reduce(a)
+        for k in (1, 2, 3):
+            is_k_population_winnable(inst, k)
+    monkeypatch.undo()
+    assert len(played) == 9
+    return played
+
+
 class TestFiniteGameMatchesReference:
     """The finite-word builder against the one it was optimised from, which
-    recomputes the token moves at every position and runs the bad test twice:
-    same positions in the same order, same edges and the same bad positions,
-    hence the same verdicts and witnesses."""
+    recomputes the token moves at every position, runs the bad test twice and
+    computes the attractor in a second pass: a finished walk gives the same
+    positions in the same order, the same edges, the same bad positions and
+    the same attractor, hence the same verdicts and witnesses."""
 
     @staticmethod
     def assert_same_game(a, monitor, k):
-        arena, objective, bad = _build_finite_game(a, monitor, k)
-        ref, ref_objective, ref_bad = build_finite_game_reference(a, monitor, k)
+        arena, attr = _build_finite_game(a, monitor, k)
+        ref, _, ref_bad = build_finite_game_reference(a, monitor, k)
         assert arena.owner == ref.owner
         assert arena.edges == ref.edges
         assert arena.labels == ref.labels
         assert (arena.initial, arena.channels) == (ref.initial, ref.channels)
-        assert (objective, bad) == (ref_objective, ref_bad)
+        assert _bad_positions(arena) == ref_bad
+        assert attr == _spoiler_attractor(ref, ref_bad)
 
     @pytest.mark.parametrize("a, k", [pytest.param(a, k, id=f"{name}-k{k}")
                                       for name, a, k in _finite_game_corpus()])
@@ -161,18 +184,13 @@ class TestFiniteGameMatchesReference:
         self.assert_same_game(a, resolve_monitor(a), k)
 
     def test_same_arena_on_population_games(self, monkeypatch):
-        # record the games `is_k_population_winnable` plays, then rebuild each
-        import explora.explorability as ex
-        played = []
-        monkeypatch.setattr(ex, "_build_finite_game",
-                            lambda *args: played.append(args) or _build_finite_game(*args))
-        for a in (gen_ak(3), gen_bk(1), gen_c()):
-            inst = pcp_reduce(a)
-            for k in (1, 2, 3):
-                is_k_population_winnable(inst, k)
-        assert len(played) == 9
-        for args in played:
+        for args in _population_games(monkeypatch):
             self.assert_same_game(*args)
+
+    def test_objective(self):
+        a = complete(gen_ak(2))
+        _, objective = build_k_explorability_game(a, resolve_monitor(a), 2)
+        assert objective == build_finite_game_reference(a, resolve_monitor(a), 2)[1]
 
     @pytest.mark.parametrize("name", ["ak3", "bk2", "c", "random-1", "repeated"])
     def test_witness_files_identical(self, tmp_path, monkeypatch, name):
@@ -183,13 +201,57 @@ class TestFiniteGameMatchesReference:
         path = tmp_path / "a.aut"
         path.write_text(format_automaton(a))
         outputs = []
-        for build in (_build_finite_game, build_finite_game_reference):
+        for build in (_build_finite_game, solve_finite_game_reference):
             monkeypatch.setattr(ex, "_build_finite_game", build)
             witness = tmp_path / f"witness-{len(outputs)}.json"
             code = main(["explorable", "--max-k", str(kmax), "--witness", str(witness),
                          str(path)])
             outputs.append((code, witness.read_bytes() if witness.exists() else None))
         assert outputs[0] == outputs[1]
+
+
+class TestFiniteGameStopsEarly:
+    """The walk that stops once the initial position is attracted, against
+    the reference attractor of the full arena: the same verdict, the same
+    attractor on a won game, and a part of it on a lost one."""
+
+    @staticmethod
+    def assert_same_verdict(a, monitor, k):
+        ref, _, ref_bad = build_finite_game_reference(a, monitor, k)
+        ref_attr = _spoiler_attractor(ref, ref_bad)
+        arena, attr = _build_finite_game(a, monitor, k, stop=True)
+        assert (arena is not None) == (ref.initial not in ref_attr)
+        if arena is None:  # positions keep their numbers in a partial walk
+            assert ref.initial in attr and attr <= ref_attr
+        else:
+            assert attr == ref_attr
+
+    @pytest.mark.parametrize("a, k", [pytest.param(a, k, id=f"{name}-k{k}")
+                                      for name, a, k in _finite_game_corpus()])
+    def test_same_verdict_as_reference(self, a, k):
+        self.assert_same_verdict(a, resolve_monitor(a), k)
+
+    def test_same_verdict_on_population_games(self, monkeypatch):
+        for args in _population_games(monkeypatch):
+            self.assert_same_verdict(*args)
+
+    def test_lost_game_expands_part_of_the_arena(self, monkeypatch):
+        # an 8-state NFA over abc that the letter player wins at k=2: the
+        # walk must stop well before it has expanded the whole arena
+        import explora.explorability as ex
+        a = complete(random_automaton(Random(1), 8, "abc", "finite"))
+        monitor = resolve_monitor(a)
+        expanded = []
+
+        def counting(roots, expand, visit=None):
+            order, edges = explore_graph(roots, expand, visit)
+            expanded.append(len(edges))
+            return order, edges
+
+        monkeypatch.setattr(ex, "explore_graph", counting)
+        assert ex._play(a, monitor, 2) == (False, None)
+        full = build_finite_game_reference(a, monitor, 2)[0].num_positions
+        assert 2 * expanded[0] < full
 
 
 class TestMonotonicity:
