@@ -5,7 +5,7 @@ games, and omega-explorability for safety/coBuchi conditions."""
 from .automata import (Automaton, EquivalenceVerdict, LassoWord,
                        MultiAutomaton, Transition, canonical_parity, complete,
                        equivalent_on_lassos, is_deterministic, iter_lassos,
-                       iter_words, member_finite, member_lasso, validate)
+                       member_finite, member_lasso)
 from .constructions import (buchi_union_flatten, compose_monitor, to_13,
                             union_condition_automaton_02, union_power,
                             union_product)
@@ -21,7 +21,7 @@ from .games import (Arena, ConditionAutomaton, MaxEvenParity, Not, And, Or,
                     condition_automaton, solve, solve_parity,
                     verify_strategy, zielonka_tree)
 from .generators import (ATM, atm_accepts, atm_reduce, gen_ak, gen_bk, gen_c,
-                         gen_fig4, random_automaton, random_parity_game)
+                         gen_fig4, random_automaton)
 from .hdgames import (build_token_game, g2_winner, is_hd_assuming_explorable,
                       is_hd_exact)
 from .omega import (OmegaVerdict, build_elimination_game, is_omega_explorable,

@@ -196,9 +196,6 @@ class LassoWord:
     def of(cls, prefix, period) -> "LassoWord":
         return cls(tuple(prefix), tuple(period))
 
-    def letters(self) -> frozenset[str]:
-        return frozenset(self.prefix) | frozenset(self.period)
-
     def rotate(self, i: int) -> "LassoWord":
         """Push i letters of the period into the prefix (same omega-word)."""
         i %= len(self.period)
@@ -220,51 +217,7 @@ class EquivalenceVerdict:
 
 
 # ---------------------------------------------------------------------------
-# validation / completion
-
-
-def validate(a: AnyAutomaton) -> list[str]:
-    """All invariant violations, empty iff the automaton is well-formed."""
-    out: list[str] = []
-    if len(a.alphabet) == 0:
-        out.append("empty alphabet")
-    if len(set(a.alphabet)) != len(a.alphabet):
-        out.append("duplicate letters in alphabet")
-    if not (0 <= a.initial < a.num_states):
-        out.append(f"initial state {a.initial} out of range")
-    multi = isinstance(a, MultiAutomaton)
-    if multi:
-        ranges = a.channels
-    else:
-        lo, hi = a.rank_range
-        if a.condition == "parity" and a.lo > a.hi:
-            out.append(f"empty parity range [{a.lo}, {a.hi}]")
-        if a.condition != "finite" and a.accepting:
-            out.append("accepting state set is only meaningful for finite acceptance")
-        for q in a.accepting:
-            if not (0 <= q < a.num_states):
-                out.append(f"accepting state {q} out of range")
-    for t in sorted(a.transitions):
-        if not (0 <= t.src < a.num_states and 0 <= t.dst < a.num_states):
-            out.append(f"transition endpoint out of range in {t}")
-        if t.letter not in a.alphabet:
-            out.append(f"letter {t.letter!r} of {t} not in alphabet")
-        if multi:
-            if len(t.ranks) != len(ranges):
-                out.append(f"rank vector arity mismatch in {t}")
-            else:
-                for c, r in enumerate(t.ranks):
-                    clo, chi = ranges[c]
-                    if not (clo <= r <= chi):
-                        out.append(f"rank {r} outside channel {c} range in {t}")
-        elif a.condition != "finite" and not (lo <= t.rank <= hi):
-            out.append(f"rank {t.rank} outside [{lo}, {hi}] in {t}")
-    seen = {(t.src, t.letter) for t in a.transitions}
-    for q in range(a.num_states):
-        for letter in a.alphabet:
-            if (q, letter) not in seen:
-                out.append(f"incomplete at (state {q}, {letter})")
-    return out
+# completion
 
 
 def is_complete(a: AnyAutomaton) -> bool:
@@ -585,12 +538,6 @@ def iter_lassos(alphabet, bound: int) -> Iterator[LassoWord]:
         for plen in range(total):
             for word in product(letters, repeat=total):
                 yield LassoWord(word[:plen], word[plen:])
-
-
-def iter_words(alphabet, bound: int) -> Iterator[tuple[str, ...]]:
-    letters = sorted(alphabet)
-    for length in range(bound + 1):
-        yield from product(letters, repeat=length)
 
 
 def _is_canonical(w: LassoWord) -> bool:

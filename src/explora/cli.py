@@ -220,7 +220,6 @@ def cmd_construct(args) -> int:
 
 
 def cmd_solve_game(args) -> int:
-    rep = _Report(args, "solve-game", args.arena)
     arena, objective = parse_arena(Path(args.arena).read_text(), args.arena)
     result = solve(arena, objective)
     payload = {

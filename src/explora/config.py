@@ -1,7 +1,9 @@
 """Runtime knobs, overridable through environment variables.
 
 EXPLORE_CHANNEL_BUDGET caps the number of parity channels a game objective may
-use (per-token channels grow with the token count).  EXPLORE_LASSO_BOUND sets
+use (per-token channels grow with the token count); `check_channels` is the
+one place that enforces it, called by every builder whose channels grow with
+a token or copy count before it builds anything.  EXPLORE_LASSO_BOUND sets
 the default bound of the lasso-equivalence oracle, which validates user
 monitors only: built monitors are validated exactly.  Both are surfaced in the
 CLI's JSON output (as ``channel_budget`` and ``lasso_bound``) so runs are
@@ -11,6 +13,8 @@ reproducible.
 from __future__ import annotations
 
 import os
+
+from .errors import ChannelBudgetExceeded
 
 DEFAULT_CHANNEL_BUDGET = 5
 DEFAULT_LASSO_BOUND = 6
@@ -23,6 +27,15 @@ ORACLE_LASSO_CAP = 60_000
 
 def channel_budget() -> int:
     return int(os.environ.get("EXPLORE_CHANNEL_BUDGET", DEFAULT_CHANNEL_BUDGET))
+
+
+def check_channels(needed: int) -> None:
+    """Raise `ChannelBudgetExceeded` if `needed` channels exceed the budget."""
+    budget = channel_budget()
+    if needed > budget:
+        raise ChannelBudgetExceeded(
+            f"{needed} channels exceed the budget of {budget} "
+            "(set EXPLORE_CHANNEL_BUDGET to raise)")
 
 
 def lasso_bound() -> int:

@@ -18,7 +18,6 @@ from . import config
 from .automata import (Automaton, AnyAutomaton, MultiAutomaton,
                        MultiTransition, Transition, canonical_parity,
                        complete, explore_graph, is_deterministic)
-from .errors import ChannelBudgetExceeded
 
 
 def union_product(automata: Sequence[Automaton]) -> AnyAutomaton:
@@ -67,9 +66,8 @@ def union_power(a: Automaton, k: int) -> AnyAutomaton:
     accepting iff one of them accepts)."""
     if k < 1:
         raise ValueError("k must be at least 1")
-    if a.is_infinite and k * 1 > config.channel_budget() - 1:
-        raise ChannelBudgetExceeded(
-            f"{k} copies exceed the channel budget of {config.channel_budget() - 1}")
+    if a.is_infinite:
+        config.check_channels(k + 1)  # one channel per copy, one for a monitor
     return union_product([a] * k)
 
 

@@ -56,4 +56,4 @@ class MonitorCheckFailed(ValueError):
 
 class ReductionCheckFailed(ValueError):
     """A reduction failed its own re-check: `pcp_to_explorability` built an
-    automaton that rejects a short word, though its language is universal."""
+    automaton that rejects some word, though its language is universal."""

@@ -32,10 +32,9 @@ from typing import Optional
 
 from . import config
 from .automata import (Automaton, AnyAutomaton, MultiAutomaton,
-                       canonical_parity, complete, explore_graph, iter_words,
-                       member_finite)
-from .determinize import Monitor, resolve_monitor
-from .errors import ChannelBudgetExceeded, NonSinkTarget, ReductionCheckFailed
+                       canonical_parity, complete, explore_graph)
+from .determinize import Monitor, resolve_monitor, subset_construction
+from .errors import NonSinkTarget, ReductionCheckFailed
 from .games import (Arena, MaxEvenParity, Not, Or, Strategy, any_of, solve)
 
 
@@ -205,16 +204,13 @@ def _build_finite_game(a: Automaton, monitor: Monitor, k: int, stop: bool = Fals
 
 
 def _build_infinite_game(a: AnyAutomaton, monitor: Monitor, k: int):
+    config.check_channels(1 + len(_token_channels(a)) * k)
     if isinstance(a, Automaton):
         a = canonical_parity(a)  # token ranks must be max-parity ranks
     mon = monitor.automaton
     mon_delta = {key: succ[0] for key, succ in mon.delta.items()}
     token_channels = _token_channels(a)
     channels = (mon.rank_range,) + token_channels * k
-    if len(channels) > config.channel_budget():
-        raise ChannelBudgetExceeded(
-            f"{len(channels)} channels exceed the budget of "
-            f"{config.channel_budget()} (set EXPLORE_CHANNEL_BUDGET to raise)")
     neutral = tuple(lo for lo, _ in channels)
     start = (tuple([a.initial] * k), mon.initial)
     token_moves: dict = {}  # (tokens, letter) -> joint moves with ranks
@@ -245,7 +241,8 @@ def _build_infinite_game(a: AnyAutomaton, monitor: Monitor, k: int):
 
 
 def build_k_explorability_game(a: AnyAutomaton, monitor: Monitor, k: int):
-    """Arena and Determiniser objective of the k-token explorability game.
+    """Arena and Determiniser objective of the k-token explorability game of
+    the completed automaton, as `is_k_explorable` plays it.
 
     Finite-word automata get the safety formulation over token multisets;
     infinite-word automata keep token tuples, since per-token parity channels
@@ -253,6 +250,7 @@ def build_k_explorability_game(a: AnyAutomaton, monitor: Monitor, k: int):
     """
     if k < 1:
         raise ValueError("token count must be at least 1")
+    a = _completed(a)
     if monitor.is_finite:
         arena, _ = _build_finite_game(a, monitor, k)
         return arena, Not(MaxEvenParity(0))
@@ -414,8 +412,9 @@ def pcp_to_explorability(inst: PCPInstance) -> Automaton:
     out = Automaton.build(
         f"explo({inst.nfa.name})", letters, len(order), 0, "finite",
         transitions, accepting)
-    # union with the all-accepting component makes the language universal
-    for word in iter_words(out.alphabet, 2):
-        if not member_finite(out, word):
-            raise ReductionCheckFailed(f"{out.name} unexpectedly rejects {word}")
+    # union with the all-accepting component makes the language universal;
+    # checked exactly: every reachable state of the subset monitor accepts
+    subsets = subset_construction(out).automaton
+    if len(subsets.accepting) != subsets.num_states:
+        raise ReductionCheckFailed(f"{out.name} unexpectedly rejects some word")
     return out

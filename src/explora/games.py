@@ -384,6 +384,8 @@ class _EdgeRankGame:
                     lo = r
                 if r > hi:
                     hi = r
+            if hi == -inf:  # Zielonka would recurse on one subgame forever
+                raise ValueError(f"position {u} has no edge")
             self.low.append(lo)
             self.high.append(hi)
         self.move = [0] * len(game.edges)
@@ -501,7 +503,7 @@ def solve_parity(game: Arena) -> SolveResult:
 
     Regions partition the positions; both strategies are positional and
     checked by independent cycle analysis.  A failed check raises
-    `SolverCheckFailed`.
+    `SolverCheckFailed`, and a position without an edge `ValueError`.
     """
     if len(game.channels) != 1:
         raise ValueError("solve_parity expects a single-channel game")

@@ -16,7 +16,6 @@ from typing import Optional
 
 from .automata import Automaton, Transition, complete
 from .errors import ConfigSpaceTooLarge, ParseError
-from .games import Arena
 
 
 def gen_ak(k: int) -> Automaton:
@@ -413,31 +412,3 @@ def _random_rank(rng: Random, condition: str, parity) -> int:
         return rng.randint(0, 1)
     lo, hi = parity
     return rng.randint(lo, hi)
-
-
-def random_parity_game(rng: Random, num_positions: int, max_rank: int,
-                       max_degree: int = 3) -> Arena:
-    """Random single-channel max-parity game, every position non-terminal."""
-    owner = tuple(rng.randint(0, 1) for _ in range(num_positions))
-    edges = []
-    for _ in range(num_positions):
-        degree = rng.randint(1, max_degree)
-        out = tuple((rng.randrange(num_positions), (rng.randint(0, max_rank),))
-                    for _ in range(degree))
-        edges.append(out)
-    return Arena(owner, tuple(edges), 0, ((0, max_rank),))
-
-
-def random_multi_arena(rng: Random, num_positions: int,
-                       channels: tuple[tuple[int, int], ...],
-                       max_degree: int = 3) -> Arena:
-    owner = tuple(rng.randint(0, 1) for _ in range(num_positions))
-    edges = []
-    for _ in range(num_positions):
-        degree = rng.randint(1, max_degree)
-        out = tuple(
-            (rng.randrange(num_positions),
-             tuple(rng.randint(lo, hi) for lo, hi in channels))
-            for _ in range(degree))
-        edges.append(out)
-    return Arena(owner, tuple(edges), 0, channels)

@@ -14,7 +14,7 @@ from typing import Optional
 
 from . import config
 from .automata import Automaton, canonical_parity, complete, explore_graph
-from .errors import ChannelBudgetExceeded, UnverifiedExplorability
+from .errors import UnverifiedExplorability
 from .explorability import is_k_explorable
 from .games import (Arena, MaxEvenParity, Not, Objective, Or, all_of, solve)
 
@@ -34,10 +34,8 @@ def build_token_game(a: Automaton, k: int) -> tuple[Arena, Objective]:
         raise ValueError("Adam needs at least one token")
     if not a.is_infinite:
         raise ValueError("token games are defined on infinite-word automata")
+    config.check_channels(k + 1)
     a = canonical_parity(complete(a))
-    if k + 1 > config.channel_budget():
-        raise ChannelBudgetExceeded(
-            f"{k + 1} channels exceed the budget of {config.channel_budget()}")
     lo, hi = a.rank_range
     channels = ((lo, hi),) * (k + 1)
     neutral = tuple(lo for _ in range(k + 1))

@@ -14,7 +14,7 @@ from pathlib import Path
 from random import Random
 
 import explora
-from explora.automata import complete
+from explora.automata import Automaton, complete
 from explora.generators import ATM, random_automaton
 
 # (name, machine, input word, expected acceptance)
@@ -70,12 +70,23 @@ def automaton_corpus(seed: int, count: int, num_states: int, alphabet,
             for _ in range(count)]
 
 
-def run_optimized(script: str) -> subprocess.CompletedProcess:
+def gen_c_rejecting_aaa() -> Automaton:
+    """A mutant of `gen_c`: a 5-state DFA over {a, b} that rejects exactly
+    the words starting with aaa, so it accepts every word of length <= 2."""
+    transitions = [(0, "a", 1), (1, "a", 2), (2, "a", 3), (3, "a", 3), (3, "b", 3),
+                   (0, "b", 4), (1, "b", 4), (2, "b", 4), (4, "a", 4), (4, "b", 4)]
+    return Automaton.build("c-aaa", ["a", "b"], 5, 0, "finite",
+                           [(s, l, d, 0) for s, l, d in transitions],
+                           accepting={0, 1, 2, 4})
+
+
+def run_optimized(script: str, timeout: float = 60) -> subprocess.CompletedProcess:
     """Run a Python script under `python -O`, which strips asserts, with
-    explora and this directory importable."""
+    explora and this directory importable; raise `subprocess.TimeoutExpired`
+    if it runs longer than `timeout` seconds."""
     paths = [str(Path(explora.__file__).resolve().parents[1]), str(Path(__file__).parent)]
     if os.environ.get("PYTHONPATH"):
         paths.append(os.environ["PYTHONPATH"])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
     return subprocess.run([sys.executable, "-O", "-c", script], env=env,
-                          capture_output=True, text=True, timeout=60)
+                          capture_output=True, text=True, timeout=timeout)

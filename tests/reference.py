@@ -9,11 +9,12 @@ from __future__ import annotations
 
 from collections import Counter, deque
 from itertools import combinations_with_replacement, product
-from typing import Optional
+from random import Random
+from typing import Iterator, Optional
 
-from explora.automata import (EquivalenceVerdict, complete, explore_graph,
-                              iter_lassos, iter_words, member_finite,
-                              member_lasso)
+from explora.automata import (AnyAutomaton, EquivalenceVerdict,
+                              MultiAutomaton, complete, explore_graph,
+                              iter_lassos, member_finite, member_lasso)
 from explora.determinize import Monitor, resolve_monitor
 from explora.errors import SolverCheckFailed
 from explora.explorability import _tuple_moves
@@ -388,3 +389,85 @@ def solve_finite_game_reference(a, monitor: Monitor, k: int, stop: bool = False)
     if stop and arena.initial in attr:
         return None, attr
     return arena, attr
+
+
+# ---------------------------------------------------------------------------
+# test-only helpers
+
+
+def validate(a: AnyAutomaton) -> list[str]:
+    """All invariant violations, empty iff the automaton is well-formed."""
+    out: list[str] = []
+    if len(a.alphabet) == 0:
+        out.append("empty alphabet")
+    if len(set(a.alphabet)) != len(a.alphabet):
+        out.append("duplicate letters in alphabet")
+    if not (0 <= a.initial < a.num_states):
+        out.append(f"initial state {a.initial} out of range")
+    multi = isinstance(a, MultiAutomaton)
+    if multi:
+        ranges = a.channels
+    else:
+        lo, hi = a.rank_range
+        if a.condition == "parity" and a.lo > a.hi:
+            out.append(f"empty parity range [{a.lo}, {a.hi}]")
+        if a.condition != "finite" and a.accepting:
+            out.append("accepting state set is only meaningful for finite acceptance")
+        for q in a.accepting:
+            if not (0 <= q < a.num_states):
+                out.append(f"accepting state {q} out of range")
+    for t in sorted(a.transitions):
+        if not (0 <= t.src < a.num_states and 0 <= t.dst < a.num_states):
+            out.append(f"transition endpoint out of range in {t}")
+        if t.letter not in a.alphabet:
+            out.append(f"letter {t.letter!r} of {t} not in alphabet")
+        if multi:
+            if len(t.ranks) != len(ranges):
+                out.append(f"rank vector arity mismatch in {t}")
+            else:
+                for c, r in enumerate(t.ranks):
+                    clo, chi = ranges[c]
+                    if not (clo <= r <= chi):
+                        out.append(f"rank {r} outside channel {c} range in {t}")
+        elif a.condition != "finite" and not (lo <= t.rank <= hi):
+            out.append(f"rank {t.rank} outside [{lo}, {hi}] in {t}")
+    seen = {(t.src, t.letter) for t in a.transitions}
+    for q in range(a.num_states):
+        for letter in a.alphabet:
+            if (q, letter) not in seen:
+                out.append(f"incomplete at (state {q}, {letter})")
+    return out
+
+
+def iter_words(alphabet, bound: int) -> Iterator[tuple[str, ...]]:
+    letters = sorted(alphabet)
+    for length in range(bound + 1):
+        yield from product(letters, repeat=length)
+
+
+def random_parity_game(rng: Random, num_positions: int, max_rank: int,
+                       max_degree: int = 3) -> Arena:
+    """Random single-channel max-parity game, every position non-terminal."""
+    owner = tuple(rng.randint(0, 1) for _ in range(num_positions))
+    edges = []
+    for _ in range(num_positions):
+        degree = rng.randint(1, max_degree)
+        out = tuple((rng.randrange(num_positions), (rng.randint(0, max_rank),))
+                    for _ in range(degree))
+        edges.append(out)
+    return Arena(owner, tuple(edges), 0, ((0, max_rank),))
+
+
+def random_multi_arena(rng: Random, num_positions: int,
+                       channels: tuple[tuple[int, int], ...],
+                       max_degree: int = 3) -> Arena:
+    owner = tuple(rng.randint(0, 1) for _ in range(num_positions))
+    edges = []
+    for _ in range(num_positions):
+        degree = rng.randint(1, max_degree)
+        out = tuple(
+            (rng.randrange(num_positions),
+             tuple(rng.randint(lo, hi) for lo, hi in channels))
+            for _ in range(degree))
+        edges.append(out)
+    return Arena(owner, tuple(edges), 0, channels)

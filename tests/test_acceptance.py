@@ -16,13 +16,13 @@ from explora.explorability import (explorability_bounded, is_k_explorable,
 from explora.games import (MaxEvenParity, Or, solve, solve_parity,
                            verify_strategy)
 from explora.generators import (atm_accepts, atm_reduce, gen_ak, gen_bk,
-                                gen_c, gen_fig4, random_automaton,
-                                random_multi_arena, random_parity_game)
+                                gen_c, gen_fig4, random_automaton)
 from explora.hdgames import EVE, g2_winner, is_hd_exact
 from explora.omega import is_omega_explorable, is_omega_explorable_cobuchi
 
 from conftest import ATM_CORPUS, automaton_corpus
-from reference import solve_parity_disjunction
+from reference import (random_multi_arena, random_parity_game,
+                       solve_parity_disjunction)
 
 
 def report(criterion: str, ok: bool, detail: str) -> bool:

@@ -9,13 +9,13 @@ from explora.automata import (Automaton, LassoWord, MultiAutomaton,
                               _member_product, _member_run,
                               canonical_parity, complete, equivalent_on_lassos,
                               parity_cycle, is_complete, is_deterministic,
-                              iter_lassos, iter_words, member_finite,
-                              member_lasso, validate)
+                              iter_lassos, member_finite, member_lasso)
 from explora.determinize import breakpoint_construction
 from explora.generators import gen_ak, gen_bk, gen_c, gen_fig4, random_automaton
 
 from conftest import automaton_corpus
-from reference import equivalent_on_all_lassos, equivalent_on_words
+from reference import (equivalent_on_all_lassos, equivalent_on_words,
+                       iter_words, validate)
 
 
 def brute_force_accepts_finite(a, word):

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 import explora.determinize as det
 from explora import config
 from explora.automata import (Automaton, LassoWord, canonical_parity,
-                              equivalent_on_lassos, is_complete, is_deterministic, iter_words,
+                              equivalent_on_lassos, is_complete, is_deterministic,
                               member_finite, member_lasso)
 from explora.determinize import (breakpoint_construction,
                                  resolve_monitor, subset_construction)
@@ -15,7 +15,7 @@ from explora.generators import gen_ak, gen_c, gen_fig4, random_automaton
 from explora.textio import format_automaton, parse_automaton, parse_provenance
 
 from conftest import automaton_corpus, run_optimized
-from reference import equivalent_on_all_lassos, equivalent_on_words
+from reference import equivalent_on_all_lassos, equivalent_on_words, iter_words
 
 
 class TestSubsetConstruction:

@@ -2,10 +2,11 @@ from random import Random
 
 import pytest
 
-from explora.automata import Automaton, complete, explore_graph, member_finite, iter_words
+from explora.automata import Automaton, complete, explore_graph, is_complete, member_finite
 from explora.determinize import resolve_monitor
-from explora.errors import ChannelBudgetExceeded, NonSinkTarget
-from explora.explorability import (_build_finite_game, build_k_explorability_game,
+from explora.errors import ChannelBudgetExceeded, NonSinkTarget, ReductionCheckFailed
+from explora.explorability import (PCPInstance, _build_finite_game,
+                                   build_k_explorability_game,
                                    explorability_bounded,
                                    explorability_witness, is_k_explorable,
                                    is_k_population_winnable, pcp_reduce,
@@ -13,9 +14,10 @@ from explora.explorability import (_build_finite_game, build_k_explorability_gam
 from explora.games import solve
 from explora.generators import gen_ak, gen_bk, gen_c, random_automaton
 
-from conftest import automaton_corpus, run_optimized
+from conftest import automaton_corpus, gen_c_rejecting_aaa, run_optimized
 from reference import (_spoiler_attractor, build_finite_game_reference,
-                       is_k_explorable_tuples, solve_finite_game_reference)
+                       is_k_explorable_tuples, iter_words,
+                       solve_finite_game_reference)
 
 
 class TestBranchingFamily:
@@ -158,6 +160,20 @@ def _population_games(monkeypatch):
     monkeypatch.undo()
     assert len(played) == 9
     return played
+
+
+class TestPartialInputs:
+    """`build_k_explorability_game` completes its input, as `is_k_explorable`
+    does: a missing transition must not leave a position without an edge."""
+
+    @pytest.mark.parametrize("a, k", [pytest.param(a, k, id=f"{name}-k{k}")
+                                      for name, a, k in _finite_game_corpus()
+                                      if not is_complete(a)])
+    def test_no_dead_end_and_same_verdict(self, a, k):
+        arena, objective = build_k_explorability_game(a, resolve_monitor(a), k)
+        assert all(arena.edges)
+        won = arena.initial in solve(arena, objective).winning_region_0
+        assert won == is_k_explorable(a, k)
 
 
 class TestFiniteGameMatchesReference:
@@ -357,17 +373,27 @@ class TestHardnessProduct:
         for k in (1, 2, 3):
             assert verdicts[k] == is_k_population_winnable(inst, k)
 
+    def test_universality_check_is_exact(self, monkeypatch):
+        # the product is the mutant itself, which accepts every word of
+        # length <= 2 and rejects aaa
+        monkeypatch.setattr("explora.generators.gen_c", gen_c_rejecting_aaa)
+        nfa = Automaton.build("one", ["a"], 1, 0, "finite", [(0, "a", 0, 0)])
+        with pytest.raises(ReductionCheckFailed):
+            pcp_to_explorability(PCPInstance(nfa, 0))
+
     def test_universality_check_raises_under_optimize(self):
         # the check must not be an assert, which `python -O` strips
         done = run_optimized("""
 import sys
 import explora.explorability as ex
+import explora.generators
 from explora.automata import Automaton
 from explora.errors import ReductionCheckFailed
-ex.member_finite = lambda a, word: False
-nfa = Automaton.build("u", ["a"], 2, 0, "finite", [(0, "a", 0, 0), (1, "a", 1, 0)])
+from conftest import gen_c_rejecting_aaa
+explora.generators.gen_c = gen_c_rejecting_aaa
+nfa = Automaton.build("one", ["a"], 1, 0, "finite", [(0, "a", 0, 0)])
 try:
-    ex.pcp_to_explorability(ex.PCPInstance(nfa, 1))
+    ex.pcp_to_explorability(ex.PCPInstance(nfa, 0))
 except ReductionCheckFailed:
     sys.exit(0 if not __debug__ else 4)
 sys.exit(5)

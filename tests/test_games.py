@@ -1,13 +1,9 @@
-import os
-import subprocess
 import sys
 from itertools import product
-from pathlib import Path
 from random import Random
 
 import pytest
 
-import explora
 from explora.automata import LassoView, _member_run, complete
 from explora.determinize import resolve_monitor
 from explora.errors import SolverCheckFailed
@@ -15,10 +11,11 @@ from explora.explorability import build_k_explorability_game
 from explora.games import (And, Arena, MaxEvenParity, Not, Or, Strategy,
                            compile_objective, condition_automaton, max_channel,
                            solve, solve_parity, verify_strategy, zielonka_tree)
-from explora.generators import (random_automaton, random_multi_arena,
-                                random_parity_game)
+from explora.generators import random_automaton
 
-from reference import (solve_full_grid, solve_parity_disjunction,
+from conftest import run_optimized
+from reference import (random_multi_arena, random_parity_game,
+                       solve_full_grid, solve_parity_disjunction,
                        solve_parity_reference)
 
 
@@ -198,7 +195,7 @@ import sys
 from random import Random
 import explora.games as games
 from explora.errors import SolverCheckFailed
-from explora.generators import random_parity_game
+from reference import random_parity_game
 games.verify_strategy = lambda *args: False
 try:
     games.solve_parity(random_parity_game(Random(8), 10, 3))
@@ -206,11 +203,21 @@ except SolverCheckFailed:
     sys.exit(0 if not __debug__ else 4)
 sys.exit(5)
 """
-        src = str(Path(explora.__file__).resolve().parents[1])
-        path = os.environ.get("PYTHONPATH")
-        env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
-        done = subprocess.run([sys.executable, "-O", "-c", script], env=env,
-                              capture_output=True, text=True, timeout=60)
+        done = run_optimized(script)
+        assert done.returncode == 0, done.stderr
+
+    def test_position_without_edge_refused(self):
+        # in a subprocess, so that a solver looping on the dead end fails the
+        # test at the timeout instead of hanging the suite
+        done = run_optimized("""
+import sys
+from explora.games import Arena, solve_parity
+try:
+    solve_parity(Arena((0, 1), (((1, (0,)),), ()), 0, ((0, 1),)))
+except ValueError as e:
+    sys.exit(0 if "position 1" in str(e) else 4)
+sys.exit(5)
+""", timeout=10)
         assert done.returncode == 0, done.stderr
 
     def test_recursion_limit_left_alone(self):

@@ -4,13 +4,14 @@ from random import Random
 import pytest
 
 from explora.automata import (complete, is_complete, is_deterministic,
-                              member_finite, validate)
+                              member_finite)
 from explora.errors import ConfigSpaceTooLarge
 from explora.generators import (ATM, atm_accepts, atm_reduce, gen_ak, gen_bk,
                                 gen_c, gen_fig4, random_automaton,
                                 validate_atm)
 
 from conftest import ATM_CORPUS
+from reference import validate
 
 
 class TestFixedFamilies:
