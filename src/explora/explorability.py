@@ -12,22 +12,28 @@ It is solved on the fly: the letter player's attractor to the bad positions
 grows during the walk that interns the arena, and a play of the game stops
 the walk as soon as the initial position is attracted, so a lost game is
 decided without building its whole arena.  For infinite-word automata the
-game keeps token tuples (per-token rank channels must follow actual runs, so
-the multiset quotient does not apply) and is solved through the parity
-pipeline with the objective
+game is solved through the parity pipeline with the objective
 
     NOT MaxEvenParity(monitor) OR (OR over the token channels).
 
-The token moves do not depend on the monitor state, so both builders compute
-them once per (tokens, letter) and share them between every monitor state
-that meets that pair; the memo lives for one build.
+Safety, coBuchi and parity 0 1 inputs play on multisets of (clean, state)
+tokens with one breakpoint channel (Miyano and Hayashi, "Alternating finite
+automata on omega-words", TCS 1984), so the condition automaton has one
+state for every k; see `_breakpoint_tokens`.  Buchi, general parity and
+multi-channel inputs keep token tuples, since their per-token rank channels
+must follow actual runs and the multiset quotient does not apply; their
+channels grow with k and are capped by `config.check_channels`.
+
+The token moves do not depend on the monitor state, so every builder
+computes them once per (tokens, letter) and shares them between every
+monitor state that meets that pair; the memo lives for one build.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, replace
-from itertools import combinations_with_replacement, groupby, product
+from itertools import chain, combinations_with_replacement, groupby, product
 from typing import Optional
 
 from . import config
@@ -66,17 +72,16 @@ class ExplorabilityVerdict:
 # shared helpers
 
 
-def _multiset_moves(dests, tokens: tuple[int, ...], letter: str):
+def _multiset_moves(dests, tokens: tuple, letter: str):
     """Distinct successor multisets reachable by moving every token of the
-    sorted tuple `tokens`, in sorted order; `dests` maps (state, letter) to
-    its sorted distinct destinations."""
+    sorted tuple `tokens`, in sorted order; `dests` maps (token, letter) to
+    its sorted distinct successor tokens."""
     per_state = [list(combinations_with_replacement(dests.get((q, letter), ()),
                                                     len(list(run))))
                  for q, run in groupby(tokens)]
-    return sorted({
-        tuple(sorted(x for group in combo for x in group))
-        for combo in product(*per_state)
-    })
+    if len(per_state) == 1:  # one group's combinations are sorted and distinct
+        return per_state[0]
+    return sorted({tuple(sorted(chain.from_iterable(combo))) for combo in product(*per_state)})
 
 
 def _tuple_moves(a: AnyAutomaton, tokens: tuple[int, ...], letter: str):
@@ -193,27 +198,90 @@ def _build_finite_game(a: Automaton, monitor: Monitor, k: int, stop: bool = Fals
     order, edges = explore_graph([(start, mon.initial)], expand, visit)
     if stop and 0 in attr:
         return None, attr
-    arena = Arena(
-        owner=tuple(1 if len(key) == 2 else 0 for key in order),
-        edges=tuple(edges),
-        initial=0,
-        channels=((1, 2),),
-        labels=tuple(order),
-    )
-    return arena, attr
+    return _token_arena(order, edges, ((1, 2),)), attr
+
+
+def _on_breakpoints(a: AnyAutomaton, monitor: Monitor) -> bool:
+    """Whether the infinite-word game of `a` is played on breakpoint token
+    multisets: `a` has one channel whose max-parity ranks lie in {0, 1}
+    (safety, coBuchi, parity 0 1) and the monitor ranks in [0, 1], as the
+    built breakpoint monitor does."""
+    return (isinstance(a, Automaton) and monitor.automaton.rank_range == (0, 1)
+            and (a.condition in ("safety", "cobuchi")
+                 or (a.condition == "parity" and 0 <= a.lo and a.hi <= 1)))
+
+
+def _breakpoint_tokens(a: Automaton, k: int):
+    """Token channels, start and moves of the game on breakpoint multisets.
+
+    A token is a (clean, state) pair, and a token stays clean while it takes
+    only rank-0 transitions.  When a move leaves no clean token, every token
+    becomes clean again and the move carries rank 1 on the one breakpoint
+    channel; every other move carries rank 0 there.  The token player wins
+    iff the monitor rejects or there are finitely many breakpoints, and that
+    happens iff the monitor rejects or some token's run accepts:
+
+    * If some token's run eventually takes no rank-1 transition, then after
+      the next breakpoint past that point its element stays clean, so there
+      are finitely many breakpoints.
+    * If there are finitely many breakpoints, the clean elements after the
+      last one, each linked to the element it moved from, form an infinite
+      forest of rank-0 runs in which every node has at most k children and
+      every level is nonempty.  By Konig's lemma it has an infinite branch,
+      and that branch is one token's run from then on.
+
+    The objective depends only on the sequence of multisets, not on which
+    token is which, so the quotient by token permutations is sound, and one
+    channel serves every k: the condition automaton of ``not p0 or p1`` has
+    one state, so the product is the arena's size.
+    """
+    delta = canonical_parity(a).delta
+    dests: dict = {}  # ((clean, state), letter) -> sorted distinct successor tokens
+
+    def moves(tokens, letter):
+        for token in tokens:
+            if (token, letter) not in dests:
+                clean, q = token
+                dests[(token, letter)] = tuple(sorted(
+                    {(clean and r == 0, d) for d, r in delta[(q, letter)]}))
+        out = []
+        for dsts in _multiset_moves(dests, tokens, letter):
+            if dsts[-1][0]:  # a clean token sorts last
+                out.append((dsts, (0,)))
+            else:  # a breakpoint: every token becomes clean again
+                out.append((tuple((True, q) for _, q in dsts), (1,)))
+        return out
+
+    return ((0, 1),), tuple([(True, a.initial)] * k), moves
+
+
+def _tuple_tokens(a: AnyAutomaton, k: int):
+    """Token channels, start and moves of the game on token tuples, with one
+    rank channel per token and channel of `a`: the channels must follow
+    actual runs, so the multiset quotient does not apply."""
+    config.check_channels(_tuple_channel_count(a, k))
+    if isinstance(a, Automaton):
+        a = canonical_parity(a)  # token ranks must be max-parity ranks
+    return (_token_channels(a) * k, tuple([a.initial] * k),
+            lambda tokens, letter: _tuple_moves(a, tokens, letter))
+
+
+def _tuple_channel_count(a: AnyAutomaton, k: int) -> int:
+    return 1 + len(_token_channels(a)) * k
 
 
 def _build_infinite_game(a: AnyAutomaton, monitor: Monitor, k: int):
-    config.check_channels(1 + len(_token_channels(a)) * k)
-    if isinstance(a, Automaton):
-        a = canonical_parity(a)  # token ranks must be max-parity ranks
+    """The infinite-word k-token game and the token player's objective
+    ``not p0 or p1 or ... or pw``: the monitor's channel 0 rejects, or some
+    token channel is won.  It is played on breakpoint multisets when
+    `_on_breakpoints` holds, and on token tuples otherwise."""
+    game = _breakpoint_tokens if _on_breakpoints(a, monitor) else _tuple_tokens
+    token_channels, start, moves = game(a, k)
     mon = monitor.automaton
     mon_delta = {key: succ[0] for key, succ in mon.delta.items()}
-    token_channels = _token_channels(a)
-    channels = (mon.rank_range,) + token_channels * k
+    channels = (mon.rank_range,) + token_channels
     neutral = tuple(lo for lo, _ in channels)
-    start = (tuple([a.initial] * k), mon.initial)
-    token_moves: dict = {}  # (tokens, letter) -> joint moves with ranks
+    token_moves: dict = {}  # (tokens, letter) -> token moves with their ranks
 
     def expand(key):
         if len(key) == 2:
@@ -221,32 +289,38 @@ def _build_infinite_game(a: AnyAutomaton, monitor: Monitor, k: int):
             return [((tokens, m, letter), neutral) for letter in a.alphabet]
         tokens, m, letter = key
         m2, mrank = mon_delta[(m, letter)]
-        moves = token_moves.get((tokens, letter))
-        if moves is None:
-            moves = token_moves[(tokens, letter)] = _tuple_moves(a, tokens, letter)
-        return [((dsts, m2), (mrank,) + ranks) for dsts, ranks in moves]
+        out = token_moves.get((tokens, letter))
+        if out is None:
+            out = token_moves[(tokens, letter)] = moves(tokens, letter)
+        return [((dsts, m2), (mrank,) + ranks) for dsts, ranks in out]
 
-    order, edges = explore_graph([start], expand)
-    arena = Arena(
+    order, edges = explore_graph([(start, mon.initial)], expand)
+    objective = Or(Not(MaxEvenParity(0)),
+                   any_of([MaxEvenParity(c) for c in range(1, len(channels))]))
+    return _token_arena(order, edges, channels), objective
+
+
+def _token_arena(order, edges, channels) -> Arena:
+    """The arena of a token game walk: (tokens, m) positions belong to the
+    letter player, (tokens, m, letter) positions to the token player."""
+    return Arena(
         owner=tuple(1 if len(key) == 2 else 0 for key in order),
         edges=tuple(edges),
         initial=0,
         channels=channels,
         labels=tuple(order),
     )
-    width = len(token_channels) * k
-    objective = Or(Not(MaxEvenParity(0)),
-                   any_of([MaxEvenParity(c) for c in range(1, width + 1)]))
-    return arena, objective
 
 
 def build_k_explorability_game(a: AnyAutomaton, monitor: Monitor, k: int):
     """Arena and Determiniser objective of the k-token explorability game of
     the completed automaton, as `is_k_explorable` plays it.
 
-    Finite-word automata get the safety formulation over token multisets;
-    infinite-word automata keep token tuples, since per-token parity channels
-    are only meaningful along actual runs.
+    Finite-word automata get the safety formulation over token multisets.
+    Safety, coBuchi and parity 0 1 automata under a [0, 1] monitor get token
+    multisets with one breakpoint channel and the objective ``not p0 or p1``
+    for every k; other infinite-word automata keep token tuples, since
+    per-token parity channels are only meaningful along actual runs.
     """
     if k < 1:
         raise ValueError("token count must be at least 1")
@@ -315,6 +389,9 @@ def explorability_bounded(a: AnyAutomaton, kmax: int,
         raise ValueError("kmax must be at least 1")
     a = _completed(a)
     monitor = resolve_monitor(a, user_monitor)
+    if not (monitor.is_finite or _on_breakpoints(a, monitor)):
+        # refuse before playing any k, not at the first k past the budget
+        config.check_channels(_tuple_channel_count(a, kmax))
     for k in range(1, kmax + 1):
         won, strategy = _play(a, monitor, k, witness=True)
         if won:

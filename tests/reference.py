@@ -12,14 +12,16 @@ from itertools import combinations_with_replacement, product
 from random import Random
 from typing import Iterator, Optional
 
-from explora.automata import (AnyAutomaton, EquivalenceVerdict,
-                              MultiAutomaton, complete, explore_graph,
-                              iter_lassos, member_finite, member_lasso)
+from explora import config
+from explora.automata import (AnyAutomaton, Automaton, EquivalenceVerdict,
+                              MultiAutomaton, canonical_parity, complete,
+                              explore_graph, iter_lassos, member_finite,
+                              member_lasso)
 from explora.determinize import Monitor, resolve_monitor
 from explora.errors import SolverCheckFailed
-from explora.explorability import _tuple_moves
+from explora.explorability import _token_channels, _tuple_moves
 from explora.games import (Arena, Color, ConditionAutomaton, MaxEvenParity,
-                           Not, SolveResult, Strategy, _trampoline,
+                           Not, Or, SolveResult, Strategy, _trampoline, any_of,
                            condition_automaton, solve_parity, verify_strategy,
                            zielonka_tree)
 
@@ -389,6 +391,46 @@ def solve_finite_game_reference(a, monitor: Monitor, k: int, stop: bool = False)
     if stop and arena.initial in attr:
         return None, attr
     return arena, attr
+
+
+def build_tuple_game_reference(a, monitor: Monitor, k: int):
+    """The infinite-word k-token game on token tuples, with one rank channel
+    per token and channel of `a`, for every input: the game on breakpoint
+    multisets that [0, 1]-ranked inputs play must give the same verdicts."""
+    config.check_channels(1 + len(_token_channels(a)) * k)
+    if isinstance(a, Automaton):
+        a = canonical_parity(a)  # token ranks must be max-parity ranks
+    mon = monitor.automaton
+    mon_delta = {key: succ[0] for key, succ in mon.delta.items()}
+    token_channels = _token_channels(a)
+    channels = (mon.rank_range,) + token_channels * k
+    neutral = tuple(lo for lo, _ in channels)
+    start = (tuple([a.initial] * k), mon.initial)
+    token_moves: dict = {}  # (tokens, letter) -> joint moves with ranks
+
+    def expand(key):
+        if len(key) == 2:
+            tokens, m = key
+            return [((tokens, m, letter), neutral) for letter in a.alphabet]
+        tokens, m, letter = key
+        m2, mrank = mon_delta[(m, letter)]
+        moves = token_moves.get((tokens, letter))
+        if moves is None:
+            moves = token_moves[(tokens, letter)] = _tuple_moves(a, tokens, letter)
+        return [((dsts, m2), (mrank,) + ranks) for dsts, ranks in moves]
+
+    order, edges = explore_graph([start], expand)
+    arena = Arena(
+        owner=tuple(1 if len(key) == 2 else 0 for key in order),
+        edges=tuple(edges),
+        initial=0,
+        channels=channels,
+        labels=tuple(order),
+    )
+    width = len(token_channels) * k
+    objective = Or(Not(MaxEvenParity(0)),
+                   any_of([MaxEvenParity(c) for c in range(1, width + 1)]))
+    return arena, objective
 
 
 # ---------------------------------------------------------------------------

@@ -13,11 +13,12 @@ from explora.explorability import (PCPInstance, _build_finite_game,
                                    pcp_to_explorability)
 from explora.games import solve
 from explora.generators import gen_ak, gen_bk, gen_c, random_automaton
+from explora.textio import format_automaton
 
 from conftest import automaton_corpus, gen_c_rejecting_aaa, run_optimized
 from reference import (_spoiler_attractor, build_finite_game_reference,
-                       is_k_explorable_tuples, iter_words,
-                       solve_finite_game_reference)
+                       build_tuple_game_reference, is_k_explorable_tuples,
+                       iter_words, solve_finite_game_reference)
 
 
 class TestBranchingFamily:
@@ -98,9 +99,42 @@ class TestGameStructure:
                 assert via_solver == is_k_explorable(a, k)
 
     def test_channel_budget(self):
-        a = automaton_corpus(52, 1, 2, ["a"], "cobuchi")[0]
+        # a deterministic Buchi input monitors itself and plays on token
+        # tuples, one channel per token: k=9 needs 10 channels
+        a = automaton_corpus(52, 1, 2, ["a"], "buchi", max_branch=1)[0]
         with pytest.raises(ChannelBudgetExceeded):
             is_k_explorable(a, 9)
+
+    def test_channel_budget_spares_breakpoint_games(self):
+        # a coBuchi input plays on breakpoint multisets, two channels for any k
+        a = automaton_corpus(52, 1, 2, ["a"], "cobuchi")[0]
+        assert is_k_explorable(a, 9) in (True, False)
+        arena, _ = build_k_explorability_game(a, resolve_monitor(a), 9)
+        assert len(arena.channels) == 2
+
+    def test_bounded_search_refuses_before_playing(self, tmp_path, capsys, monkeypatch):
+        import explora.explorability as ex
+        from explora.cli import main
+        a = automaton_corpus(52, 1, 2, ["a"], "buchi", max_branch=1)[0]
+        path = tmp_path / "a.aut"
+        path.write_text(format_automaton(a))
+        played = []
+        real = ex._play
+        monkeypatch.setattr(ex, "_play", lambda *args, **kw: played.append(args) or real(*args, **kw))
+        assert main(["explorable", "--max-k", "6", str(path)]) == 3
+        assert "7 channels exceed the budget of 5" in capsys.readouterr().err
+        assert played == []
+        assert main(["explorable", "--max-k", "4", str(path)]) in (0, 2)
+        assert played
+
+    def test_bounded_search_past_old_budget_on_safety(self, tmp_path, capsys):
+        # fig4 left used to exit 3 at --max-k 6, after deciding k = 1..4
+        from explora.cli import main
+        from explora.generators import gen_fig4
+        path = tmp_path / "fig4.aut"
+        path.write_text(format_automaton(gen_fig4("left")))
+        assert main(["explorable", "--max-k", "6", str(path)]) == 2
+        assert capsys.readouterr().out.strip() == "not-explorable-up-to: 6"
 
     def test_bounded_builds_one_monitor_and_one_winning_game(self, monkeypatch):
         import explora.explorability as ex
@@ -268,6 +302,79 @@ class TestFiniteGameStopsEarly:
         assert ex._play(a, monitor, 2) == (False, None)
         full = build_finite_game_reference(a, monitor, 2)[0].num_positions
         assert 2 * expanded[0] < full
+
+
+def _breakpoint_game_corpus():
+    """(name, automaton, k) cases of the game on breakpoint multisets:
+    random safety, coBuchi and parity 0 1 automata, some of them partial."""
+    rng = Random(91)
+    cases = []
+    for i in range(24):
+        condition = ("safety", "cobuchi", "parity")[i % 3]
+        a = random_automaton(rng, rng.randint(2, 4), "abc"[:rng.randint(2, 3)], condition,
+                             parity=(0, 1) if condition == "parity" else None)
+        if i % 4 == 3:  # partial: drop about a quarter of the transitions
+            a = Automaton.build(a.name, a.alphabet, a.num_states, a.initial, a.condition,
+                                [t for t in sorted(a.transitions) if rng.random() < 0.75],
+                                parity=(0, 1) if condition == "parity" else None)
+        cases += [(f"{condition}-{i}", a, k) for k in (1, 2, 3)]
+    return cases
+
+
+class TestBreakpointGameMatchesTuples:
+    """[0, 1]-ranked inputs play on multisets of (clean, state) tokens with
+    one breakpoint channel; the game on token tuples with one rank channel
+    per token, which the other infinite-word inputs play, decides the same."""
+
+    @pytest.mark.parametrize("a, k", [pytest.param(a, k, id=f"{name}-k{k}")
+                                      for name, a, k in _breakpoint_game_corpus()])
+    def test_same_verdict_as_tuple_game(self, a, k):
+        monitor = resolve_monitor(complete(a))
+        arena, objective = build_k_explorability_game(a, monitor, k)
+        assert len(arena.channels) == 2
+        won = arena.initial in solve(arena, objective).winning_region_0
+        ref, ref_objective = build_tuple_game_reference(complete(a), monitor, k)
+        assert won == (ref.initial in solve(ref, ref_objective).winning_region_0)
+        assert won == is_k_explorable(a, k)
+
+    def test_corpus_has_won_and_lost_partial_games(self):
+        cases = _breakpoint_game_corpus()
+        verdicts = {is_k_explorable(a, k) for _, a, k in cases if k > 1}
+        partial = {(a.condition, is_k_explorable(a, 2))
+                   for _, a, k in cases if k == 2 and not is_complete(a)}
+        assert verdicts == {True, False}
+        assert {c for c, _ in partial} == {"safety", "cobuchi", "parity"}
+        assert {won for _, won in partial} == {True, False}
+
+    def test_one_state_condition(self):
+        from explora.games import compile_objective
+        a = random_automaton(Random(20), 3, "ab", "cobuchi")
+        for k in (1, 4):
+            arena, objective = build_k_explorability_game(a, resolve_monitor(a), k)
+            product, cond = compile_objective(arena, objective)
+            assert cond.num_states == 1
+            assert product.num_positions == arena.num_positions
+
+    def test_other_inputs_keep_token_tuples(self):
+        for condition in ("buchi", "reachability"):
+            a = automaton_corpus(53, 1, 2, ["a", "b"], condition, max_branch=1)[0]
+            arena, _ = build_k_explorability_game(a, resolve_monitor(a), 2)
+            assert len(arena.channels) == 3
+
+
+class TestBreakpointGameScale:
+    """k-explorability past the channel budget of the token tuples."""
+
+    @pytest.mark.parametrize("k", [5, 6])
+    def test_three_state_cobuchi_at_default_budget(self, tmp_path, capsys, k):
+        from explora.cli import main
+        path = tmp_path / "cob3.aut"
+        path.write_text(format_automaton(random_automaton(Random(20), 3, "ab", "cobuchi")))
+        assert main(["k-explorable", "-k", str(k), str(path)]) == 0
+        assert capsys.readouterr().out.strip() == f"{k}-explorable: True"
+
+    def test_five_state_cobuchi_at_k5(self):
+        assert is_k_explorable(random_automaton(Random(7), 5, "ab", "cobuchi"), 5)
 
 
 class TestMonotonicity:
