@@ -9,8 +9,7 @@ from .automata import (Automaton, EquivalenceVerdict, LassoWord,
 from .constructions import (buchi_union_flatten, compose_monitor, to_13,
                             union_condition_automaton_02, union_power,
                             union_product)
-from .determinize import (Monitor, breakpoint_construction, monitor_from_text,
-                          monitor_to_text, resolve_monitor,
+from .determinize import (Monitor, breakpoint_construction, resolve_monitor,
                           subset_construction)
 from .explorability import (ExplorabilityVerdict, PCPInstance,
                             build_k_explorability_game, explorability_bounded,

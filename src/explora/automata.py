@@ -220,19 +220,35 @@ class EquivalenceVerdict:
 # completion
 
 
-def is_complete(a: AnyAutomaton) -> bool:
+def _missing(a: AnyAutomaton) -> list[tuple[int, str]]:
+    """The (state, letter) pairs without a transition, over the states
+    reachable from the initial state, in BFS order."""
     seen = {(t.src, t.letter) for t in a.transitions}
-    return all((q, l) in seen for q in range(a.num_states) for l in a.alphabet)
+    if all((q, letter) in seen for q in range(a.num_states) for letter in a.alphabet):
+        return []  # no state misses a letter: no search needed
+    delta = a.delta
+    reachable, _ = explore_graph(
+        [a.initial],
+        lambda q: [(d, None) for letter in a.alphabet for d, _ in delta.get((q, letter), ())])
+    return [(q, letter) for q in reachable for letter in a.alphabet if (q, letter) not in seen]
+
+
+def is_complete(a: AnyAutomaton) -> bool:
+    """Every reachable state has a transition on every letter."""
+    return not _missing(a)
 
 
 def complete(a: Automaton) -> Automaton:
-    """Route all missing (state, letter) pairs to a fresh rejecting sink.
+    """Route all missing (state, letter) pairs of reachable states to a fresh
+    rejecting sink; unreachable states are left as they are.
 
-    Identity on already-complete automata.  The sink's transitions carry the
-    rejecting rank of the condition (the largest odd rank; for an all-even
-    parity range the range is widened by one to make room).
+    Identity on already-complete automata, so idempotent.  The sink's
+    transitions carry the rejecting rank of the condition (the largest odd
+    rank; for an all-even parity range the range is widened by one to make
+    room).
     """
-    if is_complete(a):
+    missing = _missing(a)
+    if not missing:
         return a
     sink = a.num_states
     lo, hi = a.rank_range
@@ -246,11 +262,8 @@ def complete(a: Automaton) -> Automaton:
             rej = hi + 1
             hi = rej
     trans = set(a.transitions)
-    seen = {(t.src, t.letter) for t in trans}
-    for q in range(a.num_states + 1):
-        for letter in a.alphabet:
-            if q == sink or (q, letter) not in seen:
-                trans.add(Transition(q, letter, sink, rej))
+    trans.update(Transition(q, letter, sink, rej) for q, letter in missing)
+    trans.update(Transition(sink, letter, sink, rej) for letter in a.alphabet)
     return Automaton(
         name=a.name,
         alphabet=a.alphabet,
@@ -265,15 +278,9 @@ def complete(a: Automaton) -> Automaton:
 
 
 def is_deterministic(a: AnyAutomaton) -> bool:
-    """Exactly one successor for every (state, letter)."""
-    counts: dict[tuple[int, str], int] = {}
-    for t in a.transitions:
-        counts[(t.src, t.letter)] = counts.get((t.src, t.letter), 0) + 1
-    return all(
-        counts.get((q, l), 0) == 1
-        for q in range(a.num_states)
-        for l in a.alphabet
-    )
+    """Exactly one successor for every reachable (state, letter), and at most
+    one for the others."""
+    return all(len(succ) == 1 for succ in a.delta.values()) and is_complete(a)
 
 
 # ---------------------------------------------------------------------------
@@ -297,10 +304,13 @@ def member_finite(a: Automaton, word: Sequence[str]) -> bool:
 def canonical_parity(a: Automaton) -> Automaton:
     """Normalize an infinite-word automaton to an equivalent parity automaton.
 
-    Buchi and coBuchi ranks are already max-parity ranks ([1,2] and [0,1]);
-    safety reroutes every non-accepting transition to a rejecting rank-1 sink,
-    reachability reroutes every accepting transition into a rank-2 accepting
-    sink.  Language is preserved in all cases.
+    Buchi and coBuchi ranks are already max-parity ranks ([1,2] and [0,1]).
+    Safety and reachability get ranks [0,1] and a fresh sink, mirror images
+    of each other: safety keeps its F-transitions at rank 0 and reroutes the
+    others to a rejecting sink that loops with rank 1; reachability keeps its
+    other transitions at rank 1 and reroutes its F-transitions to an
+    accepting sink that loops with rank 0.  Language is preserved in all
+    cases.
     """
     if a.condition == "finite":
         raise ValueError("canonical_parity is undefined for finite acceptance")
@@ -310,28 +320,13 @@ def canonical_parity(a: Automaton) -> Automaton:
         lo, hi = a.rank_range
         return Automaton(a.name, a.alphabet, a.num_states, a.initial, "parity",
                          a.transitions, frozenset(), lo, hi)
-    sink = a.num_states
-    trans = set()
-    if a.condition == "safety":
-        lo, hi = 0, 1
-        for t in a.transitions:
-            if t.rank == 1:
-                trans.add(Transition(t.src, t.letter, t.dst, 0))
-            else:
-                trans.add(Transition(t.src, t.letter, sink, 1))
-        for letter in a.alphabet:
-            trans.add(Transition(sink, letter, sink, 1))
-    else:  # reachability
-        lo, hi = 1, 2
-        for t in a.transitions:
-            if t.rank == 1:
-                trans.add(Transition(t.src, t.letter, sink, 2))
-            else:
-                trans.add(Transition(t.src, t.letter, t.dst, 1))
-        for letter in a.alphabet:
-            trans.add(Transition(sink, letter, sink, 2))
+    sink, sink_rank = a.num_states, int(a.condition == "safety")
+    # a transition whose F-mark equals the sink's rank stays, with the other rank
+    trans = {Transition(t.src, t.letter, t.dst, 1 - sink_rank) if t.rank == sink_rank
+             else Transition(t.src, t.letter, sink, sink_rank) for t in a.transitions}
+    trans.update(Transition(sink, letter, sink, sink_rank) for letter in a.alphabet)
     return Automaton(a.name, a.alphabet, a.num_states + 1, a.initial, "parity",
-                     frozenset(trans), frozenset(), lo, hi)
+                     frozenset(trans), frozenset(), 0, 1)
 
 
 def member_lasso(a: AnyAutomaton, w: LassoWord) -> bool:

@@ -3,16 +3,19 @@
 EXPLORE_CHANNEL_BUDGET caps the number of parity channels a game objective may
 use (per-token channels grow with the token count); `check_channels` is the
 one place that enforces it, called by every builder whose channels grow with
-a token or copy count before it builds anything: the explorability game on
-token tuples (Buchi, general parity and multi-channel inputs, and the
-bounded search over them, which checks its largest k first), the `hd` token
-game and union powers.  Safety, coBuchi and parity 0 1 inputs play the
-explorability game on breakpoint multisets, with two channels for any k, so
-the budget does not bind them.  EXPLORE_LASSO_BOUND sets
-the default bound of the lasso-equivalence oracle, which validates user
-monitors only: built monitors are validated exactly.  Both are surfaced in the
-CLI's JSON output (as ``channel_budget`` and ``lasso_bound``) so runs are
-reproducible.
+a token or copy count before it builds anything.  It binds three builders:
+the explorability game on token tuples, which only inputs with a user monitor
+play (Buchi, general parity and multi-channel inputs, and the bounded search
+over them, which checks its largest k first); the `hd --via-g2` token game;
+and union powers (`construct power`).  Every input whose monitor explora
+builds plays the explorability game with a fixed number of channels: finite
+inputs one, and safety, coBuchi, parity 0 1 and reachability inputs two, on
+breakpoint multisets.
+
+EXPLORE_LASSO_BOUND sets the default bound of the lasso-equivalence oracle,
+which validates user monitors only: built monitors are validated exactly.
+Both are surfaced in the CLI's JSON output (as ``channel_budget`` and
+``lasso_bound``) so runs are reproducible.
 """
 
 from __future__ import annotations

@@ -3,13 +3,12 @@
 A monitor tracks, deterministically, whether the word read so far (or the
 infinite word being read) belongs to the language of a source automaton:
 
-* finite acceptance  -> subset construction,
-* safety / coBuchi   -> breakpoint construction over (reachable set, safe
-                        subset) pairs,
-* reachability       -> subset tracking that locks into an accepting sink
-                        once the reachable set crosses an accepting
-                        transition,
-* Buchi / parity     -> caller-supplied deterministic automaton.
+* finite acceptance -> subset construction;
+* safety, coBuchi, parity [0,1] and reachability -> breakpoint construction
+  over (reachable set, safe subset) pairs, on the [0,1] ranks that
+  `canonical_parity` gives them;
+* Buchi, general parity and multi-channel -> a caller-supplied deterministic
+  automaton.
 
 Every monitor is validated against its source when it is made.  A built
 monitor is validated exactly: its construction's state labels are checked
@@ -26,9 +25,8 @@ from typing import Optional
 
 from . import config
 from .automata import (Automaton, AnyAutomaton, LassoWord, MultiAutomaton,
-                       Transition, canonical_parity, complete,
-                       equivalent_on_lassos, explore_graph, is_complete,
-                       is_deterministic, parity_cycle)
+                       Transition, canonical_parity, equivalent_on_lassos,
+                       explore_graph, is_deterministic, parity_cycle)
 from .errors import MissingMonitor, MonitorCheckFailed, MonitorMismatch
 
 
@@ -43,7 +41,7 @@ class Monitor:
 
 
 def _check_deterministic(monitor: Automaton) -> None:
-    if not (is_deterministic(monitor) and is_complete(monitor)):
+    if not is_deterministic(monitor):
         raise MonitorCheckFailed(f"{monitor.name} is not deterministic and complete")
 
 
@@ -214,60 +212,6 @@ def breakpoint_construction(a: Automaton) -> Monitor:
     return Monitor(monitor, "breakpoint")
 
 
-def _reachability(a: Automaton) -> tuple[Automaton, list]:
-    """The reachability monitor and the subset labelling each state but the
-    accepting sink, which is numbered after them."""
-
-    def hit(s, letter) -> bool:
-        return any(rank == 1 for q in s for _, rank in a.successors(q, letter))
-
-    order, edges = explore_graph(
-        [frozenset({a.initial})],
-        lambda s: [(a.post(s, letter), letter)
-                   for letter in a.alphabet if not hit(s, letter)])
-    sink = len(order)  # numbered after every subset
-    transitions = [Transition(src, letter, dst, 1)
-                   for src, out in enumerate(edges) for dst, letter in out]
-    transitions += [Transition(src, letter, sink, 2)
-                    for src, s in enumerate(order)
-                    for letter in a.alphabet if hit(s, letter)]
-    transitions += [Transition(sink, letter, sink, 2) for letter in a.alphabet]
-    monitor = Automaton.build(
-        f"reach-subset({a.name})", a.alphabet, sink + 1, 0, "parity",
-        transitions, parity=(1, 2))
-    _check_deterministic(monitor)
-    return monitor, order
-
-
-def _check_reachability(a: Automaton, monitor: Automaton, labels) -> None:
-    """Checked: the initial label is {q0}; a transition on x from a subset S
-    goes to the sink with rank 2 if some state of S has an accepting
-    x-transition, and otherwise to the subset post(S, x) with rank 1; the
-    sink loops on itself with rank 2.  Then, by induction, M's run stays on
-    the subsets A reaches until some run of A takes an accepting transition,
-    and enters the sink, its only way to see rank 2 again, exactly then; so
-    L(M) = L(A)."""
-    sink = len(labels)
-
-    def step_ok(t):
-        if t.src == sink:
-            return t.dst == sink and t.rank == 2
-        s = labels[t.src]
-        if any(rank == 1 for q in s for _, rank in a.successors(q, t.letter)):
-            return t.dst == sink and t.rank == 2
-        return t.dst < sink and t.rank == 1 and labels[t.dst] == a.post(s, t.letter)
-
-    _check_labels(monitor, labels, {a.initial}, step_ok)
-
-
-def _reachability_monitor(a: Automaton) -> Monitor:
-    """Subset tracking with an accepting sink entered when the reachable set
-    crosses an accepting transition (deterministic Buchi)."""
-    monitor, labels = _reachability(a)
-    _check_reachability(a, monitor, labels)
-    return Monitor(monitor, "subset")
-
-
 def resolve_monitor(a: AnyAutomaton, user: Optional[Automaton] = None) -> Monitor:
     """Pick or validate a deterministic monitor for the automaton's language.
 
@@ -294,29 +238,15 @@ def _monitor_builder(a: Automaton):
     """The construction of a's monitor, or None if it needs a user one."""
     if a.condition == "finite":
         return subset_construction
-    if a.condition in ("safety", "cobuchi"):
+    if a.condition in ("safety", "cobuchi", "reachability"):
         return lambda a: breakpoint_construction(canonical_parity(a))
     if a.condition == "parity" and a.rank_range == (0, 1):
         return breakpoint_construction
-    if a.condition == "reachability":
-        return _reachability_monitor
     return None
 
 
-def monitor_to_text(monitor: Monitor) -> str:
-    from .textio import format_automaton
-    return format_automaton(monitor.automaton,
-                            comment=f"provenance: {monitor.provenance}")
-
-
-def monitor_from_text(text: str, source: str = "<string>") -> Monitor:
-    from .textio import parse_automaton, parse_provenance
-    automaton = parse_automaton(text, source)
-    return Monitor(automaton, parse_provenance(text) or "user")
-
-
 def _user_monitor(a: AnyAutomaton, user: Optional[Automaton]) -> Monitor:
-    """Validate a user-supplied deterministic monitor M, completed and
+    """Validate a user-supplied deterministic (hence complete) monitor M,
     normalized to max parity.
 
     M carries no state labels, so L(M) <= L(A) is checked only by the bounded
@@ -332,7 +262,7 @@ def _user_monitor(a: AnyAutomaton, user: Optional[Automaton]) -> Monitor:
         raise ValueError("user monitor must be an infinite-word automaton")
     if not is_deterministic(user):
         raise ValueError("user monitor must be deterministic")
-    normalized = complete(canonical_parity(user))
+    normalized = canonical_parity(user)
     bound = config.capped_lasso_bound(len(a.alphabet))
     verdict = equivalent_on_lassos(a, normalized, bound)
     if not verdict.equivalent:

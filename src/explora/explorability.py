@@ -16,13 +16,14 @@ game is solved through the parity pipeline with the objective
 
     NOT MaxEvenParity(monitor) OR (OR over the token channels).
 
-Safety, coBuchi and parity 0 1 inputs play on multisets of (clean, state)
-tokens with one breakpoint channel (Miyano and Hayashi, "Alternating finite
-automata on omega-words", TCS 1984), so the condition automaton has one
-state for every k; see `_breakpoint_tokens`.  Buchi, general parity and
-multi-channel inputs keep token tuples, since their per-token rank channels
-must follow actual runs and the multiset quotient does not apply; their
-channels grow with k and are capped by `config.check_channels`.
+Safety, coBuchi, parity 0 1 and reachability inputs, whose canonical ranks
+are [0, 1], play on multisets of (clean, state) tokens with one breakpoint
+channel (Miyano and Hayashi, "Alternating finite automata on omega-words",
+TCS 1984), so the condition automaton has one state for every k; see
+`_breakpoint_tokens`.  Buchi, general parity and multi-channel inputs keep
+token tuples, since their per-token rank channels must follow actual runs and
+the multiset quotient does not apply; their channels grow with k and are
+capped by `config.check_channels`.
 
 The token moves do not depend on the monitor state, so every builder
 computes them once per (tokens, letter) and shares them between every
@@ -203,11 +204,11 @@ def _build_finite_game(a: Automaton, monitor: Monitor, k: int, stop: bool = Fals
 
 def _on_breakpoints(a: AnyAutomaton, monitor: Monitor) -> bool:
     """Whether the infinite-word game of `a` is played on breakpoint token
-    multisets: `a` has one channel whose max-parity ranks lie in {0, 1}
-    (safety, coBuchi, parity 0 1) and the monitor ranks in [0, 1], as the
-    built breakpoint monitor does."""
+    multisets: `a` has one channel whose canonical max-parity ranks lie in
+    {0, 1} (safety, coBuchi, parity 0 1, reachability) and the monitor ranks
+    in [0, 1], as the built breakpoint monitor does."""
     return (isinstance(a, Automaton) and monitor.automaton.rank_range == (0, 1)
-            and (a.condition in ("safety", "cobuchi")
+            and (a.condition in ("safety", "cobuchi", "reachability")
                  or (a.condition == "parity" and 0 <= a.lo and a.hi <= 1)))
 
 
@@ -317,10 +318,11 @@ def build_k_explorability_game(a: AnyAutomaton, monitor: Monitor, k: int):
     the completed automaton, as `is_k_explorable` plays it.
 
     Finite-word automata get the safety formulation over token multisets.
-    Safety, coBuchi and parity 0 1 automata under a [0, 1] monitor get token
-    multisets with one breakpoint channel and the objective ``not p0 or p1``
-    for every k; other infinite-word automata keep token tuples, since
-    per-token parity channels are only meaningful along actual runs.
+    Safety, coBuchi, parity 0 1 and reachability automata under a [0, 1]
+    monitor get token multisets with one breakpoint channel and the
+    objective ``not p0 or p1`` for every k; other infinite-word automata keep
+    token tuples, since per-token parity channels are only meaningful along
+    actual runs.
     """
     if k < 1:
         raise ValueError("token count must be at least 1")

@@ -13,8 +13,7 @@ Automaton files::
 
 Multi-channel files replace the condition line with ``channels: <k>`` plus one
 ``range: <channel> <lo> <hi>`` line per channel; transitions then carry k
-ranks.  Monitors use the same format with a ``# provenance: <tag>`` comment.
-Lassos are written ``u(v)`` with single-symbol letters, e.g. ``ab(ba)``.
+ranks.  Lassos are written ``u(v)`` with single-symbol letters, e.g. ``ab(ba)``.
 """
 
 from __future__ import annotations
@@ -91,15 +90,6 @@ def _is_int(s: str) -> bool:
         return True
     except ValueError:
         return False
-
-
-def parse_provenance(text: str) -> Optional[str]:
-    """Value of a ``# provenance: <tag>`` comment, if present."""
-    for raw in text.splitlines():
-        stripped = raw.strip()
-        if stripped.startswith("# provenance:"):
-            return stripped.split(":", 1)[1].strip()
-    return None
 
 
 def parse_automaton(text: str, source: str = "<string>") -> Union[Automaton, MultiAutomaton]:
@@ -203,12 +193,8 @@ def _check_transition(r: _Reader, no: int, num_states: int, letters, t,
             raise ParseError(r.source, no, f"a rank in [{lo}, {hi}], got {rank}")
 
 
-def format_automaton(a: Union[Automaton, MultiAutomaton],
-                     comment: Optional[str] = None) -> str:
-    out = []
-    if comment:
-        out.append(f"# {comment}")
-    out.append(f"automaton {a.name}")
+def format_automaton(a: Union[Automaton, MultiAutomaton]) -> str:
+    out = [f"automaton {a.name}"]
     out.append("alphabet: " + " ".join(a.alphabet))
     out.append(f"states: {a.num_states}")
     out.append(f"initial: {a.initial}")

@@ -80,13 +80,20 @@ def gen_c_rejecting_aaa() -> Automaton:
                            accepting={0, 1, 2, 4})
 
 
-def run_optimized(script: str, timeout: float = 60) -> subprocess.CompletedProcess:
-    """Run a Python script under `python -O`, which strips asserts, with
-    explora and this directory importable; raise `subprocess.TimeoutExpired`
-    if it runs longer than `timeout` seconds."""
+def run_python(script: str, *flags: str, timeout: float = 60,
+               **env: str) -> subprocess.CompletedProcess:
+    """Run a Python script in a fresh interpreter with the given flags and
+    extra environment variables, with explora and this directory importable;
+    raise `subprocess.TimeoutExpired` if it runs longer than `timeout`
+    seconds."""
     paths = [str(Path(explora.__file__).resolve().parents[1]), str(Path(__file__).parent)]
     if os.environ.get("PYTHONPATH"):
         paths.append(os.environ["PYTHONPATH"])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
-    return subprocess.run([sys.executable, "-O", "-c", script], env=env,
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths), **env)
+    return subprocess.run([sys.executable, *flags, "-c", script], env=env,
                           capture_output=True, text=True, timeout=timeout)
+
+
+def run_optimized(script: str, timeout: float = 60) -> subprocess.CompletedProcess:
+    """`run_python` under `python -O`, which strips asserts."""
+    return run_python(script, "-O", timeout=timeout)

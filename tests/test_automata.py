@@ -114,6 +114,26 @@ class TestComplete:
             assert complete(done) is done
             assert equivalent_on_lassos(sliced, done, 5).equivalent
 
+    def test_unreachable_states_stay_as_they_are(self, tmp_path, capsys):
+        # 100,000 declared states, one reachable: completing them all took
+        # seconds and over 100 MB
+        from explora.cli import main
+        from explora.textio import parse_automaton
+        text = ("# one reachable state among 100000 declared ones\n"
+                "automaton big\nalphabet: a b\nstates: 100000\ninitial: 0\n"
+                "condition: finite\naccepting: 0\nt 0 a 0\n")
+        a = parse_automaton(text)
+        assert not is_complete(a)
+        done = complete(a)
+        # (0, b) goes to the sink, and the sink loops on a and b
+        assert done.transitions - a.transitions == {(0, "b", 100000, 0), (100000, "a", 100000, 0),
+                                                    (100000, "b", 100000, 0)}
+        assert is_complete(done) and complete(done) is done
+        path = tmp_path / "big.aut"
+        path.write_text(text)
+        assert main(["k-explorable", "-k", "1", str(path)]) == 0
+        assert capsys.readouterr().out.strip() == "1-explorable: True"
+
     def test_all_even_parity_range_widens(self):
         sliced = Automaton.build("ev", ["a", "b"], 1, 0, "parity",
                                  [(0, "a", 0, 0)], parity=(0, 0))
@@ -290,6 +310,33 @@ class TestCanonicalParity:
         c = canonical_parity(a)
         for w in iter_lassos(["a", "b"], 4):
             assert member_lasso(c, w)
+
+    def test_reachability_mirrors_safety(self):
+        for cond in ("safety", "reachability", "cobuchi"):
+            c = canonical_parity(automaton_corpus(18, 1, 3, ["a", "b"], cond)[0])
+            assert (c.condition, c.lo, c.hi) == ("parity", 0, 1)
+
+    def test_reachability_takes_an_accepting_transition(self):
+        # accepted iff some finite run on the word takes a rank-1 transition,
+        # searched on the (state, lasso position) graph
+        rng = Random(19)
+        for _ in range(20):
+            a = random_automaton(rng, 3, ["a", "b"], "reachability")
+            a = replace(a, transitions=frozenset(
+                t._replace(rank=0) if t.rank and rng.random() < 0.7 else t
+                for t in sorted(a.transitions) if rng.random() < 0.8))
+            c = canonical_parity(a)
+            for w in iter_lassos(["a", "b"], 5):
+                unroll, wrap = w.prefix + w.period, len(w.prefix)
+                seen, queue, hit = {(a.initial, 0)}, [(a.initial, 0)], False
+                for q, i in queue:
+                    j = i + 1 if i + 1 < len(unroll) else wrap
+                    for d, rank in a.successors(q, unroll[i]):
+                        hit = hit or rank == 1
+                        if (d, j) not in seen:
+                            seen.add((d, j))
+                            queue.append((d, j))
+                assert member_lasso(c, w) == hit, w
 
     def test_corpus_preservation(self):
         for cond in ("safety", "reachability", "cobuchi"):

@@ -12,7 +12,6 @@ from explora.determinize import (breakpoint_construction,
                                  resolve_monitor, subset_construction)
 from explora.errors import MissingMonitor, MonitorCheckFailed, MonitorMismatch
 from explora.generators import gen_ak, gen_c, gen_fig4, random_automaton
-from explora.textio import format_automaton, parse_automaton, parse_provenance
 
 from conftest import automaton_corpus, run_optimized
 from reference import equivalent_on_all_lassos, equivalent_on_words, iter_words
@@ -110,7 +109,8 @@ class TestMonitorSelfCheck:
     @pytest.mark.parametrize("build, source", [
         ("subset_construction", "gen_ak(2)"),
         ("breakpoint_construction", "canonical_parity(gen_fig4('left'))"),
-        ("_reachability_monitor", "automaton_corpus(3, 1, 3, ['a', 'b'], 'reachability')[0]"),
+        ("breakpoint_construction",
+         "canonical_parity(automaton_corpus(3, 1, 3, ['a', 'b'], 'reachability')[0])"),
     ], ids=["subset", "breakpoint", "reachability"])
     def test_failed_check_raises_under_optimize(self, build, source):
         # the check must not be an assert, which `python -O` strips
@@ -133,8 +133,8 @@ sys.exit(5)
     @pytest.mark.parametrize("build, check, source", [
         ("_subset", "_check_subset", "gen_ak(2)"),
         ("_breakpoint", "_check_breakpoint", "canonical_parity(gen_fig4('left'))"),
-        ("_reachability", "_check_reachability",
-         "automaton_corpus(3, 1, 3, ['a', 'b'], 'reachability')[0]"),
+        ("_breakpoint", "_check_breakpoint",
+         "canonical_parity(automaton_corpus(3, 1, 3, ['a', 'b'], 'reachability')[0])"),
     ], ids=["subset", "breakpoint", "reachability"])
     def test_label_mismatch_raises_under_optimize(self, build, check, source):
         done = run_optimized(f"""
@@ -165,7 +165,6 @@ BUILT = {
     "finite": (det._subset, [det._check_subset]),
     "cobuchi": (det._breakpoint, [det._check_breakpoint,
                                   lambda a, m, labels: det._check_included(a, m)]),
-    "reachability": (det._reachability, [det._check_reachability]),
 }
 
 
@@ -228,7 +227,7 @@ def test_checks_reject_every_mutant_the_oracle_refutes(seed, condition, partial,
                                                        kinds):
     rng = Random(seed)
     a = random_source(rng, condition, partial, sparse)
-    if condition == "safety":
+    if condition in ("safety", "reachability"):
         a, condition = canonical_parity(a), "cobuchi"
     monitor, labels = BUILT[condition][0](a)
     assert passes_checks(condition, a, monitor, labels)
@@ -305,7 +304,8 @@ class TestResolveMonitor:
              (1, "a", 0, 1), (1, "b", 1, 0)])
         mon = resolve_monitor(a)
         d = mon.automaton
-        assert is_deterministic(d) and d.condition == "parity"
+        assert mon.provenance == "breakpoint"
+        assert is_deterministic(d) and (d.condition, d.rank_range) == ("parity", (0, 1))
         assert equivalent_on_lassos(a, d, 6).equivalent
 
     def test_deterministic_buchi_monitors_itself(self):
@@ -324,11 +324,3 @@ class TestResolveMonitor:
         with pytest.raises(ValueError):
             resolve_monitor(a, nondet)
 
-
-def test_monitor_serialization_preserves_provenance():
-    from explora.determinize import monitor_from_text, monitor_to_text
-    mon = subset_construction(gen_ak(2))
-    text = monitor_to_text(mon)
-    assert parse_provenance(text) == "subset"
-    assert parse_automaton(text) == mon.automaton
-    assert monitor_from_text(text) == mon

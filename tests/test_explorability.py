@@ -3,6 +3,8 @@ from random import Random
 import pytest
 
 from explora.automata import Automaton, complete, explore_graph, is_complete, member_finite
+from explora.constructions import (compose_monitor, union_condition_automaton_02,
+                                   union_product)
 from explora.determinize import resolve_monitor
 from explora.errors import ChannelBudgetExceeded, NonSinkTarget, ReductionCheckFailed
 from explora.explorability import (PCPInstance, _build_finite_game,
@@ -15,7 +17,7 @@ from explora.games import solve
 from explora.generators import gen_ak, gen_bk, gen_c, random_automaton
 from explora.textio import format_automaton
 
-from conftest import automaton_corpus, gen_c_rejecting_aaa, run_optimized
+from conftest import automaton_corpus, gen_c_rejecting_aaa, run_optimized, run_python
 from reference import (_spoiler_attractor, build_finite_game_reference,
                        build_tuple_game_reference, is_k_explorable_tuples,
                        iter_words, solve_finite_game_reference)
@@ -160,7 +162,7 @@ def _finite_game_corpus():
         a = random_automaton(rng, rng.randint(6, 8), "abc"[:rng.randint(2, 3)], "finite")
         if i % 2:  # partial: drop about a quarter of the transitions
             a = Automaton.build(a.name, a.alphabet, a.num_states, a.initial, "finite",
-                                [t for t in a.transitions if rng.random() < 0.75],
+                                [t for t in sorted(a.transitions) if rng.random() < 0.75],
                                 a.accepting)
         cases += [(f"random-{i}", a, k) for k in (1, 2, 3)]
     # destinations repeated under another rank, which finite mode ignores
@@ -174,6 +176,19 @@ def _finite_game_corpus():
     cases += [(f"bk{n}", complete(gen_bk(n)), k) for n in (1, 2) for k in (1, 2, 2 ** n)]
     cases += [("c", complete(gen_c()), k) for k in (1, 2, 3)]
     return cases
+
+
+def test_corpora_do_not_depend_on_the_hash_seed():
+    # case ids must name the same automata in every test process
+    script = """
+from explora.textio import format_automaton
+from test_explorability import _breakpoint_game_corpus, _finite_game_corpus
+for name, a, k in _finite_game_corpus() + _breakpoint_game_corpus():
+    print(name, k, format_automaton(a))
+"""
+    runs = [run_python(script, PYTHONHASHSEED=seed) for seed in ("0", "1")]
+    assert [run.returncode for run in runs] == [0, 0], runs[0].stderr + runs[1].stderr
+    assert runs[0].stdout == runs[1].stdout
 
 
 def _bad_positions(arena):
@@ -306,7 +321,8 @@ class TestFiniteGameStopsEarly:
 
 def _breakpoint_game_corpus():
     """(name, automaton, k) cases of the game on breakpoint multisets:
-    random safety, coBuchi and parity 0 1 automata, some of them partial."""
+    random safety, coBuchi, parity 0 1 and reachability automata, some of
+    them partial."""
     rng = Random(91)
     cases = []
     for i in range(24):
@@ -318,6 +334,12 @@ def _breakpoint_game_corpus():
                                 [t for t in sorted(a.transitions) if rng.random() < 0.75],
                                 parity=(0, 1) if condition == "parity" else None)
         cases += [(f"{condition}-{i}", a, k) for k in (1, 2, 3)]
+    for i in range(24, 36):  # few accepting transitions, so that games are lost too; odd i partial
+        a = random_automaton(rng, rng.randint(2, 4), "abc"[:rng.randint(2, 3)], "reachability")
+        kept = [t._replace(rank=0) if t.rank and rng.random() < 0.75 else t
+                for t in sorted(a.transitions) if i % 2 == 0 or rng.random() < 0.75]
+        a = Automaton.build(a.name, a.alphabet, a.num_states, a.initial, a.condition, kept)
+        cases += [(f"reachability-{i}", a, k) for k in (1, 2, 3)]
     return cases
 
 
@@ -343,7 +365,7 @@ class TestBreakpointGameMatchesTuples:
         partial = {(a.condition, is_k_explorable(a, 2))
                    for _, a, k in cases if k == 2 and not is_complete(a)}
         assert verdicts == {True, False}
-        assert {c for c, _ in partial} == {"safety", "cobuchi", "parity"}
+        assert {c for c, _ in partial} == {"safety", "cobuchi", "parity", "reachability"}
         assert {won for _, won in partial} == {True, False}
 
     def test_one_state_condition(self):
@@ -356,10 +378,15 @@ class TestBreakpointGameMatchesTuples:
             assert product.num_positions == arena.num_positions
 
     def test_other_inputs_keep_token_tuples(self):
-        for condition in ("buchi", "reachability"):
-            a = automaton_corpus(53, 1, 2, ["a", "b"], condition, max_branch=1)[0]
-            arena, _ = build_k_explorability_game(a, resolve_monitor(a), 2)
-            assert len(arena.channels) == 3
+        a = automaton_corpus(53, 1, 2, ["a", "b"], "buchi", max_branch=1)[0]
+        arena, _ = build_k_explorability_game(a, resolve_monitor(a), 2)
+        assert len(arena.channels) == 3
+        # two [0, 1] channels still keep one channel per token and channel
+        u = union_product(automaton_corpus(54, 2, 2, ["a", "b"], "reachability",
+                                           max_branch=1))
+        monitor = resolve_monitor(u, compose_monitor(u, union_condition_automaton_02(2)))
+        arena, _ = build_k_explorability_game(u, monitor, 2)
+        assert len(arena.channels) == 5
 
 
 class TestBreakpointGameScale:
@@ -375,6 +402,15 @@ class TestBreakpointGameScale:
 
     def test_five_state_cobuchi_at_k5(self):
         assert is_k_explorable(random_automaton(Random(7), 5, "ab", "cobuchi"), 5)
+
+    def test_reachability_at_k5(self, tmp_path, capsys):
+        # 3-explorable, not 2-explorable; the tuple game needed 6 channels at k=5
+        from explora.cli import main
+        a = {name: a for name, a, _ in _breakpoint_game_corpus()}["reachability-27"]
+        path = tmp_path / "reach.aut"
+        path.write_text(format_automaton(a))
+        assert main(["k-explorable", "-k", "5", str(path)]) == 0
+        assert capsys.readouterr().out.strip() == "5-explorable: True"
 
 
 class TestMonotonicity:

@@ -6,7 +6,7 @@ from explora.generators import (format_atm, gen_ak, gen_bk, gen_c,
                                 gen_fig4, parse_atm)
 from explora.games import format_arena, parse_arena, parse_objective
 from explora.textio import (format_automaton, format_lasso, parse_automaton,
-                            parse_lasso, parse_provenance)
+                            parse_lasso)
 
 from conftest import ATM_CORPUS, automaton_corpus
 
@@ -28,12 +28,6 @@ def test_roundtrip_multi_channel():
         MultiTransition(1, "b", 1, (2, 1)),
     ]))
     assert parse_automaton(format_automaton(a)) == a
-
-
-def test_provenance_comment():
-    text = format_automaton(gen_c(), comment="provenance: subset")
-    assert parse_provenance(text) == "subset"
-    assert parse_provenance(format_automaton(gen_c())) is None
 
 
 def test_parse_error_names_file_and_line():
