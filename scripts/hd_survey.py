@@ -5,10 +5,12 @@ For seeded random coBuchi automata this prints how many are 1-/2-explorable,
 and checks that on the 2-explorable ones the 2-token game winner coincides
 with exact history-determinism (it must; the fast HD check is only valid
 under the explorability hypothesis, which is why the table also reports the
-winner on automata where 2-explorability failed).
+winner on automata where 2-explorability failed).  Exits 1 if they differ on
+some 2-explorable automaton.
 """
 
 import argparse
+import sys
 from random import Random
 
 from explora.automata import complete
@@ -17,7 +19,7 @@ from explora.generators import random_automaton
 from explora.hdgames import EVE, g2_winner, is_hd_exact
 
 
-def main() -> None:
+def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--seed", type=int, default=2024)
     parser.add_argument("--count", type=int, default=60)
@@ -43,7 +45,8 @@ def main() -> None:
     mismatched = [r for r in rows if not r[0] and r[1] != r[2]]
     print(f"  2-token-vs-exact mismatches outside the hypothesis: {len(mismatched)}"
           " (allowed; the characterization needs explorability)")
+    return 0 if agreements == len(explorable) else 1
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

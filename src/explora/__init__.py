@@ -1,6 +1,7 @@
 """Degrees of non-determinism for automata on finite and infinite words:
 k-explorability, bounded explorability search, history-determinism via token
-games, and omega-explorability for safety/coBuchi conditions."""
+games, and omega-explorability for the [0, 1]-ranked automata that
+`automata.ranked_01` admits."""
 
 from .automata import (Automaton, EquivalenceVerdict, LassoWord,
                        MultiAutomaton, Transition, canonical_parity, complete,

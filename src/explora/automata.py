@@ -120,13 +120,11 @@ class Automaton:
 
     @cached_property
     def lasso_view(self) -> "LassoView":
-        """The table `member_lasso` reads, built once per automaton: safety and
-        reachability are normalized to max-parity ranks first."""
+        """The table `member_lasso` reads, built once per automaton from its
+        `canonical_parity` form."""
         if self.condition == "finite":
             raise ValueError("lasso membership needs an infinite-word automaton")
-        a = self
-        if a.condition in ("safety", "reachability"):
-            a = canonical_parity(a)
+        a = canonical_parity(self)
         return LassoView.of((a.rank_range,), {
             k: tuple((d, (r,)) for d, r in v) for k, v in a.delta.items()})
 
@@ -195,16 +193,6 @@ class LassoWord:
     @classmethod
     def of(cls, prefix, period) -> "LassoWord":
         return cls(tuple(prefix), tuple(period))
-
-    def rotate(self, i: int) -> "LassoWord":
-        """Push i letters of the period into the prefix (same omega-word)."""
-        i %= len(self.period)
-        return LassoWord(self.prefix + self.period[:i],
-                         self.period[i:] + self.period[:i])
-
-    def unrolled(self) -> "LassoWord":
-        """Same word written as prefix.period (period.period)^omega."""
-        return LassoWord(self.prefix + self.period, self.period + self.period)
 
     def __str__(self):
         return "".join(self.prefix) + "(" + "".join(self.period) + ")"
@@ -327,6 +315,18 @@ def canonical_parity(a: Automaton) -> Automaton:
     trans.update(Transition(sink, letter, sink, sink_rank) for letter in a.alphabet)
     return Automaton(a.name, a.alphabet, a.num_states + 1, a.initial, "parity",
                      frozenset(trans), frozenset(), 0, 1)
+
+
+def ranked_01(a: AnyAutomaton) -> bool:
+    """Whether `a` is a single-channel infinite-word automaton whose
+    `canonical_parity` ranks lie in [0, 1]: safety, reachability, coBuchi, or
+    parity lo hi with 0 <= lo <= hi <= 1.  These inputs get the breakpoint
+    monitor, the k-token game on breakpoint multisets and the elimination
+    game."""
+    if not (isinstance(a, Automaton) and a.is_infinite):
+        return False
+    lo, hi = a.rank_range
+    return 0 <= lo <= hi <= 1
 
 
 def member_lasso(a: AnyAutomaton, w: LassoWord) -> bool:

@@ -9,7 +9,7 @@ play (Buchi, general parity and multi-channel inputs, and the bounded search
 over them, which checks its largest k first); the `hd --via-g2` token game;
 and union powers (`construct power`).  Every input whose monitor explora
 builds plays the explorability game with a fixed number of channels: finite
-inputs one, and safety, coBuchi, parity 0 1 and reachability inputs two, on
+inputs one, and the inputs that `automata.ranked_01` admits two, on
 breakpoint multisets.
 
 EXPLORE_LASSO_BOUND sets the default bound of the lasso-equivalence oracle,

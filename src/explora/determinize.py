@@ -4,10 +4,9 @@ A monitor tracks, deterministically, whether the word read so far (or the
 infinite word being read) belongs to the language of a source automaton:
 
 * finite acceptance -> subset construction;
-* safety, coBuchi, parity [0,1] and reachability -> breakpoint construction
-  over (reachable set, safe subset) pairs, on the [0,1] ranks that
-  `canonical_parity` gives them;
-* Buchi, general parity and multi-channel -> a caller-supplied deterministic
+* inputs that `automata.ranked_01` admits -> breakpoint construction over
+  (reachable set, safe subset) pairs, on their `canonical_parity` ranks;
+* every other infinite-word input -> a caller-supplied deterministic
   automaton.
 
 Every monitor is validated against its source when it is made.  A built
@@ -24,9 +23,9 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import config
-from .automata import (Automaton, AnyAutomaton, LassoWord, MultiAutomaton,
-                       Transition, canonical_parity, equivalent_on_lassos,
-                       explore_graph, is_deterministic, parity_cycle)
+from .automata import (Automaton, AnyAutomaton, LassoWord, Transition,
+                       canonical_parity, equivalent_on_lassos, explore_graph,
+                       is_deterministic, parity_cycle, ranked_01)
 from .errors import MissingMonitor, MonitorCheckFailed, MonitorMismatch
 
 
@@ -137,10 +136,8 @@ def subset_construction(a: Automaton) -> Monitor:
 
 
 def _breakpoint(a: Automaton) -> tuple[Automaton, list]:
-    """The breakpoint monitor and the (S, B) pair labelling each state."""
-    if not (a.condition == "cobuchi" or
-            (a.condition == "parity" and a.rank_range == (0, 1))):
-        raise ValueError("breakpoint_construction needs a coBuchi ([0,1]) automaton")
+    """The breakpoint monitor of a parity automaton ranked in [0, 1], and the
+    (S, B) pair labelling each state."""
 
     def expand(pair):
         s, b = pair
@@ -198,14 +195,19 @@ def _check_breakpoint(a: Automaton, monitor: Automaton, labels) -> None:
 
 
 def breakpoint_construction(a: Automaton) -> Monitor:
-    """Deterministic coBuchi monitor over (reachable set, safe subset) pairs.
+    """Deterministic coBuchi monitor over (reachable set, safe subset) pairs,
+    for an automaton that `ranked_01` admits, built on its `canonical_parity`
+    form.
 
     On letter a from (S, B): S' = post(S, a) and the safe subset follows only
     rank-0 transitions out of B; when nothing survives, the transition is a
     rank-1 breakpoint and the safe subset restarts at S'.  The result is
     validated exactly: `_check_breakpoint` for L(M) <= L(A) and
-    `_check_included` for L(A) <= L(M).
+    `_check_included` for L(A) <= L(M), both on the canonical form.
     """
+    if not ranked_01(a):
+        raise ValueError("breakpoint_construction needs an automaton ranked in [0, 1]")
+    a = canonical_parity(a)
     monitor, labels = _breakpoint(a)
     _check_breakpoint(a, monitor, labels)
     _check_included(a, monitor)
@@ -215,34 +217,21 @@ def breakpoint_construction(a: Automaton) -> Monitor:
 def resolve_monitor(a: AnyAutomaton, user: Optional[Automaton] = None) -> Monitor:
     """Pick or validate a deterministic monitor for the automaton's language.
 
-    Buchi, general parity and multi-channel automata need a user-supplied
-    monitor (we deliberately do not implement full omega-determinization);
-    see `_user_monitor` for how it is validated.  Finite, safety, coBuchi,
-    parity [0,1] and reachability automata get a built monitor, validated
-    exactly, and refuse a user-supplied one with a ValueError.
+    Finite automata and those that `ranked_01` admits get a built monitor,
+    validated exactly, and refuse a user-supplied one with a ValueError.  All
+    others need a user-supplied monitor (we deliberately do not implement full
+    omega-determinization), or monitor themselves when they are deterministic;
+    see `_user_monitor` for how it is validated.
     """
-    if isinstance(a, MultiAutomaton):
-        return _user_monitor(a, user)
-    build = _monitor_builder(a)
-    if build is None:
-        if user is None and is_deterministic(a):
+    finite = not a.is_infinite
+    if not (finite or ranked_01(a)):
+        if user is None and isinstance(a, Automaton) and is_deterministic(a):
             return _user_monitor(a, a)  # a deterministic automaton monitors itself
         return _user_monitor(a, user)
     if user is not None:
         raise ValueError(f"{a.condition} automaton {a.name} takes no user monitor: "
                          "explora builds its monitor")
-    return build(a)
-
-
-def _monitor_builder(a: Automaton):
-    """The construction of a's monitor, or None if it needs a user one."""
-    if a.condition == "finite":
-        return subset_construction
-    if a.condition in ("safety", "cobuchi", "reachability"):
-        return lambda a: breakpoint_construction(canonical_parity(a))
-    if a.condition == "parity" and a.rank_range == (0, 1):
-        return breakpoint_construction
-    return None
+    return subset_construction(a) if finite else breakpoint_construction(a)
 
 
 def _user_monitor(a: AnyAutomaton, user: Optional[Automaton]) -> Monitor:

@@ -340,29 +340,42 @@ def atm_reduce(m: ATM, word: str) -> Automaton:
 def parse_atm(text: str, source: str = "<string>") -> ATM:
     """Format: ``atm`` header, then ``states:``, optional ``initial:``
     (default 0), ``existential:``, ``accepting:``, ``space:``, and
-    ``t <q> <read> <q'> <write> <L|R>`` lines."""
+    ``t <q> <read> <q'> <write> <L|R>`` lines.  Everything `validate_atm`
+    checks is checked here too, at the offending line."""
     from .textio import _Reader, _is_int
 
     r = _Reader(text, source)
     no, line = r.next("'atm' header")
     if line != "atm":
         raise ParseError(source, no, "'atm' header")
-    num_states = r.int_field("states")
+    num_states = r.int_field("states", 1)
     initial = 0
     item = r.peek()
     if item is not None and item[1].startswith("initial:"):
-        initial = r.int_field("initial")
+        initial = r.int_field("initial", 0, num_states - 1)
     no, parts = r.keyword_line("existential")
+    if not all(_is_int(p) and 0 <= int(p) < num_states for p in parts):
+        raise ParseError(source, no, f"state ids in [0, {num_states - 1}] after 'existential:'")
     existential = frozenset(int(p) for p in parts)
-    accepting = r.int_field("accepting")
-    space = r.int_field("space")
+    if initial not in existential:
+        raise ParseError(source, no, f"initial state {initial} among the existential ones")
+    accepting = r.int_field("accepting", 0, num_states - 1)
+    space = r.int_field("space", 1)
     transitions = []
     while r.peek() is not None:
         no, line = r.next("transition line")
         parts = line.split()
         if len(parts) != 6 or parts[0] != "t" or not (_is_int(parts[1]) and _is_int(parts[3])):
             raise ParseError(source, no, "'t <q> <read> <q2> <write> <L|R>'")
-        transitions.append((int(parts[1]), parts[2], int(parts[3]), parts[4], parts[5]))
+        if not (parts[2] in ("0", "1") and parts[4] in ("0", "1") and parts[5] in ("L", "R")):
+            raise ParseError(source, no, "tape symbols 0 or 1 and a direction L or R")
+        q, q2 = int(parts[1]), int(parts[3])
+        if not (0 <= q < num_states and 0 <= q2 < num_states):
+            raise ParseError(source, no, f"state ids in [0, {num_states - 1}] in transition")
+        if (q in existential) == (q2 in existential):
+            raise ParseError(source, no, "a transition between an existential and "
+                             "a universal state")
+        transitions.append((q, parts[2], q2, parts[4], parts[5]))
     return ATM(num_states, existential, frozenset(transitions), initial,
                accepting, space)
 

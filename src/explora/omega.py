@@ -1,17 +1,18 @@
 """Explorability with countably many tokens.
 
-Reachability automata are always omega-explorable.  For safety and coBuchi
-automata the decision goes through the elimination game: a support set of
-reachable states evolves deterministically, the protecting player keeps one
-challenger token alive inside it, and must relocate the challenger (an
-elimination) whenever it crosses a rank-1 transition.  The eliminating player
-wins iff eliminations happen infinitely often while the deterministic monitor
-accepts the word; ranked 3/2/1 (monitor-rank-1 step / elimination / quiet
-step), this is a three-rank parity game, positionally determined.
+Reachability automata are always omega-explorable.  For the other automata
+that `automata.ranked_01` admits, the decision goes through the elimination
+game: a support set of reachable states evolves deterministically, the
+protecting player keeps one challenger token alive inside it, and must
+relocate the challenger (an elimination) whenever it crosses a rank-1
+transition.  The eliminating player wins iff eliminations happen infinitely
+often while the deterministic monitor accepts the word; ranked 3/2/1
+(monitor-rank-1 step / elimination / quiet step), this is a three-rank parity
+game, positionally determined.
 
-Buchi and general parity inputs are open territory: they are reduced, with
-omega-explorability preserved, to a Buchi automaton that is handed back in an
-`unknown` verdict.
+The other infinite-word inputs, Buchi and parity beyond [0, 1], are open
+territory: they are reduced, with omega-explorability preserved, to a Buchi
+automaton that is handed back in an `unknown` verdict.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .automata import (Automaton, Transition, canonical_parity, complete,
-                       explore_graph)
+                       explore_graph, ranked_01)
 from .determinize import breakpoint_construction
 from .errors import MonitorCheckFailed
 from .games import Arena, solve_parity
@@ -30,15 +31,6 @@ from .games import Arena, solve_parity
 class OmegaVerdict:
     status: str  # "omega-explorable" | "not-omega-explorable" | "unknown"
     reduced: Optional[Automaton] = None  # Buchi reduction in the unknown case
-
-
-def _as_cobuchi(a: Automaton) -> Automaton:
-    if a.condition not in ("safety", "cobuchi", "parity"):
-        raise ValueError("elimination game needs a safety or coBuchi automaton")
-    b = canonical_parity(complete(a))
-    if not (b.lo >= 0 and b.hi <= 1):
-        raise ValueError("elimination game needs ranks within [0, 1]")
-    return b
 
 
 def build_elimination_game(a: Automaton) -> Arena:
@@ -51,7 +43,9 @@ def build_elimination_game(a: Automaton) -> Arena:
     monitor transitions, which is checked structurally: a mismatch raises
     `MonitorCheckFailed`.
     """
-    a = _as_cobuchi(a)
+    if not ranked_01(a):
+        raise ValueError("elimination game needs an automaton ranked in [0, 1]")
+    a = canonical_parity(complete(a))
     monitor = breakpoint_construction(a).automaton
     mon_delta = {key: succ[0] for key, succ in monitor.delta.items()}
 
@@ -142,8 +136,7 @@ def is_omega_explorable(a: Automaton) -> OmegaVerdict:
         raise ValueError("omega-explorability concerns infinite-word automata")
     if a.condition == "reachability":
         return OmegaVerdict("omega-explorable")
-    if a.condition in ("safety", "cobuchi") or \
-            (a.condition == "parity" and a.lo >= 0 and a.hi <= 1):
+    if ranked_01(a):
         ok = is_omega_explorable_cobuchi(a)
         return OmegaVerdict("omega-explorable" if ok else "not-omega-explorable")
     return OmegaVerdict("unknown", parity_to_buchi_omega(a))

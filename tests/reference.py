@@ -14,9 +14,9 @@ from typing import Iterator, Optional
 
 from explora import config
 from explora.automata import (AnyAutomaton, Automaton, EquivalenceVerdict,
-                              MultiAutomaton, canonical_parity, complete,
-                              explore_graph, iter_lassos, member_finite,
-                              member_lasso)
+                              LassoWord, MultiAutomaton, canonical_parity,
+                              complete, explore_graph, iter_lassos,
+                              member_finite, member_lasso)
 from explora.determinize import Monitor, resolve_monitor
 from explora.errors import SolverCheckFailed
 from explora.explorability import _token_channels, _tuple_moves
@@ -479,6 +479,17 @@ def validate(a: AnyAutomaton) -> list[str]:
             if (q, letter) not in seen:
                 out.append(f"incomplete at (state {q}, {letter})")
     return out
+
+
+def rotate(w: LassoWord, i: int) -> LassoWord:
+    """Push i letters of the period into the prefix (same omega-word)."""
+    i %= len(w.period)
+    return LassoWord(w.prefix + w.period[:i], w.period[i:] + w.period[:i])
+
+
+def unrolled(w: LassoWord) -> LassoWord:
+    """Same word written as prefix.period (period.period)^omega."""
+    return LassoWord(w.prefix + w.period, w.period + w.period)
 
 
 def iter_words(alphabet, bound: int) -> Iterator[tuple[str, ...]]:

@@ -3,7 +3,8 @@
 Each example takes a small valid input, drops, duplicates or garbles some of
 its lines or puts a number out of range, and runs a command on it.  Whatever
 the text, the exit code is one of 0-3, no exception escapes, and a run that
-exits 3 (usage or parse error) prints no verdict.  Mutated lasso text makes
+exits 3 (usage or parse error) prints no verdict; for a machine file, its
+message starts with the file and line.  Mutated lasso text makes
 `parse_lasso` raise `ParseError` or nothing.
 """
 
@@ -80,9 +81,9 @@ JUNK = st.text(alphabet="atpe: #01-9()\t", max_size=12)
 
 
 @st.composite
-def mutated(draw):
+def mutated(draw, seeds=SEEDS):
     """A seed input with one to three line mutations, and a command for it."""
-    text, commands = draw(st.sampled_from(SEEDS))
+    text, commands = draw(st.sampled_from(seeds))
     lines = text.splitlines()
     for _ in range(draw(st.integers(1, 3))):
         if not lines:
@@ -107,11 +108,8 @@ def mutated(draw):
     return "\n".join(lines) + "\n", draw(st.sampled_from(commands))
 
 
-@settings(max_examples=200, deadline=None, derandomize=True,
-          suppress_health_check=[HealthCheck.too_slow])
-@given(mutated())
-def test_mutated_inputs_keep_the_exit_code_contract(case):
-    text, command = case
+def _run(text, command):
+    """(exit code, stdout, stderr, input path) of `command` on `text`."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "input.txt"
         path.write_text(text)
@@ -124,10 +122,29 @@ def test_mutated_inputs_keep_the_exit_code_contract(case):
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(argv)
-    assert code in (0, 1, 2, 3), (code, text, argv)
+    return code, out.getvalue(), err.getvalue(), str(path)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(mutated())
+def test_mutated_inputs_keep_the_exit_code_contract(case):
+    text, command = case
+    code, out, err, _ = _run(text, command)
+    assert code in (0, 1, 2, 3), (code, text, command)
     if code == 3:
-        assert out.getvalue() == "", (text, argv, out.getvalue())
-        assert err.getvalue().startswith("error: "), (text, argv, err.getvalue())
+        assert out == "", (text, command, out)
+        assert err.startswith("error: "), (text, command, err)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(mutated([s for s in SEEDS if s[1][0][:2] == ["generate", "atm"]]))
+def test_mutated_machine_files_name_file_and_line(case):
+    text, command = case
+    code, _, err, path = _run(text, command)
+    assert code in (0, 3), (code, text)
+    if code == 3:
+        assert err.startswith(f"error: {path}:"), (text, err)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)

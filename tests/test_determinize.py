@@ -76,6 +76,21 @@ class TestBreakpointConstruction:
     def test_rejects_wrong_condition(self):
         with pytest.raises(ValueError):
             breakpoint_construction(automaton_corpus(1, 1, 2, ["a"], "buchi")[0])
+        with pytest.raises(ValueError):
+            breakpoint_construction(
+                automaton_corpus(1, 1, 2, ["a"], "parity", parity=(1, 2))[0])
+
+    @pytest.mark.parametrize("condition, parity", [
+        ("safety", None), ("reachability", None), ("cobuchi", None),
+        ("parity", (0, 0)), ("parity", (1, 1)), ("parity", (0, 1))],
+        ids=["safety", "reachability", "cobuchi", "parity00", "parity11", "parity01"])
+    def test_accepts_every_input_ranked_in_01(self, condition, parity):
+        # the construction normalizes its input itself
+        for a in automaton_corpus(42, 3, 3, ["a", "b"], condition, parity=parity):
+            mon = breakpoint_construction(a)
+            assert mon.automaton == breakpoint_construction(canonical_parity(a)).automaton
+            assert mon.automaton.rank_range == (0, 1)
+            assert equivalent_on_lassos(a, mon.automaton, 5).equivalent
 
     def test_oracle_disagreement_raises(self, monkeypatch):
         # a fault in the product check: it reports the first product edge

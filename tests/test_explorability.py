@@ -413,6 +413,52 @@ class TestBreakpointGameScale:
         assert capsys.readouterr().out.strip() == "5-explorable: True"
 
 
+def _degenerate_parity_corpus():
+    """(name, transitions, rank) of nondeterministic 3-state automata over
+    {a, b} whose ranks all equal `rank`, 0 or 1, complete and partial."""
+    rng = Random(93)
+    cases = []
+    for rank in (0, 1):
+        for partial in (False, True):
+            found = 0
+            while found < 2:
+                a = random_automaton(rng, 3, "ab", "parity", parity=(rank, rank))
+                kept = [t for t in sorted(a.transitions) if not partial or rng.random() < 0.7]
+                b = Automaton.build(a.name, a.alphabet, 3, 0, "cobuchi", kept)
+                # deterministic inputs always had a monitor: themselves
+                if is_complete(b) == partial or all(len(s) == 1 for s in b.delta.values()):
+                    continue
+                name = f"parity-{rank}{rank}-{'partial' if partial else 'complete'}-{found}"
+                cases.append((name, kept, rank))
+                found += 1
+    return cases
+
+
+class TestDegenerateParityRanges:
+    """Inputs tagged parity 0 0 or 1 1 are ranked in [0, 1]: they get the
+    verdicts of the same transitions tagged cobuchi, complete or not."""
+
+    COMMANDS = [["k-explorable", "-k", "1"], ["k-explorable", "-k", "2"],
+                ["k-explorable", "-k", "3"], ["explorable", "--max-k", "3"],
+                ["hd", "--exact"], ["omega-explorable"]]
+
+    @pytest.mark.parametrize("transitions, rank", [
+        pytest.param(t, r, id=name) for name, t, r in _degenerate_parity_corpus()])
+    def test_same_verdicts_as_cobuchi(self, tmp_path, capsys, transitions, rank):
+        from explora.cli import main
+        outputs = {}
+        for tag, parity in (("parity", (rank, rank)), ("cobuchi", None)):
+            path = tmp_path / f"{tag}.aut"
+            path.write_text(format_automaton(
+                Automaton.build("d", "ab", 3, 0, tag, transitions, parity=parity)))
+            outputs[tag] = []
+            for command in self.COMMANDS:
+                code = main(command + [str(path)])
+                outputs[tag].append((code, capsys.readouterr().out))
+        assert outputs["parity"] == outputs["cobuchi"]
+        assert all(code in (0, 1, 2) for code, _ in outputs["parity"])
+
+
 class TestMonotonicity:
     def test_monotone_in_k_on_corpus(self):
         for a in automaton_corpus(61, 8, 3, ["a", "b"], "finite"):

@@ -38,6 +38,18 @@ class TestEliminationGame:
         a = automaton_corpus(72, 1, 2, ["a"], "buchi")[0]
         with pytest.raises(ValueError):
             build_elimination_game(a)
+        a = automaton_corpus(72, 1, 2, ["a"], "parity", parity=(1, 2))[0]
+        with pytest.raises(ValueError):
+            build_elimination_game(a)
+
+    @pytest.mark.parametrize("condition, parity", [
+        ("safety", None), ("reachability", None), ("parity", (0, 0)), ("parity", (1, 1))],
+        ids=["safety", "reachability", "parity00", "parity11"])
+    def test_every_input_ranked_in_01_accepted(self, condition, parity):
+        # the game normalizes its input itself
+        for a in automaton_corpus(78, 3, 3, ["a", "b"], condition, parity=parity):
+            assert build_elimination_game(a) == \
+                build_elimination_game(canonical_parity(complete(a)))
 
     def test_elimination_objective_compiles_small(self):
         # the elimination game is already a three-rank parity game; running it
@@ -88,6 +100,8 @@ class TestOmegaVerdicts:
     def test_reachability_shortcut(self):
         for a in automaton_corpus(74, 5, 3, ["a", "b"], "reachability"):
             assert is_omega_explorable(a).status == "omega-explorable"
+            # the fact behind the shortcut, checked on the elimination game
+            assert is_omega_explorable_cobuchi(a)
 
     def test_fig4_right_negative(self):
         assert is_omega_explorable(gen_fig4("right")).status == "not-omega-explorable"

@@ -1,6 +1,7 @@
 import pytest
 
 from explora.automata import LassoWord, MultiAutomaton, MultiTransition
+from explora.cli import main
 from explora.errors import ParseError
 from explora.generators import (format_atm, gen_ak, gen_bk, gen_c,
                                 gen_fig4, parse_atm)
@@ -83,6 +84,35 @@ def test_atm_roundtrip():
 def test_atm_parse_error():
     with pytest.raises(ParseError):
         parse_atm("atm\nstates: 2\nexistential: 0\naccepting: 1\nspace: 1\nt 0 0 1\n")
+
+
+# The machine of ATM_CORPUS[0], formatted: states 3, existential 0 2,
+# accepting 2, space 2; line 7 is `t 0 0 1 0 R`.
+@pytest.mark.parametrize("line, text", [
+    (2, "states: 0"),
+    (3, "initial: 5"),
+    (4, "existential: x"),
+    (4, "existential: 0 2 9"),  # out of range
+    (4, "existential: 2"),  # the initial state 0 is universal
+    (5, "accepting: 99"),
+    (6, "space: 0"),
+    (7, "t 0 0 7 0 R"),  # out of range
+    (7, "t 0 0 2 0 R"),  # two existential states
+    (7, "t 0 2 1 0 R"),  # no tape symbol
+    (7, "t 0 0 1 0 X"),  # no direction
+], ids=["states", "initial", "existential-int", "existential-range", "existential-initial",
+        "accepting", "space", "t-range", "t-alternation", "t-read", "t-direction"])
+def test_atm_errors_name_file_and_line(tmp_path, capsys, line, text):
+    lines = format_atm(ATM_CORPUS[0][1]).splitlines()
+    assert lines[6] == "t 0 0 1 0 R"
+    lines[line - 1] = text
+    with pytest.raises(ParseError) as e:
+        parse_atm("\n".join(lines), "m.atm")
+    assert (e.value.source, e.value.line) == ("m.atm", line)
+    path = tmp_path / "m.atm"
+    path.write_text("\n".join(lines))
+    assert main(["generate", "atm", str(path), "0", "-o", str(tmp_path / "out.aut")]) == 3
+    assert capsys.readouterr().err.startswith(f"error: {path}:{line}: expected ")
 
 
 def test_arena_roundtrip():
