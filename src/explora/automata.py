@@ -21,7 +21,7 @@ functions, so everything here is safe to share across threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import product
 from typing import Iterator, NamedTuple, Optional, Sequence, Union
@@ -226,43 +226,44 @@ def is_complete(a: AnyAutomaton) -> bool:
     return not _missing(a)
 
 
-def complete(a: Automaton) -> Automaton:
+def _rejecting(lo: int, hi: int) -> tuple[int, int]:
+    """The largest odd rank of the max-parity range [lo, hi], and the range's
+    top: hi, or hi + 1 when the range is all even and must widen to hold it."""
+    rej = hi if hi % 2 == 1 else hi - 1
+    return (rej, hi) if rej >= lo else (hi + 1, hi + 1)
+
+
+def complete(a: AnyAutomaton) -> AnyAutomaton:
     """Route all missing (state, letter) pairs of reachable states to a fresh
     rejecting sink; unreachable states are left as they are.
 
     Identity on already-complete automata, so idempotent.  The sink's
     transitions carry the rejecting rank of the condition (the largest odd
     rank; for an all-even parity range the range is widened by one to make
-    room).
+    room), on every channel of a multi-channel automaton.
     """
     missing = _missing(a)
     if not missing:
         return a
     sink = a.num_states
-    lo, hi = a.rank_range
-    if a.condition == "finite":
-        rej = 0
-    elif a.condition in ("safety", "reachability"):
-        rej = 0  # marker: not in F
+    into_sink = missing + [(sink, letter) for letter in a.alphabet]
+    if isinstance(a, MultiAutomaton):
+        rejecting = [_rejecting(lo, hi) for lo, hi in a.channels]
+        ranks = tuple(rej for rej, _ in rejecting)
+        return replace(
+            a, num_states=sink + 1,
+            channels=tuple((lo, top) for (lo, _), (_, top) in zip(a.channels, rejecting)),
+            transitions=a.transitions | {MultiTransition(q, letter, sink, ranks)
+                                         for q, letter in into_sink})
+    if a.condition in ("finite", "safety", "reachability"):
+        rej, top = 0, a.hi  # safety and reachability: 0 marks "not in F"
     else:
-        rej = hi if hi % 2 == 1 else hi - 1
-        if rej < lo:  # all-even range: widen
-            rej = hi + 1
-            hi = rej
-    trans = set(a.transitions)
-    trans.update(Transition(q, letter, sink, rej) for q, letter in missing)
-    trans.update(Transition(sink, letter, sink, rej) for letter in a.alphabet)
-    return Automaton(
-        name=a.name,
-        alphabet=a.alphabet,
-        num_states=a.num_states + 1,
-        initial=a.initial,
-        condition=a.condition,
-        transitions=frozenset(trans),
-        accepting=a.accepting,
-        lo=min(a.lo, lo) if a.condition == "parity" else a.lo,
-        hi=hi if a.condition == "parity" else a.hi,
-    )
+        rej, top = _rejecting(*a.rank_range)
+    return replace(
+        a, num_states=sink + 1,
+        transitions=a.transitions | {Transition(q, letter, sink, rej)
+                                     for q, letter in into_sink},
+        hi=top if a.condition == "parity" else a.hi)
 
 
 def is_deterministic(a: AnyAutomaton) -> bool:

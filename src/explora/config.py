@@ -2,12 +2,14 @@
 
 EXPLORE_CHANNEL_BUDGET caps the number of parity channels a game objective may
 use (per-token channels grow with the token count); `check_channels` is the
-one place that enforces it, called by every builder whose channels grow with
-a token or copy count before it builds anything.  It binds three builders:
-the explorability game on token tuples, which only inputs with a user monitor
-play (Buchi, general parity and multi-channel inputs, and the bounded search
-over them, which checks its largest k first); the `hd --via-g2` token game;
-and union powers (`construct power`).  Every input whose monitor explora
+one place that enforces it, and `constructions.power_channels` the one count
+of channels that grow with a token or copy count: one per copy and channel of
+the input, plus one.  Three callers check that count before they build
+anything: `constructions.union_power`, which serves `construct power` and the
+explorability game on token tuples, played as one token of the union power
+by inputs with a user monitor only (Buchi, general parity and multi-channel
+inputs); the bounded search over such inputs, which checks its largest k
+first; and the `hd --via-g2` token game.  Every input whose monitor explora
 builds plays the explorability game with a fixed number of channels: finite
 inputs one, and the inputs that `automata.ranked_01` admits two, on
 breakpoint multisets.

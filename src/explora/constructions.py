@@ -2,7 +2,10 @@
 
 Union products run several copies in parallel and accept when any copy does;
 on finite words this is a plain product with a union accepting set, on
-infinite words the copies keep separate rank channels (a MultiAutomaton).
+infinite words the copies keep separate rank channels (a MultiAutomaton), all
+the channels of a multi-channel copy included.  The k-fold union power is
+also the explorability game's token on tuples: k tokens of an automaton are
+one token of its k-fold union power.
 The remaining operations convert between such conditions: flattening a union
 of Buchi channels into one Buchi condition, collapsing any [1,d] parity
 condition to [1,3] while preserving explorability, and the deterministic
@@ -11,7 +14,7 @@ union-of-[0,2] condition automaton with its composition operator.
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import chain, product
 from typing import Sequence
 
 from . import config
@@ -20,26 +23,29 @@ from .automata import (Automaton, AnyAutomaton, MultiAutomaton,
                        complete, explore_graph, is_deterministic)
 
 
-def union_product(automata: Sequence[Automaton]) -> AnyAutomaton:
+def union_product(automata: Sequence[AnyAutomaton]) -> AnyAutomaton:
     """Run the given automata in parallel; accept iff some component accepts.
 
-    All-finite inputs give a finite-acceptance product; infinite-word inputs
-    give a multi-channel automaton (reachable part only).
+    All-finite inputs give a finite-acceptance product; infinite-word inputs,
+    single- or multi-channel, give a multi-channel automaton whose channels
+    are those of the components' `lasso_view`s, concatenated (reachable part
+    only).
     """
     if not automata:
         raise ValueError("need at least one automaton")
     alphabet = automata[0].alphabet
     if any(set(b.alphabet) != set(alphabet) for b in automata):
         raise ValueError("alphabet mismatch between components")
-    finite = all(b.condition == "finite" for b in automata)
-    if not finite and any(b.condition == "finite" for b in automata):
+    finite = not any(b.is_infinite for b in automata)
+    if not finite and not all(b.is_infinite for b in automata):
         raise ValueError("cannot mix finite- and infinite-word components")
-    parts = [complete(b) if finite else canonical_parity(complete(b))
-             for b in automata]
+    parts = [complete(b) for b in automata]
+    # (state, letter) -> ((dst, ranks), ...); a finite component's ranks are unused
+    deltas = [p.delta if finite else p.lasso_view.delta for p in parts]
 
     def expand(key):
         for letter in alphabet:
-            options = [p.successors(q, letter) for p, q in zip(parts, key)]
+            options = [delta[(q, letter)] for delta, q in zip(deltas, key)]
             for combo in product(*options):
                 yield tuple(d for d, _ in combo), (letter, tuple(r for _, r in combo))
 
@@ -57,17 +63,24 @@ def union_product(automata: Sequence[Automaton]) -> AnyAutomaton:
                                accepting)
     return MultiAutomaton(
         f"union({name})", tuple(alphabet), len(order), 0,
-        tuple(p.rank_range for p in parts),
-        frozenset(MultiTransition(s, l, d, r) for s, l, d, r in transitions))
+        tuple(chain.from_iterable(p.lasso_view.channels for p in parts)),
+        frozenset(MultiTransition(s, l, d, tuple(chain.from_iterable(r)))
+                  for s, l, d, r in transitions))
 
 
-def union_power(a: Automaton, k: int) -> AnyAutomaton:
+def power_channels(a: AnyAutomaton, k: int) -> int:
+    """Rank channels of a game on k parallel runs of `a`: one per copy and
+    channel of `a`, plus one for a monitor or an opposing token."""
+    return 1 + k * (len(a.channels) if isinstance(a, MultiAutomaton) else 1)
+
+
+def union_power(a: AnyAutomaton, k: int) -> AnyAutomaton:
     """Union product of k copies of the same automaton (k parallel runs,
     accepting iff one of them accepts)."""
     if k < 1:
         raise ValueError("k must be at least 1")
     if a.is_infinite:
-        config.check_channels(k + 1)  # one channel per copy, one for a monitor
+        config.check_channels(power_channels(a, k))
     return union_product([a] * k)
 
 

@@ -20,10 +20,12 @@ The inputs that `automata.ranked_01` admits, whose canonical ranks lie in
 [0, 1], play on multisets of (clean, state) tokens with one breakpoint
 channel (Miyano and Hayashi, "Alternating finite automata on omega-words",
 TCS 1984), so the condition automaton has one state for every k; see
-`_breakpoint_tokens`.  Buchi, general parity and multi-channel inputs keep
-token tuples, since their per-token rank channels must follow actual runs and
-the multiset quotient does not apply; their channels grow with k and are
-capped by `config.check_channels`.
+`_breakpoint_tokens`.  Buchi, general parity and multi-channel inputs play
+on token tuples, since their per-token rank channels must follow actual runs
+and the multiset quotient does not apply: k tokens of `a` are one token of
+the k-fold union power `constructions.union_power(a, k)`, whose channels,
+one per copy and channel of `a`, grow with k and are capped by
+`config.check_channels`.
 
 The token moves do not depend on the monitor state, so every builder
 computes them once per (tokens, letter) and shares them between every
@@ -38,8 +40,9 @@ from itertools import chain, combinations_with_replacement, groupby, product
 from typing import Optional
 
 from . import config
-from .automata import (Automaton, AnyAutomaton, MultiAutomaton,
-                       canonical_parity, complete, explore_graph, ranked_01)
+from .automata import (Automaton, AnyAutomaton, canonical_parity, complete,
+                       explore_graph, ranked_01)
+from .constructions import power_channels, union_power
 from .determinize import Monitor, resolve_monitor, subset_construction
 from .errors import NonSinkTarget, ReductionCheckFailed
 from .games import (Arena, MaxEvenParity, Not, Or, Strategy, any_of, solve)
@@ -85,31 +88,8 @@ def _multiset_moves(dests, tokens: tuple, letter: str):
     return sorted({tuple(sorted(chain.from_iterable(combo))) for combo in product(*per_state)})
 
 
-def _tuple_moves(a: AnyAutomaton, tokens: tuple[int, ...], letter: str):
-    """All joint token moves with their per-token rank vectors."""
-    options = []
-    for state in tokens:
-        succ = a.successors(state, letter)
-        if isinstance(a, MultiAutomaton):
-            options.append([(d, ranks) for d, ranks in succ])
-        else:
-            options.append([(d, (r,)) for d, r in succ])
-    moves = set()
-    for combo in product(*options):
-        dsts = tuple(d for d, _ in combo)
-        ranks = tuple(r for _, rk in combo for r in rk)
-        moves.add((dsts, ranks))
-    return sorted(moves)
-
-
 # ---------------------------------------------------------------------------
 # the k-explorability game
-
-
-def _token_channels(a: AnyAutomaton) -> tuple[tuple[int, int], ...]:
-    if isinstance(a, MultiAutomaton):
-        return a.channels
-    return (a.rank_range,)
 
 
 _BAD = (2,)  # colour of the self-loop on a lost finite-game position
@@ -254,18 +234,13 @@ def _breakpoint_tokens(a: Automaton, k: int):
 
 
 def _tuple_tokens(a: AnyAutomaton, k: int):
-    """Token channels, start and moves of the game on token tuples, with one
-    rank channel per token and channel of `a`: the channels must follow
-    actual runs, so the multiset quotient does not apply."""
-    config.check_channels(_tuple_channel_count(a, k))
-    if isinstance(a, Automaton):
-        a = canonical_parity(a)  # token ranks must be max-parity ranks
-    return (_token_channels(a) * k, tuple([a.initial] * k),
-            lambda tokens, letter: _tuple_moves(a, tokens, letter))
-
-
-def _tuple_channel_count(a: AnyAutomaton, k: int) -> int:
-    return 1 + len(_token_channels(a)) * k
+    """Token channels, start and moves of the game on token tuples, played as
+    one token on the k-fold union power: its state stands for a tuple of k
+    states of `a`, and its rank channels, one per copy and channel of `a`,
+    follow actual runs, so the multiset quotient does not apply."""
+    power = union_power(a, k)
+    view = power.lasso_view
+    return view.channels, power.initial, lambda q, letter: view.delta[(q, letter)]
 
 
 def _build_infinite_game(a: AnyAutomaton, monitor: Monitor, k: int):
@@ -317,12 +292,13 @@ def build_k_explorability_game(a: AnyAutomaton, monitor: Monitor, k: int):
     Finite-word automata get the safety formulation over token multisets.
     Automata that `ranked_01` admits, under a [0, 1] monitor, get token
     multisets with one breakpoint channel and the objective ``not p0 or p1``
-    for every k; other infinite-word automata keep token tuples, since
-    per-token parity channels are only meaningful along actual runs.
+    for every k; other infinite-word automata play on token tuples, as one
+    token of their k-fold union power, since per-token parity channels are
+    only meaningful along actual runs.
     """
     if k < 1:
         raise ValueError("token count must be at least 1")
-    a = _completed(a)
+    a = complete(a)
     if monitor.is_finite:
         arena, _ = _build_finite_game(a, monitor, k)
         return arena, Not(MaxEvenParity(0))
@@ -355,14 +331,10 @@ def _play(a: AnyAutomaton, monitor: Monitor, k: int,
     return True, result.strategy_0
 
 
-def _completed(a: AnyAutomaton) -> AnyAutomaton:
-    return complete(a) if isinstance(a, Automaton) else a
-
-
 def is_k_explorable(a: AnyAutomaton, k: int,
                     user_monitor: Optional[Automaton] = None) -> bool:
     """True iff the token player wins the k-explorability game."""
-    a = _completed(a)
+    a = complete(a)
     won, _ = _play(a, resolve_monitor(a, user_monitor), k)
     return won
 
@@ -370,7 +342,7 @@ def is_k_explorable(a: AnyAutomaton, k: int,
 def explorability_witness(a: AnyAutomaton, k: int,
                           user_monitor: Optional[Automaton] = None) -> Optional[Strategy]:
     """Winning token-player strategy at k tokens, if one exists."""
-    a = _completed(a)
+    a = complete(a)
     _, strategy = _play(a, resolve_monitor(a, user_monitor), k, witness=True)
     return strategy
 
@@ -385,11 +357,11 @@ def explorability_bounded(a: AnyAutomaton, kmax: int,
     """
     if kmax < 1:
         raise ValueError("kmax must be at least 1")
-    a = _completed(a)
+    a = complete(a)
     monitor = resolve_monitor(a, user_monitor)
     if not (monitor.is_finite or _on_breakpoints(a, monitor)):
         # refuse before playing any k, not at the first k past the budget
-        config.check_channels(_tuple_channel_count(a, kmax))
+        config.check_channels(power_channels(a, kmax))
     for k in range(1, kmax + 1):
         won, strategy = _play(a, monitor, k, witness=True)
         if won:

@@ -14,6 +14,7 @@ from typing import Optional
 
 from . import config
 from .automata import Automaton, canonical_parity, complete, explore_graph
+from .constructions import power_channels
 from .errors import UnverifiedExplorability
 from .explorability import is_k_explorable
 from .games import (Arena, MaxEvenParity, Not, Objective, Or, all_of, solve)
@@ -34,7 +35,7 @@ def build_token_game(a: Automaton, k: int) -> tuple[Arena, Objective]:
         raise ValueError("Adam needs at least one token")
     if not a.is_infinite:
         raise ValueError("token games are defined on infinite-word automata")
-    config.check_channels(k + 1)
+    config.check_channels(power_channels(a, k))  # Eve's token and Adam's k
     a = canonical_parity(complete(a))
     lo, hi = a.rank_range
     channels = ((lo, hi),) * (k + 1)

@@ -19,7 +19,6 @@ from explora.automata import (AnyAutomaton, Automaton, EquivalenceVerdict,
                               member_finite, member_lasso)
 from explora.determinize import Monitor, resolve_monitor
 from explora.errors import SolverCheckFailed
-from explora.explorability import _token_channels, _tuple_moves
 from explora.games import (Arena, Color, ConditionAutomaton, MaxEvenParity,
                            Not, Or, SolveResult, Strategy, _trampoline, any_of,
                            condition_automaton, solve_parity, verify_strategy,
@@ -391,6 +390,33 @@ def solve_finite_game_reference(a, monitor: Monitor, k: int, stop: bool = False)
     if stop and arena.initial in attr:
         return None, attr
     return arena, attr
+
+
+# The game on token tuples with joint token moves of its own; production plays
+# it as one token of the union power.
+
+
+def _token_channels(a: AnyAutomaton) -> tuple[tuple[int, int], ...]:
+    if isinstance(a, MultiAutomaton):
+        return a.channels
+    return (a.rank_range,)
+
+
+def _tuple_moves(a: AnyAutomaton, tokens: tuple[int, ...], letter: str):
+    """All joint token moves with their per-token rank vectors."""
+    options = []
+    for state in tokens:
+        succ = a.successors(state, letter)
+        if isinstance(a, MultiAutomaton):
+            options.append([(d, ranks) for d, ranks in succ])
+        else:
+            options.append([(d, (r,)) for d, r in succ])
+    moves = set()
+    for combo in product(*options):
+        dsts = tuple(d for d, _ in combo)
+        ranks = tuple(r for _, rk in combo for r in rk)
+        moves.add((dsts, ranks))
+    return sorted(moves)
 
 
 def build_tuple_game_reference(a, monitor: Monitor, k: int):

@@ -3,9 +3,9 @@ from random import Random
 
 import pytest
 
-from explora.automata import (Automaton, MultiAutomaton, complete,
-                              equivalent_on_lassos, is_deterministic,
-                              iter_lassos, member_lasso)
+from explora.automata import (Automaton, MultiAutomaton, MultiTransition,
+                              complete, equivalent_on_lassos, is_complete,
+                              is_deterministic, iter_lassos, member_lasso)
 from explora.constructions import (buchi_union_flatten, compose_monitor,
                                    rank_tuple_letter, to_13,
                                    union_condition_automaton_02, union_power,
@@ -15,7 +15,7 @@ from explora.explorability import is_k_explorable
 from explora.generators import gen_ak, random_automaton
 
 from conftest import automaton_corpus
-from reference import equivalent_on_words
+from reference import equivalent_on_words, validate
 
 
 def det_parity_14():
@@ -54,6 +54,56 @@ class TestUnionPower:
         a = automaton_corpus(93, 1, 2, ["a"], "buchi")[0]
         with pytest.raises(ChannelBudgetExceeded):
             union_power(a, 5)
+
+
+def _partial_multi(rng: Random, channels) -> MultiAutomaton:
+    """A random nondeterministic 3-state multi-channel automaton over {a, b}
+    with about a quarter of its transitions missing."""
+    return MultiAutomaton("pm", ("a", "b"), 3, 0, channels, frozenset(
+        MultiTransition(q, x, d, tuple(rng.randint(lo, hi) for lo, hi in channels))
+        for q in range(3) for x in "ab" for d in rng.sample(range(3), rng.randint(1, 2))
+        if rng.random() < 0.75))
+
+
+class TestMultiChannelComponents:
+    def test_channels_are_concatenated(self):
+        rng = Random(110)
+        m = _partial_multi(rng, ((1, 2), (0, 1)))
+        b = random_automaton(rng, 2, ["a", "b"], "parity", parity=(0, 2))
+        assert union_product([m, b]).channels == ((1, 2), (0, 1), (0, 2))
+        assert union_product([b, m]).channels == ((0, 2), (1, 2), (0, 1))
+        assert union_power(m, 2).channels == ((1, 2), (0, 1)) * 2
+        # every rank vector is the components' vectors in the same order
+        for u in (union_product([m, b]), union_product([b, m]), union_power(m, 2)):
+            assert validate(u) == []
+
+    def test_membership_is_the_union(self):
+        rng = Random(111)
+        for _ in range(4):
+            m = _partial_multi(rng, ((1, 2), (0, 1)))
+            b = random_automaton(rng, 2, ["a", "b"], "buchi")
+            u, power = union_product([m, b]), union_power(m, 2)
+            for w in iter_lassos(["a", "b"], 5):
+                assert member_lasso(u, w) == (member_lasso(m, w) or member_lasso(b, w))
+                assert member_lasso(power, w) == member_lasso(m, w)
+
+    def test_power_channel_budget(self):
+        m = _partial_multi(Random(112), ((1, 2), (0, 1)))
+        assert len(union_power(m, 2).channels) == 4  # 5 with a monitor
+        with pytest.raises(ChannelBudgetExceeded):
+            union_power(m, 3)
+
+    def test_complete_keeps_the_language(self):
+        rng = Random(114)
+        # the all-even range 2 2 widens to hold a rejecting rank
+        for channels, widened in ((((1, 2), (0, 1)), ((1, 2), (0, 1))),
+                                  (((0, 2), (2, 2)), ((0, 2), (2, 3)))):
+            m = _partial_multi(rng, channels)
+            assert not is_complete(m)
+            c = complete(m)
+            assert is_complete(c) and complete(c) is c
+            assert c.channels == widened
+            assert equivalent_on_lassos(m, c, 6).equivalent
 
 
 class TestBuchiUnionFlatten:

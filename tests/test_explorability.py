@@ -1,13 +1,15 @@
+from dataclasses import replace
 from random import Random
 
 import pytest
 
-from explora.automata import Automaton, complete, explore_graph, is_complete, member_finite
+from explora.automata import (Automaton, MultiAutomaton, MultiTransition, complete,
+                              explore_graph, is_complete, member_finite)
 from explora.constructions import (compose_monitor, union_condition_automaton_02,
                                    union_product)
-from explora.determinize import resolve_monitor
+from explora.determinize import Monitor, resolve_monitor
 from explora.errors import ChannelBudgetExceeded, NonSinkTarget, ReductionCheckFailed
-from explora.explorability import (PCPInstance, _build_finite_game,
+from explora.explorability import (PCPInstance, _build_finite_game, _play,
                                    build_k_explorability_game,
                                    explorability_bounded,
                                    explorability_witness, is_k_explorable,
@@ -182,9 +184,12 @@ def test_corpora_do_not_depend_on_the_hash_seed():
     # case ids must name the same automata in every test process
     script = """
 from explora.textio import format_automaton
-from test_explorability import _breakpoint_game_corpus, _finite_game_corpus
+from test_explorability import (_breakpoint_game_corpus, _finite_game_corpus,
+                                _tuple_game_corpus)
 for name, a, k in _finite_game_corpus() + _breakpoint_game_corpus():
     print(name, k, format_automaton(a))
+for name, a, m, k in _tuple_game_corpus():
+    print(name, k, format_automaton(a), format_automaton(m))
 """
     runs = [run_python(script, PYTHONHASHSEED=seed) for seed in ("0", "1")]
     assert [run.returncode for run in runs] == [0, 0], runs[0].stderr + runs[1].stderr
@@ -411,6 +416,103 @@ class TestBreakpointGameScale:
         path.write_text(format_automaton(a))
         assert main(["k-explorable", "-k", "5", str(path)]) == 0
         assert capsys.readouterr().out.strip() == "5-explorable: True"
+
+
+_TWO_CHANNELS = ((1, 2), (0, 1))  # a Buchi and a coBuchi channel
+
+
+def _tuple_game_corpus():
+    """(name, automaton, monitor, k) cases of the game on token tuples:
+    random nondeterministic Buchi, parity 0 2, parity 1 3 and two-channel
+    automata, every other one partial and then completed, each with a random
+    deterministic parity monitor that is not checked against it."""
+    rng = Random(151)
+    cases = []
+    for tag, condition, parity in (("buchi", "buchi", None), ("parity02", "parity", (0, 2)),
+                                   ("parity13", "parity", (1, 3)), ("multi", None, None)):
+        for i in range(8):
+            n = rng.randint(2, 3)
+            if condition is None:
+                a = MultiAutomaton(f"multi{i}", ("a", "b"), n, 0, _TWO_CHANNELS, frozenset(
+                    MultiTransition(q, x, d, tuple(rng.randint(lo, hi) for lo, hi in _TWO_CHANNELS))
+                    for q in range(n) for x in "ab" for d in rng.sample(range(n), rng.randint(1, 2))))
+            else:
+                a = random_automaton(rng, n, "ab", condition, parity=parity)
+            if i % 2:  # partial: drop about a quarter of the transitions
+                a = replace(a, transitions=frozenset(
+                    t for t in sorted(a.transitions) if rng.random() < 0.75))
+            m = random_automaton(rng, rng.randint(1, 3), "ab", "parity", max_branch=1,
+                                 parity=(0, 2))
+            kind = "partial" if i % 2 else "complete"
+            cases += [(f"{tag}-{kind}-{i}", complete(a), m, k) for k in (1, 2, 3)]
+    return cases
+
+
+class TestTupleGameMatchesReference:
+    """Buchi, general parity and multi-channel inputs play one token on the
+    k-fold union power; the reference builds the game on token tuples with
+    its own joint moves.  Both play the same game for any deterministic
+    monitor, so the monitors here are random and unvalidated."""
+
+    @pytest.mark.parametrize("a, m, k", [pytest.param(a, m, k, id=f"{name}-k{k}")
+                                         for name, a, m, k in _tuple_game_corpus()])
+    def test_same_verdict_as_reference(self, monkeypatch, a, m, k):
+        # two channels per token: k = 3 needs 7
+        monkeypatch.setenv("EXPLORE_CHANNEL_BUDGET", "7")
+        monitor = Monitor(m, "user")
+        ref, objective = build_tuple_game_reference(a, monitor, k)
+        won, _ = _play(a, monitor, k)
+        assert won == (ref.initial in solve(ref, objective).winning_region_0)
+
+    def test_corpus_has_won_and_lost_games(self, monkeypatch):
+        monkeypatch.setenv("EXPLORE_CHANNEL_BUDGET", "7")
+        verdicts = {(name.split("-")[0], _play(a, Monitor(m, "user"), k)[0])
+                    for name, a, m, k in _tuple_game_corpus()}
+        assert verdicts == {(tag, won) for tag in ("buchi", "parity02", "parity13", "multi")
+                            for won in (True, False)}
+
+
+class TestPartialMultiChannelInputs:
+    """A partial multi-channel input is completed like a single-channel one,
+    so every command answers instead of building a position with no edge."""
+
+    INPUT = """automaton pm
+alphabet: a b
+states: 2
+initial: 0
+channels: 2
+range: 0 1 2
+range: 1 1 2
+t 0 a 0 2 1
+t 0 a 1 1 1
+t 1 a 1 1 2
+t 1 b 1 1 2
+"""
+    STARTS_WITH_A = """automaton starts_with_a
+alphabet: a b
+states: 3
+initial: 0
+condition: buchi
+t 0 a 1 2
+t 0 b 2 1
+t 1 a 1 2
+t 1 b 1 2
+t 2 a 2 1
+t 2 b 2 1
+"""
+
+    @pytest.mark.parametrize("command, out", [
+        (["k-explorable", "-k", "1"], "1-explorable: True"),
+        (["k-explorable", "-k", "2"], "2-explorable: True"),
+        (["explorable", "--max-k", "2"], "explorable-with: 1"),
+        (["hd"], "history-deterministic: True"),
+    ])
+    def test_commands_answer(self, tmp_path, capsys, command, out):
+        from explora.cli import main
+        (tmp_path / "pm.aut").write_text(self.INPUT)
+        (tmp_path / "mon.aut").write_text(self.STARTS_WITH_A)
+        code = main(command + ["--monitor", str(tmp_path / "mon.aut"), str(tmp_path / "pm.aut")])
+        assert (code, capsys.readouterr().out.strip()) == (0, out)
 
 
 def _degenerate_parity_corpus():

@@ -1,5 +1,6 @@
-"""The scripts in `scripts/` run on small arguments and exit 0, and the two
-that compare deciders exit 1 when the deciders disagree."""
+"""The scripts in `scripts/` run on small arguments and exit 0, and each
+exits 1 when its checks disagree: two compare deciders, and one compares the
+token thresholds of the canonical families with the paper's."""
 
 from pathlib import Path
 
@@ -35,7 +36,9 @@ def test_script_exits_0(name, args):
      "import explora.omega; explora.omega.is_omega_explorable_cobuchi = lambda a: True"),
     ("hd_survey.py", ("--count", "5"),
      "import explora.hdgames as h; h.g2_winner = lambda a: h.ADAM"),
-], ids=["omega_hardness_demo", "hd_survey"])
+    ("token_thresholds.py", ("--max-ak", "2", "--max-bk", "1"),
+     "import explora.explorability as e; e.is_k_explorable = lambda a, k: True"),
+], ids=["omega_hardness_demo", "hd_survey", "token_thresholds"])
 def test_script_exits_1_on_a_mismatch(name, args, patch):
     done = _run(name, *args, patch=patch)
     assert done.returncode == 1, done.stdout + done.stderr
