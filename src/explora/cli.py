@@ -207,7 +207,7 @@ def cmd_construct(args) -> int:
     if args.operation == "to13":
         out = to_13(_read(args.automaton, Automaton))
     elif args.operation == "power":
-        out = union_power(_read(args.automaton, Automaton), args.k)
+        out = union_power(_read(args.automaton), args.k)
     elif args.operation == "flatten":
         out = buchi_union_flatten(_read(args.automaton, MultiAutomaton))
     elif args.operation == "cond02":

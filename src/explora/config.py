@@ -10,9 +10,9 @@ explorability game on token tuples, played as one token of the union power
 by inputs with a user monitor only (Buchi, general parity and multi-channel
 inputs); the bounded search over such inputs, which checks its largest k
 first; and the `hd --via-g2` token game.  Every input whose monitor explora
-builds plays the explorability game with a fixed number of channels: finite
-inputs one, and the inputs that `automata.ranked_01` admits two, on
-breakpoint multisets.
+builds plays the explorability game with one channel: finite inputs on token
+multisets, and the inputs that `automata.ranked_01` admits on breakpoint
+multisets.
 
 EXPLORE_LASSO_BOUND sets the default bound of the lasso-equivalence oracle,
 which validates user monitors only: built monitors are validated exactly.

@@ -17,9 +17,11 @@ game is solved through the parity pipeline with the objective
     NOT MaxEvenParity(monitor) OR (OR over the token channels).
 
 The inputs that `automata.ranked_01` admits, whose canonical ranks lie in
-[0, 1], play on multisets of (clean, state) tokens with one breakpoint
-channel (Miyano and Hayashi, "Alternating finite automata on omega-words",
-TCS 1984), so the condition automaton has one state for every k; see
+[0, 1], play on multisets of (clean, state) tokens with Miyano-Hayashi
+breakpoints (Miyano and Hayashi, "Alternating finite automata on
+omega-words", TCS 1984).  Their arena has one rank per edge, folding the
+monitor's rank into the breakpoint's, so the objective is the bare ``p0``
+for every k and `games.solve` plays it without a product; see
 `_breakpoint_tokens`.  Buchi, general parity and multi-channel inputs play
 on token tuples, since their per-token rank channels must follow actual runs
 and the multiset quotient does not apply: k tokens of `a` are one token of
@@ -189,13 +191,13 @@ def _on_breakpoints(a: AnyAutomaton, monitor: Monitor) -> bool:
     return ranked_01(a) and monitor.automaton.rank_range == (0, 1)
 
 
-def _breakpoint_tokens(a: Automaton, k: int):
-    """Token channels, start and moves of the game on breakpoint multisets.
+def _breakpoint_tokens(a: Automaton, mon: Automaton, k: int):
+    """Channel, objective, start and moves of the game on breakpoint
+    multisets, played under a monitor that ranks in [0, 1].
 
     A token is a (clean, state) pair, and a token stays clean while it takes
     only rank-0 transitions.  When a move leaves no clean token, every token
-    becomes clean again and the move carries rank 1 on the one breakpoint
-    channel; every other move carries rank 0 there.  The token player wins
+    becomes clean again: that move is a breakpoint.  The token player wins
     iff the monitor rejects or there are finitely many breakpoints, and that
     happens iff the monitor rejects or some token's run accepts:
 
@@ -209,67 +211,72 @@ def _breakpoint_tokens(a: Automaton, k: int):
       and that branch is one token's run from then on.
 
     The objective depends only on the sequence of multisets, not on which
-    token is which, so the quotient by token permutations is sound, and one
-    channel serves every k: the condition automaton of ``not p0 or p1`` has
-    one state, so the product is the arena's size.
+    token is which, so the quotient by token permutations is sound.  Every
+    edge carries one rank in [0, 2]: 2 where the monitor's rank is 1, else 1
+    at a breakpoint, else 0.  The token player wins iff the largest rank
+    seen infinitely often is even, so the objective is the bare ``p0`` for
+    every k and the arena needs no product.
     """
     delta = canonical_parity(a).delta
     dests: dict = {}  # ((clean, state), letter) -> sorted distinct successor tokens
+    token_moves: dict = {}  # (tokens, letter) -> successor multisets with their ranks
 
-    def moves(tokens, letter):
-        for token in tokens:
-            if (token, letter) not in dests:
-                clean, q = token
-                dests[(token, letter)] = tuple(sorted(
-                    {(clean and r == 0, d) for d, r in delta[(q, letter)]}))
-        out = []
-        for dsts in _multiset_moves(dests, tokens, letter):
-            if dsts[-1][0]:  # a clean token sorts last
-                out.append((dsts, (0,)))
-            else:  # a breakpoint: every token becomes clean again
-                out.append((tuple((True, q) for _, q in dsts), (1,)))
-        return out
+    def moves(tokens, letter, m2, mrank):
+        out = token_moves.get((tokens, letter))
+        if out is None:
+            for token in tokens:
+                if (token, letter) not in dests:
+                    clean, q = token
+                    dests[(token, letter)] = tuple(sorted(
+                        {(clean and r == 0, d) for d, r in delta[(q, letter)]}))
+            # a clean token sorts last; at a breakpoint every token becomes clean again
+            out = token_moves[(tokens, letter)] = [
+                (dsts, (0,)) if dsts[-1][0] else (tuple((True, q) for _, q in dsts), (1,))
+                for dsts in _multiset_moves(dests, tokens, letter)]
+        if mrank:  # the monitor's rank 1 outranks every breakpoint
+            return [((dsts, m2), (2,)) for dsts, _ in out]
+        return [((dsts, m2), rank) for dsts, rank in out]
 
-    return ((0, 1),), tuple([(True, a.initial)] * k), moves
+    return ((0, 2),), MaxEvenParity(0), tuple([(True, a.initial)] * k), moves
 
 
-def _tuple_tokens(a: AnyAutomaton, k: int):
-    """Token channels, start and moves of the game on token tuples, played as
-    one token on the k-fold union power: its state stands for a tuple of k
-    states of `a`, and its rank channels, one per copy and channel of `a`,
-    follow actual runs, so the multiset quotient does not apply."""
+def _tuple_tokens(a: AnyAutomaton, mon: Automaton, k: int):
+    """Channels, objective, start and moves of the game on token tuples,
+    played as one token on the k-fold union power: its state stands for a
+    tuple of k states of `a`, and its rank channels, one per copy and
+    channel of `a`, follow actual runs, so the multiset quotient does not
+    apply.  The objective ``not p0 or p1 or ... or pw`` asks that the
+    monitor's channel 0 rejects or some token channel is won."""
     power = union_power(a, k)
     view = power.lasso_view
-    return view.channels, power.initial, lambda q, letter: view.delta[(q, letter)]
+    channels = (mon.rank_range,) + view.channels
+    objective = Or(Not(MaxEvenParity(0)),
+                   any_of([MaxEvenParity(c) for c in range(1, len(channels))]))
+
+    def moves(q, letter, m2, mrank):
+        return [((d, m2), (mrank,) + ranks) for d, ranks in view.delta[(q, letter)]]
+
+    return channels, objective, power.initial, moves
 
 
 def _build_infinite_game(a: AnyAutomaton, monitor: Monitor, k: int):
-    """The infinite-word k-token game and the token player's objective
-    ``not p0 or p1 or ... or pw``: the monitor's channel 0 rejects, or some
-    token channel is won.  It is played on breakpoint multisets when
-    `_on_breakpoints` holds, and on token tuples otherwise."""
+    """The infinite-word k-token game and the token player's objective.  It
+    is played on breakpoint multisets, as a one-rank arena won by ``p0``,
+    when `_on_breakpoints` holds, and on token tuples otherwise."""
     game = _breakpoint_tokens if _on_breakpoints(a, monitor) else _tuple_tokens
-    token_channels, start, moves = game(a, k)
     mon = monitor.automaton
+    channels, objective, start, moves = game(a, mon, k)
     mon_delta = {key: succ[0] for key, succ in mon.delta.items()}
-    channels = (mon.rank_range,) + token_channels
     neutral = tuple(lo for lo, _ in channels)
-    token_moves: dict = {}  # (tokens, letter) -> token moves with their ranks
 
     def expand(key):
         if len(key) == 2:
             tokens, m = key
             return [((tokens, m, letter), neutral) for letter in a.alphabet]
         tokens, m, letter = key
-        m2, mrank = mon_delta[(m, letter)]
-        out = token_moves.get((tokens, letter))
-        if out is None:
-            out = token_moves[(tokens, letter)] = moves(tokens, letter)
-        return [((dsts, m2), (mrank,) + ranks) for dsts, ranks in out]
+        return moves(tokens, letter, *mon_delta[(m, letter)])
 
     order, edges = explore_graph([(start, mon.initial)], expand)
-    objective = Or(Not(MaxEvenParity(0)),
-                   any_of([MaxEvenParity(c) for c in range(1, len(channels))]))
     return _token_arena(order, edges, channels), objective
 
 
@@ -291,10 +298,10 @@ def build_k_explorability_game(a: AnyAutomaton, monitor: Monitor, k: int):
 
     Finite-word automata get the safety formulation over token multisets.
     Automata that `ranked_01` admits, under a [0, 1] monitor, get token
-    multisets with one breakpoint channel and the objective ``not p0 or p1``
-    for every k; other infinite-word automata play on token tuples, as one
-    token of their k-fold union power, since per-token parity channels are
-    only meaningful along actual runs.
+    multisets in a one-rank arena over [0, 2] and the objective ``p0`` for
+    every k; other infinite-word automata play on token tuples, as one token
+    of their k-fold union power, under ``not p0 or p1 or ... or pw``, since
+    per-token parity channels are only meaningful along actual runs.
     """
     if k < 1:
         raise ValueError("token count must be at least 1")

@@ -549,16 +549,24 @@ def solve(arena: Arena, obj: Objective) -> SolveResult:
     positions (each position evaluated with the condition automaton restarted),
     strategies become memory-structured with the condition automaton as memory
     and are keyed by (position, memory) pairs.
+
+    A bare ``p0`` on a single-channel arena is solved on the arena itself,
+    position p standing for (p, 0): its one-state condition automaton passes
+    the rank through, so the product would be the arena again.
     """
-    product, cond = compile_objective(arena, obj)
+    if obj == MaxEvenParity(0) and len(arena.channels) == 1:
+        product, cond = arena, _atom_condition(arena, obj)
+        label = lambda p: (p, 0)
+    else:
+        product, cond = compile_objective(arena, obj)
+        label = product.labels.__getitem__
     inner = solve_parity(product)
     n = arena.num_positions
     region0 = frozenset(p for p in range(n) if p in inner.winning_region_0)
     region1 = frozenset(range(n)) - region0
 
     def lift(strat):
-        moves = dict(sorted((product.labels[i], edge_idx)
-                            for i, edge_idx in strat.moves.items()))
+        moves = dict(sorted((label(i), edge_idx) for i, edge_idx in strat.moves.items()))
         return Strategy(strat.owner, moves, memory=cond)
 
     return SolveResult(region0, region1, lift(inner.strategy_0), lift(inner.strategy_1))

@@ -7,7 +7,9 @@ from pathlib import Path
 import pytest
 
 from explora import cli
+from explora.automata import MultiAutomaton
 from explora.cli import main
+from explora.constructions import power_channels
 from explora.generators import format_atm, gen_ak, gen_c, gen_fig4
 from explora.textio import format_automaton, parse_automaton
 
@@ -227,16 +229,27 @@ MULTI = HEAD + "channels: 2\nrange: 0 1 2\nrange: 1 1 2\n" + "".join(
     ["hd", "--via-g2", "--unchecked"],
     ["pcp-reduce"],
     ["construct", "to13"],
-    ["construct", "power", "-k", "2"],
     # a monitor is a single-channel automaton, whatever its source is
     ["k-explorable", "-k", "1", "--monitor", "{x}"],
-], ids=["omega-explorable", "hd-via-g2", "pcp-reduce", "to13", "power", "monitor"])
+], ids=["omega-explorable", "hd-via-g2", "pcp-reduce", "to13", "monitor"])
 def test_multi_channel_file_for_single_channel_command(tmp_path, capsys, command):
     p = write(tmp_path, "multi.aut", MULTI)
     assert main([p if arg == "{x}" else arg for arg in command + ["{x}"]]) == 3
     out = capsys.readouterr()
     assert out.out == ""
     assert f"{p}:1: expected a single-channel automaton" in out.err
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_construct_power_of_multi_channel_file(tmp_path, capsys, k):
+    p = write(tmp_path, "multi.aut", MULTI)
+    out = tmp_path / "power.aut"
+    assert main(["construct", "power", "-k", str(k), p, "-o", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    power = parse_automaton(out.read_text())
+    assert isinstance(power, MultiAutomaton)
+    # one channel per copy and channel; power_channels adds one for a monitor
+    assert 1 + len(power.channels) == power_channels(parse_automaton(MULTI), k)
 
 
 PCP_BODY = "alphabet: a b\nstates: 2\ninitial: 0\n"

@@ -15,7 +15,7 @@ from explora.explorability import (PCPInstance, _build_finite_game, _play,
                                    explorability_witness, is_k_explorable,
                                    is_k_population_winnable, pcp_reduce,
                                    pcp_to_explorability)
-from explora.games import solve
+from explora.games import MaxEvenParity, solve
 from explora.generators import gen_ak, gen_bk, gen_c, random_automaton
 from explora.textio import format_automaton
 
@@ -110,11 +110,11 @@ class TestGameStructure:
             is_k_explorable(a, 9)
 
     def test_channel_budget_spares_breakpoint_games(self):
-        # a coBuchi input plays on breakpoint multisets, two channels for any k
+        # a coBuchi input plays on breakpoint multisets, one rank for any k
         a = automaton_corpus(52, 1, 2, ["a"], "cobuchi")[0]
         assert is_k_explorable(a, 9) in (True, False)
         arena, _ = build_k_explorability_game(a, resolve_monitor(a), 9)
-        assert len(arena.channels) == 2
+        assert arena.channels == ((0, 2),)
 
     def test_bounded_search_refuses_before_playing(self, tmp_path, capsys, monkeypatch):
         import explora.explorability as ex
@@ -358,7 +358,7 @@ class TestBreakpointGameMatchesTuples:
     def test_same_verdict_as_tuple_game(self, a, k):
         monitor = resolve_monitor(complete(a))
         arena, objective = build_k_explorability_game(a, monitor, k)
-        assert len(arena.channels) == 2
+        assert arena.channels == ((0, 2),)
         won = arena.initial in solve(arena, objective).winning_region_0
         ref, ref_objective = build_tuple_game_reference(complete(a), monitor, k)
         assert won == (ref.initial in solve(ref, ref_objective).winning_region_0)
@@ -373,14 +373,26 @@ class TestBreakpointGameMatchesTuples:
         assert {c for c, _ in partial} == {"safety", "cobuchi", "parity", "reachability"}
         assert {won for _, won in partial} == {True, False}
 
-    def test_one_state_condition(self):
-        from explora.games import compile_objective
+    def test_one_state_condition(self, monkeypatch):
+        # solved on the arena itself: the product would be the arena again
+        import explora.games as games
+
+        def refuse(*args):
+            raise AssertionError("compile_objective was called")
+
         a = random_automaton(Random(20), 3, "ab", "cobuchi")
-        for k in (1, 4):
+        monkeypatch.setattr(games, "compile_objective", refuse)
+        verdicts = []
+        for k in (1, 2, 3, 4):
             arena, objective = build_k_explorability_game(a, resolve_monitor(a), k)
-            product, cond = compile_objective(arena, objective)
-            assert cond.num_states == 1
-            assert product.num_positions == arena.num_positions
+            assert objective == MaxEvenParity(0)
+            verdicts.append(is_k_explorable(a, k))
+            strategy = explorability_witness(a, k)
+            assert (strategy is not None) == verdicts[-1]
+            if strategy is not None:
+                assert all(mem == 0 and arena.owner[p] == 0 for p, mem in strategy.moves)
+                assert strategy.memory.num_states == 1
+        assert verdicts == [False, True, True, True]
 
     def test_other_inputs_keep_token_tuples(self):
         a = automaton_corpus(53, 1, 2, ["a", "b"], "buchi", max_branch=1)[0]

@@ -341,6 +341,21 @@ class TestSolve:
                 assert (result.winning_region_0, result.winning_region_1) == \
                     solve_full_grid(arena, obj)
 
+    def test_bare_p0_matches_the_product(self):
+        # solved on the arena itself, as on the one-state product it skips
+        rng = Random(327)
+        for _ in range(80):
+            arena = random_parity_game(rng, rng.randint(2, 30), rng.randint(0, 6))
+            got = solve(arena, MaxEvenParity(0))
+            product, cond = compile_objective(arena, MaxEvenParity(0))
+            want = solve_parity(product)
+            assert cond.num_states == 1 and got.strategy_0.memory.num_states == 1
+            assert (got.winning_region_0, got.winning_region_1) == \
+                (want.winning_region_0, want.winning_region_1)
+            for mine, theirs in ((got.strategy_0, want.strategy_0),
+                                 (got.strategy_1, want.strategy_1)):
+                assert mine.moves == {product.labels[p]: i for p, i in theirs.moves.items()}
+
     def test_single_atom_needs_no_zielonka_tree(self, monkeypatch):
         # the tree is cubic in the ranks, and 400 ranks would take minutes
         def refuse(*args):
