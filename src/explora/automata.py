@@ -52,8 +52,27 @@ class MultiTransition(NamedTuple):
     ranks: tuple[int, ...] = ()
 
 
+class _TransitionTable:
+    """The transition table both automaton kinds share: their transitions are
+    ``(src, letter, dst, rank or ranks)`` named tuples."""
+
+    @cached_property
+    def delta(self) -> dict[tuple[int, str], tuple[tuple, ...]]:
+        """(state, letter) -> sorted tuple of (dst, rank), or of (dst, ranks)
+        for a `MultiAutomaton`."""
+        table: dict[tuple[int, str], list[tuple]] = {}
+        for t in sorted(self.transitions):
+            table.setdefault(t[:2], []).append(t[2:])
+        return {k: tuple(v) for k, v in table.items()}
+
+    def successors(self, state: int, letter: str) -> tuple[tuple, ...]:
+        if letter not in self.alphabet:
+            raise ValueError(f"letter {letter!r} not in alphabet of {self.name}")
+        return self.delta.get((state, letter), ())
+
+
 @dataclass(frozen=True)
-class Automaton:
+class Automaton(_TransitionTable):
     name: str
     alphabet: tuple[str, ...]
     num_states: int
@@ -98,19 +117,6 @@ class Automaton:
             return (self.lo, self.hi)
         return _TAG_RANGE[self.condition]
 
-    @cached_property
-    def delta(self) -> dict[tuple[int, str], tuple[tuple[int, int], ...]]:
-        """(state, letter) -> sorted tuple of (dst, rank)."""
-        table: dict[tuple[int, str], list[tuple[int, int]]] = {}
-        for t in sorted(self.transitions):
-            table.setdefault((t.src, t.letter), []).append((t.dst, t.rank))
-        return {k: tuple(v) for k, v in table.items()}
-
-    def successors(self, state: int, letter: str) -> tuple[tuple[int, int], ...]:
-        if letter not in self.alphabet:
-            raise ValueError(f"letter {letter!r} not in alphabet of {self.name}")
-        return self.delta.get((state, letter), ())
-
     def post(self, states, letter: str) -> frozenset[int]:
         """Set of successors of a state set under one letter."""
         if letter not in self.alphabet:
@@ -130,7 +136,7 @@ class Automaton:
 
 
 @dataclass(frozen=True)
-class MultiAutomaton:
+class MultiAutomaton(_TransitionTable):
     """Automaton whose transitions carry one rank per channel; a run accepts
     iff some channel's maximal infinitely-occurring rank is even."""
 
@@ -144,18 +150,6 @@ class MultiAutomaton:
     @property
     def is_infinite(self) -> bool:
         return True
-
-    @cached_property
-    def delta(self) -> dict[tuple[int, str], tuple[tuple[int, tuple[int, ...]], ...]]:
-        table: dict[tuple[int, str], list] = {}
-        for t in sorted(self.transitions):
-            table.setdefault((t.src, t.letter), []).append((t.dst, t.ranks))
-        return {k: tuple(v) for k, v in table.items()}
-
-    def successors(self, state: int, letter: str):
-        if letter not in self.alphabet:
-            raise ValueError(f"letter {letter!r} not in alphabet of {self.name}")
-        return self.delta.get((state, letter), ())
 
     @cached_property
     def lasso_view(self) -> "LassoView":
@@ -211,14 +205,13 @@ class EquivalenceVerdict:
 def _missing(a: AnyAutomaton) -> list[tuple[int, str]]:
     """The (state, letter) pairs without a transition, over the states
     reachable from the initial state, in BFS order."""
-    seen = {(t.src, t.letter) for t in a.transitions}
-    if all((q, letter) in seen for q in range(a.num_states) for letter in a.alphabet):
+    delta = a.delta  # keyed by the (state, letter) pairs with a transition
+    if all((q, letter) in delta for q in range(a.num_states) for letter in a.alphabet):
         return []  # no state misses a letter: no search needed
-    delta = a.delta
     reachable, _ = explore_graph(
         [a.initial],
         lambda q: [(d, None) for letter in a.alphabet for d, _ in delta.get((q, letter), ())])
-    return [(q, letter) for q in reachable for letter in a.alphabet if (q, letter) not in seen]
+    return [(q, letter) for q in reachable for letter in a.alphabet if (q, letter) not in delta]
 
 
 def is_complete(a: AnyAutomaton) -> bool:
@@ -491,35 +484,38 @@ def _walk_through(edges, adj, members, comp, channels, top):
     component of `parity_cycle`, taking for each channel an edge of the
     component's top rank there, as ``(u, i)`` steps along ``edges[u][i]``."""
     r = comp[members[0]]
-    inner = [(u, e) for u in members for e in adj[u] if comp[e[0]] == r]
+    inner = {u: [e for e in adj[u] if comp[e[0]] == r] for u in members}
     picks = []
     for c, t in zip(channels, top):
-        step = next(s for s in inner if s[1][1][c] == t)
+        step = next((u, e) for u in members for e in inner[u] if e[1][c] == t)
         if step not in picks:
             picks.append(step)
-
-    def path(src, dst):
-        prev = {src: None}
-        queue = [src]
-        for u in queue:
-            if u == dst:
-                break
-            for e in adj[u]:
-                if comp[e[0]] == r and e[0] not in prev:
-                    prev[e[0]] = (u, e)
-                    queue.append(e[0])
-        steps = []
-        while prev[dst] is not None:
-            steps.append(prev[dst])
-            dst = prev[dst][0]
-        return steps[::-1]
-
     walk = []
     for k, (u, e) in enumerate(picks):
         walk.append((u, e))
-        walk += path(e[0], picks[(k + 1) % len(picks)][0])
+        walk += shortest_path(inner, e[0], picks[(k + 1) % len(picks)][0])
     # an edge of `adj` is the very tuple of `edges`, or one equal to it
     return [(u, edges[u].index(e)) for u, e in walk]
+
+
+def shortest_path(adj, src, dst) -> list:
+    """A shortest path from `src` to `dst`, which it must reach, in the graph
+    ``adj[u] = ((v, label), ...)``, as ``(u, (v, label))`` steps; among
+    shortest paths, breadth-first search prefers edges listed earlier."""
+    prev = {src: None}
+    queue = [src]
+    for u in queue:
+        if u == dst:
+            break
+        for e in adj[u]:
+            if e[0] not in prev:
+                prev[e[0]] = (u, e)
+                queue.append(e[0])
+    steps = []
+    while prev[dst] is not None:
+        steps.append(prev[dst])
+        dst = prev[dst][0]
+    return steps[::-1]
 
 
 # ---------------------------------------------------------------------------

@@ -81,6 +81,9 @@ class _Report:
         self.json = args.json
         self.command = command
         self.input = input_name
+        # read before any work, so that a broken knob writes no file
+        self.knobs = {"channel_budget": config.channel_budget(),
+                      "lasso_bound": config.lasso_bound()} if self.json else {}
         self.t0 = time.perf_counter()
         self.extra = {}
 
@@ -93,8 +96,7 @@ class _Report:
                 "input": self.input,
                 "verdict": verdict,
                 "timings_ms": ms,
-                "channel_budget": config.channel_budget(),
-                "lasso_bound": config.lasso_bound(),
+                **self.knobs,
             }
             payload.update(self.extra)
             print(json.dumps(payload))

@@ -6,18 +6,20 @@ one place that enforces it, and `constructions.power_channels` the one count
 of channels that grow with a token or copy count: one per copy and channel of
 the input, plus one.  Three callers check that count before they build
 anything: `constructions.union_power`, which serves `construct power` and the
-explorability game on token tuples, played as one token of the union power
-by inputs with a user monitor only (Buchi, general parity and multi-channel
-inputs); the bounded search over such inputs, which checks its largest k
-first; and the `hd --via-g2` token game.  Every input whose monitor explora
-builds plays the explorability game with one channel: finite inputs on token
-multisets, and the inputs that `automata.ranked_01` admits on breakpoint
-multisets.
+explorability game on token tuples; the bounded search under a user monitor,
+which checks its largest k first; and the `hd --via-g2` token game.  The
+monitor's kind picks the explorability game: a user monitor (Buchi, general
+parity and multi-channel inputs) plays on token tuples, as one token of the
+union power, while the monitors explora builds play with one channel, a
+subset monitor on token multisets and a breakpoint monitor on breakpoint
+multisets, so the budget never binds them.
 
 EXPLORE_LASSO_BOUND sets the default bound of the lasso-equivalence oracle,
 which validates user monitors only: built monitors are validated exactly.
 Both are surfaced in the CLI's JSON output (as ``channel_budget`` and
-``lasso_bound``) so runs are reproducible.
+``lasso_bound``) so runs are reproducible.  A value that is no integer, or a
+lasso bound below 1, which would check no lasso, is a `ValueError` that
+names its variable.
 """
 
 from __future__ import annotations
@@ -35,8 +37,16 @@ DEFAULT_LASSO_BOUND = 6
 ORACLE_LASSO_CAP = 60_000
 
 
+def _read_int(name: str, default: int) -> int:
+    raw = os.environ.get(name, str(default))
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(f"{name} must be an integer, got {raw!r}") from None
+
+
 def channel_budget() -> int:
-    return int(os.environ.get("EXPLORE_CHANNEL_BUDGET", DEFAULT_CHANNEL_BUDGET))
+    return _read_int("EXPLORE_CHANNEL_BUDGET", DEFAULT_CHANNEL_BUDGET)
 
 
 def check_channels(needed: int) -> None:
@@ -49,12 +59,15 @@ def check_channels(needed: int) -> None:
 
 
 def lasso_bound() -> int:
-    return int(os.environ.get("EXPLORE_LASSO_BOUND", DEFAULT_LASSO_BOUND))
+    b = _read_int("EXPLORE_LASSO_BOUND", DEFAULT_LASSO_BOUND)
+    if b < 1:
+        raise ValueError(f"EXPLORE_LASSO_BOUND must be at least 1, got {b}")
+    return b
 
 
-def capped_lasso_bound(alphabet_size: int, bound: int | None = None) -> int:
-    """Largest bound <= `bound` whose lasso count stays under ORACLE_LASSO_CAP."""
-    b = lasso_bound() if bound is None else bound
+def capped_lasso_bound(alphabet_size: int) -> int:
+    """Largest bound <= `lasso_bound()` whose lasso count fits ORACLE_LASSO_CAP."""
+    b = lasso_bound()
     while b > 2:
         count = sum(t * alphabet_size**t for t in range(1, b + 1))
         if count <= ORACLE_LASSO_CAP:

@@ -25,7 +25,7 @@ from typing import Optional
 from . import config
 from .automata import (Automaton, AnyAutomaton, LassoWord, Transition,
                        canonical_parity, equivalent_on_lassos, explore_graph,
-                       is_deterministic, parity_cycle, ranked_01)
+                       is_deterministic, parity_cycle, ranked_01, shortest_path)
 from .errors import MissingMonitor, MonitorCheckFailed, MonitorMismatch
 
 
@@ -83,19 +83,9 @@ def _check_included(a: AnyAutomaton, monitor: Automaton) -> None:
 def _lasso_to(edges, walk) -> LassoWord:
     """The letters of a shortest path from node 0 to the walk, then of the
     walk, for a graph whose edge labels end with their letter."""
-    prev = {0: None}
-    queue = [0]
-    for u in queue:
-        for v, label in edges[u]:
-            if v not in prev:
-                prev[v] = (u, label[-1])
-                queue.append(v)
-    prefix = []
-    node = walk[0][0]
-    while prev[node] is not None:
-        node, letter = prev[node]
-        prefix.append(letter)
-    return LassoWord.of(prefix[::-1], [edges[u][i][1][-1] for u, i in walk])
+    path = shortest_path(edges, 0, walk[0][0])
+    return LassoWord.of([label[-1] for _, (_, label) in path],
+                        [edges[u][i][1][-1] for u, i in walk])
 
 
 def _subset(a: Automaton) -> tuple[Automaton, list]:

@@ -16,18 +16,18 @@ game is solved through the parity pipeline with the objective
 
     NOT MaxEvenParity(monitor) OR (OR over the token channels).
 
-The inputs that `automata.ranked_01` admits, whose canonical ranks lie in
-[0, 1], play on multisets of (clean, state) tokens with Miyano-Hayashi
-breakpoints (Miyano and Hayashi, "Alternating finite automata on
-omega-words", TCS 1984).  Their arena has one rank per edge, folding the
+The monitor's kind picks the infinite-word game.  A breakpoint monitor,
+which `determinize.resolve_monitor` builds for the inputs that
+`automata.ranked_01` admits, plays on multisets of (clean, state) tokens with
+Miyano-Hayashi breakpoints (Miyano and Hayashi, "Alternating finite automata
+on omega-words", TCS 1984).  Its arena has one rank per edge, folding the
 monitor's rank into the breakpoint's, so the objective is the bare ``p0``
 for every k and `games.solve` plays it without a product; see
-`_breakpoint_tokens`.  Buchi, general parity and multi-channel inputs play
-on token tuples, since their per-token rank channels must follow actual runs
-and the multiset quotient does not apply: k tokens of `a` are one token of
-the k-fold union power `constructions.union_power(a, k)`, whose channels,
-one per copy and channel of `a`, grow with k and are capped by
-`config.check_channels`.
+`_breakpoint_tokens`.  A user monitor (Buchi, general parity and
+multi-channel inputs) plays on token tuples, since per-token rank channels
+must follow actual runs: k tokens of `a` are one token of the k-fold union
+power `constructions.union_power(a, k)`, whose channels, one per copy and
+channel of `a`, grow with k and are capped by `config.check_channels`.
 
 The token moves do not depend on the monitor state, so every builder
 computes them once per (tokens, letter) and shares them between every
@@ -43,7 +43,7 @@ from typing import Optional
 
 from . import config
 from .automata import (Automaton, AnyAutomaton, canonical_parity, complete,
-                       explore_graph, ranked_01)
+                       explore_graph)
 from .constructions import power_channels, union_power
 from .determinize import Monitor, resolve_monitor, subset_construction
 from .errors import NonSinkTarget, ReductionCheckFailed
@@ -184,13 +184,6 @@ def _build_finite_game(a: Automaton, monitor: Monitor, k: int, stop: bool = Fals
     return _token_arena(order, edges, ((1, 2),)), attr
 
 
-def _on_breakpoints(a: AnyAutomaton, monitor: Monitor) -> bool:
-    """Whether the infinite-word game of `a` is played on breakpoint token
-    multisets: `ranked_01` admits `a` and the monitor ranks in [0, 1], as the
-    built breakpoint monitor does."""
-    return ranked_01(a) and monitor.automaton.rank_range == (0, 1)
-
-
 def _breakpoint_tokens(a: Automaton, mon: Automaton, k: int):
     """Channel, objective, start and moves of the game on breakpoint
     multisets, played under a monitor that ranks in [0, 1].
@@ -260,10 +253,10 @@ def _tuple_tokens(a: AnyAutomaton, mon: Automaton, k: int):
 
 
 def _build_infinite_game(a: AnyAutomaton, monitor: Monitor, k: int):
-    """The infinite-word k-token game and the token player's objective.  It
-    is played on breakpoint multisets, as a one-rank arena won by ``p0``,
-    when `_on_breakpoints` holds, and on token tuples otherwise."""
-    game = _breakpoint_tokens if _on_breakpoints(a, monitor) else _tuple_tokens
+    """The infinite-word k-token game and the token player's objective, as
+    the monitor's kind picks it: a one-rank arena on breakpoint multisets,
+    won by ``p0``, or token tuples under a user monitor."""
+    game = _breakpoint_tokens if monitor.provenance == "breakpoint" else _tuple_tokens
     mon = monitor.automaton
     channels, objective, start, moves = game(a, mon, k)
     mon_delta = {key: succ[0] for key, succ in mon.delta.items()}
@@ -296,11 +289,11 @@ def build_k_explorability_game(a: AnyAutomaton, monitor: Monitor, k: int):
     """Arena and Determiniser objective of the k-token explorability game of
     the completed automaton, as `is_k_explorable` plays it.
 
-    Finite-word automata get the safety formulation over token multisets.
-    Automata that `ranked_01` admits, under a [0, 1] monitor, get token
-    multisets in a one-rank arena over [0, 2] and the objective ``p0`` for
-    every k; other infinite-word automata play on token tuples, as one token
-    of their k-fold union power, under ``not p0 or p1 or ... or pw``, since
+    The monitor's kind picks the game.  A subset monitor (finite words) gets
+    the safety formulation over token multisets.  A breakpoint monitor gets
+    token multisets in a one-rank arena over [0, 2] and the objective ``p0``
+    for every k.  A user monitor gets token tuples, played as one token of
+    the k-fold union power, under ``not p0 or p1 or ... or pw``, since
     per-token parity channels are only meaningful along actual runs.
     """
     if k < 1:
@@ -366,7 +359,7 @@ def explorability_bounded(a: AnyAutomaton, kmax: int,
         raise ValueError("kmax must be at least 1")
     a = complete(a)
     monitor = resolve_monitor(a, user_monitor)
-    if not (monitor.is_finite or _on_breakpoints(a, monitor)):
+    if monitor.provenance == "user":
         # refuse before playing any k, not at the first k past the budget
         config.check_channels(power_channels(a, kmax))
     for k in range(1, kmax + 1):

@@ -284,7 +284,8 @@ def condition_automaton(tree: ZielonkaNode) -> ConditionAutomaton:
 @dataclass
 class Strategy:
     """Positional move map; `moves` sends a position (or a (position, memory)
-    pair for compiled-product strategies) to an edge index."""
+    pair for compiled-product strategies) to an edge index.  `memory` is the
+    condition automaton, or None when the strategy needs none."""
 
     owner: int
     moves: dict
@@ -552,10 +553,11 @@ def solve(arena: Arena, obj: Objective) -> SolveResult:
 
     A bare ``p0`` on a single-channel arena is solved on the arena itself,
     position p standing for (p, 0): its one-state condition automaton passes
-    the rank through, so the product would be the arena again.
+    the rank through, so the product would be the arena again, and the
+    strategies need no memory.
     """
     if obj == MaxEvenParity(0) and len(arena.channels) == 1:
-        product, cond = arena, _atom_condition(arena, obj)
+        product, cond = arena, None
         label = lambda p: (p, 0)
     else:
         product, cond = compile_objective(arena, obj)

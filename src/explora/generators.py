@@ -394,8 +394,7 @@ def format_atm(m: ATM) -> str:
 
 
 def random_automaton(rng: Random, num_states: int, alphabet, condition: str,
-                     max_branch: int = 2, parity: Optional[tuple[int, int]] = None,
-                     accept_prob: float = 0.5) -> Automaton:
+                     max_branch: int = 2, parity: Optional[tuple[int, int]] = None) -> Automaton:
     """Complete random automaton; deterministic given the Random instance."""
     alphabet = list(alphabet)
     transitions = []
@@ -407,7 +406,7 @@ def random_automaton(rng: Random, num_states: int, alphabet, condition: str,
                 transitions.append(Transition(q, letter, d, _random_rank(rng, condition, parity)))
     accepting = ()
     if condition == "finite":
-        accepting = [q for q in range(num_states) if rng.random() < accept_prob]
+        accepting = [q for q in range(num_states) if rng.random() < 0.5]
         if not accepting:
             accepting = [rng.randrange(num_states)]
     return Automaton.build(f"rand{rng.randrange(10**6)}", alphabet, num_states,

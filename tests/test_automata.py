@@ -9,7 +9,8 @@ from explora.automata import (Automaton, LassoWord, MultiAutomaton,
                               _member_product, _member_run,
                               canonical_parity, complete, equivalent_on_lassos,
                               parity_cycle, is_complete, is_deterministic,
-                              iter_lassos, member_finite, member_lasso)
+                              iter_lassos, member_finite, member_lasso,
+                              shortest_path)
 from explora.determinize import breakpoint_construction
 from explora.generators import gen_ak, gen_bk, gen_c, gen_fig4, random_automaton
 
@@ -416,6 +417,46 @@ class TestEquivalenceOracles:
         verdict = equivalent_on_words(a2, b, 3)
         assert not verdict.equivalent
         assert member_finite(a2, verdict.counterexample)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_delta_lists_every_transition(seed):
+    # one table serves both kinds, partial automata included
+    rng = Random(seed)
+    n = rng.randint(1, 4)
+    channels = ((0, 2), (1, 3))
+    single = random_automaton(rng, n, "ab", "parity", parity=(0, 3))
+    multi = MultiAutomaton("m", ("a", "b"), n, 0, channels, frozenset(
+        MultiTransition(q, x, d, tuple(rng.randint(lo, hi) for lo, hi in channels))
+        for q in range(n) for x in "ab" for d in rng.sample(range(n), rng.randint(1, n))))
+    for a in (single, multi):
+        partial = replace(a, transitions=frozenset(
+            t for t in sorted(a.transitions) if rng.random() < 0.6))
+        for b in (a, partial):
+            listing = {(q, x): tuple(sorted((t.dst, t[3]) for t in b.transitions
+                                            if (t.src, t.letter) == (q, x)))
+                       for q in range(n) for x in "ab"}
+            assert b.delta == {key: out for key, out in listing.items() if out}
+            for (q, x), out in listing.items():
+                assert b.successors(q, x) == out
+            with pytest.raises(ValueError):
+                b.successors(0, "c")
+
+
+def test_shortest_path_is_a_shortest_path():
+    rng = Random(29)
+    for _ in range(300):
+        edges = random_ranked_graph(rng, 1)
+        dist, layer, step = {0: 0}, {0}, 0
+        while layer:  # breadth-first distances from node 0, layer by layer
+            step += 1
+            layer = {v for u in layer for v, _ in edges[u]} - dist.keys()
+            dist.update((v, step) for v in layer)
+        for dst, d in dist.items():
+            path = shortest_path(edges, 0, dst)
+            assert len(path) == d
+            assert [u for u, _ in path] + [dst] == [0] + [e[0] for _, e in path]
+            assert all(e in edges[u] for u, e in path)
 
 
 class TestDeterminism:

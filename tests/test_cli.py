@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -455,3 +456,91 @@ def test_import_builds_no_parser():
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "0"
+
+
+@pytest.mark.parametrize("name, value, message", [
+    ("EXPLORE_LASSO_BOUND", "0", "EXPLORE_LASSO_BOUND must be at least 1, got 0"),
+    ("EXPLORE_LASSO_BOUND", "-3", "EXPLORE_LASSO_BOUND must be at least 1, got -3"),
+    ("EXPLORE_LASSO_BOUND", "abc", "EXPLORE_LASSO_BOUND must be an integer, got 'abc'"),
+    ("EXPLORE_CHANNEL_BUDGET", "abc", "EXPLORE_CHANNEL_BUDGET must be an integer, got 'abc'"),
+], ids=["lasso-bound-0", "lasso-bound-negative", "lasso-bound-abc", "channel-budget-abc"])
+@pytest.mark.parametrize("flags", [[], ["--json"]], ids=["text", "json"])
+def test_broken_knob_is_refused(tmp_path, capsys, monkeypatch, name, value, message, flags):
+    # a deterministic Buchi input monitors itself: the lasso oracle checks it,
+    # and its game on token tuples counts channels against the budget
+    monkeypatch.setenv(name, value)
+    d = write(tmp_path, "d.aut", DET)
+    witness = tmp_path / "w.json"
+    assert main([*flags, "k-explorable", "-k", "1", "--witness", str(witness), d]) == 3
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == f"error: {message}\n"
+    assert not witness.exists()
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+# the --json keys README's CLI section names
+JSON_KEYS = {"schema", "command", "input", "verdict", "timings_ms", "channel_budget",
+             "lasso_bound", "witness_k", "target"}
+
+
+def _readme_cli_lines():
+    """The `explora ...` lines of README's CLI block, as argument lists, each
+    with the exit code its comment names, or None."""
+    block = README.read_text().split("## CLI", 1)[1].split("```")[1]
+    lines = []
+    for line in block.splitlines():
+        if line.startswith("explora "):
+            command, _, comment = line.partition("#")
+            words = comment.split()
+            code = int(words[1].rstrip(",")) if words[:1] == ["exit"] else None
+            lines.append((command.split()[1:], code))
+    return lines
+
+
+def _commands(parser, prefix=()):
+    """Every command the parser knows, with its subcommand: "generate ak"."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from _commands(sub, prefix + (name,))
+            return
+    yield " ".join(prefix)
+
+
+def test_readme_cli_lines_parse():
+    lines = _readme_cli_lines()
+    assert len(lines) == 17
+    for argv, _ in lines:
+        try:
+            cli.build_parser().parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README line does not parse: explora {' '.join(argv)}")
+
+
+def test_json_keys_stay_within_readme(tmp_path, capsys, monkeypatch):
+    # README's CLI block as a script, each line with --json, plus the two
+    # commands it leaves out; solve-game prints its regions object instead
+    monkeypatch.chdir(tmp_path)
+    parity = "automaton p\nalphabet: a b\nstates: 1\ninitial: 0\ncondition: parity {}\n" \
+             "t 0 a 0 {}\nt 0 b 0 {}\n"
+    write(tmp_path, "det.aut", DET)
+    write(tmp_path, "p14.aut", parity.format("1 4", 2, 3))
+    write(tmp_path, "d02.aut", parity.format("0 2", 0, 1))
+    write(tmp_path, "machine.atm", format_atm(ATM_CORPUS[0][1]))
+    write(tmp_path, "arena.txt", "arena\npositions: 1\ninitial: 0\nchannels: 1\n"
+                                 "range: 0 0 1\nowner: 0\ne 0 0 0\nobjective: p0\n")
+    calls = _readme_cli_lines() + [
+        (["generate", "bk", "-k", "2", "-o", "b2.aut"], 0),
+        (["construct", "power", "-k", "2", "det.aut", "-o", "detsq.aut"], 0),
+        (["construct", "flatten", "detsq.aut", "-o", "flat.aut"], 0)]
+    seen = set()
+    for argv, want in calls:
+        code = main(["--json", *argv])
+        assert code != 3 and want in (None, code), argv
+        out = capsys.readouterr().out
+        if argv[0] != "solve-game":
+            payload = json.loads(out)
+            assert set(payload) <= JSON_KEYS, argv
+            seen.add(payload["command"])
+    assert seen == set(_commands(cli.build_parser())) - {"solve-game"}

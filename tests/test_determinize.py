@@ -311,6 +311,8 @@ class TestResolveMonitor:
         w = e.value.counterexample
         assert len(w.prefix) + len(w.period) > 2
         assert member_lasso(universal, w) and not member_lasso(windows, w)
+        # the product's lasso: a shortest path to the cycle, then the cycle
+        assert str(w) == "aa(baa)"
 
     def test_reachability_monitor(self):
         a = Automaton.build(

@@ -6,7 +6,7 @@ import pytest
 from explora.automata import (Automaton, MultiAutomaton, MultiTransition, complete,
                               explore_graph, is_complete, member_finite)
 from explora.constructions import (compose_monitor, union_condition_automaton_02,
-                                   union_product)
+                                   union_power, union_product)
 from explora.determinize import Monitor, resolve_monitor
 from explora.errors import ChannelBudgetExceeded, NonSinkTarget, ReductionCheckFailed
 from explora.explorability import (PCPInstance, _build_finite_game, _play,
@@ -391,8 +391,25 @@ class TestBreakpointGameMatchesTuples:
             assert (strategy is not None) == verdicts[-1]
             if strategy is not None:
                 assert all(mem == 0 and arena.owner[p] == 0 for p, mem in strategy.moves)
-                assert strategy.memory.num_states == 1
+                assert strategy.memory is None
         assert verdicts == [False, True, True, True]
+
+    def test_the_monitor_picks_the_game(self):
+        # the built breakpoint monitor, handed in as a user monitor, plays the
+        # game on token tuples, which gives the same verdict
+        a = complete(random_automaton(Random(20), 3, "ab", "cobuchi"))
+        built = resolve_monitor(a)
+        user = Monitor(built.automaton, "user")
+        verdicts = []
+        for k in (1, 2, 3):
+            arena, objective = build_k_explorability_game(a, built, k)
+            tuples, tuple_objective = build_k_explorability_game(a, user, k)
+            assert arena.channels == ((0, 2),)
+            assert tuples.channels == ((0, 1),) + union_power(a, k).lasso_view.channels
+            won = arena.initial in solve(arena, objective).winning_region_0
+            assert won == (tuples.initial in solve(tuples, tuple_objective).winning_region_0)
+            verdicts.append(won)
+        assert verdicts == [False, True, True]
 
     def test_other_inputs_keep_token_tuples(self):
         a = automaton_corpus(53, 1, 2, ["a", "b"], "buchi", max_branch=1)[0]
