@@ -222,17 +222,20 @@ def cmd_construct(args) -> int:
 
 
 def cmd_solve_game(args) -> int:
+    rep = _Report(args, "solve-game", args.arena)
     arena, objective = parse_arena(Path(args.arena).read_text(), args.arena)
     result = solve(arena, objective)
-    payload = {
-        "schema": SCHEMA,
+    winner = 0 if arena.initial in result.winning_region_0 else 1
+    rep.extra = {
         "objective": format_objective(objective),
         "winning_region_0": sorted(result.winning_region_0),
         "winning_region_1": sorted(result.winning_region_1),
-        "initial_winner": 0 if arena.initial in result.winning_region_0 else 1,
+        "initial_winner": winner,
     }
-    print(json.dumps(payload))
-    return 0 if arena.initial in result.winning_region_0 else 1
+    if not rep.json:  # the regions object alone
+        print(json.dumps({"schema": SCHEMA, **rep.extra}))
+        return winner
+    return rep.finish(f"initial-winner: {winner}", winner)
 
 
 @functools.cache

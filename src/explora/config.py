@@ -17,9 +17,10 @@ multisets, so the budget never binds them.
 EXPLORE_LASSO_BOUND sets the default bound of the lasso-equivalence oracle,
 which validates user monitors only: built monitors are validated exactly.
 Both are surfaced in the CLI's JSON output (as ``channel_budget`` and
-``lasso_bound``) so runs are reproducible.  A value that is no integer, or a
-lasso bound below 1, which would check no lasso, is a `ValueError` that
-names its variable.
+``lasso_bound``) so runs are reproducible.  A value that is no integer, a
+channel budget below 2, which no game that counts channels fits, or a lasso
+bound below 1, which would check no lasso, is a `ValueError` that names its
+variable.
 """
 
 from __future__ import annotations
@@ -37,16 +38,19 @@ DEFAULT_LASSO_BOUND = 6
 ORACLE_LASSO_CAP = 60_000
 
 
-def _read_int(name: str, default: int) -> int:
+def _read_int(name: str, default: int, least: int) -> int:
     raw = os.environ.get(name, str(default))
     try:
-        return int(raw)
+        value = int(raw)
     except ValueError:
         raise ValueError(f"{name} must be an integer, got {raw!r}") from None
+    if value < least:
+        raise ValueError(f"{name} must be at least {least}, got {value}")
+    return value
 
 
 def channel_budget() -> int:
-    return _read_int("EXPLORE_CHANNEL_BUDGET", DEFAULT_CHANNEL_BUDGET)
+    return _read_int("EXPLORE_CHANNEL_BUDGET", DEFAULT_CHANNEL_BUDGET, 2)
 
 
 def check_channels(needed: int) -> None:
@@ -59,10 +63,7 @@ def check_channels(needed: int) -> None:
 
 
 def lasso_bound() -> int:
-    b = _read_int("EXPLORE_LASSO_BOUND", DEFAULT_LASSO_BOUND)
-    if b < 1:
-        raise ValueError(f"EXPLORE_LASSO_BOUND must be at least 1, got {b}")
-    return b
+    return _read_int("EXPLORE_LASSO_BOUND", DEFAULT_LASSO_BOUND, 1)
 
 
 def capped_lasso_bound(alphabet_size: int) -> int:

@@ -8,7 +8,9 @@ max-parity condition by building the Zielonka tree of the induced Muller
 condition over occurring color tuples, deriving a deterministic parity
 condition automaton from it, and taking the part of its product with the
 arena that is reachable from the arena's positions, interned with the int key
-``p * m + q`` for arena position p and condition state q.
+``p * m + q`` for arena position p and condition state q.  The tree and the
+automaton are built on explicit stacks, so the compiler runs at a constant
+call depth however deep the tree.
 
 There is one graph layout from the product to the verifier: an `Arena`'s
 ``edges[u]``, a tuple of ``(dst, (rank,))`` pairs, where an edge's index in
@@ -196,19 +198,20 @@ def _maximal_differing_subsets(obj: Objective, tuples: frozenset[Color],
 
 
 def zielonka_tree(obj: Objective, occurring: Iterable[Color]) -> ZielonkaNode:
-    """Tree of maximal membership-flipping subsets, root = all occurring tuples."""
+    """Tree of maximal membership-flipping subsets, root = all occurring
+    tuples, built from a stack.  A child's membership is its parent's
+    negated, since a maximal differing subset flips it."""
     tuples = frozenset(occurring)
     if not tuples:
         raise ValueError("need at least one occurring color tuple")
-
-    def build(ts: frozenset[Color]) -> ZielonkaNode:
-        member = obj.holds(ts)
-        kids = [build(sub) for sub in
-                sorted(_maximal_differing_subsets(obj, ts, member),
-                       key=lambda s: sorted(s))]
-        return ZielonkaNode(ts, member, kids)
-
-    return build(tuples)
+    root = ZielonkaNode(tuples, obj.holds(tuples))
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        node.children = [ZielonkaNode(sub, not node.member) for sub in sorted(
+            _maximal_differing_subsets(obj, node.tuples, node.member), key=sorted)]
+        stack += node.children
+    return root
 
 
 @dataclass
@@ -226,55 +229,32 @@ class ConditionAutomaton:
 
 
 def condition_automaton(tree: ZielonkaNode) -> ConditionAutomaton:
-    # collect nodes with depths and parent/branch structure
-    leaves: list[ZielonkaNode] = []
-    depth: dict[int, int] = {}
-    parent: dict[int, Optional[ZielonkaNode]] = {}
+    """States are the leaves, numbered depth-first.  A leaf loops on the
+    colors it holds; on another color, the deepest node of its branch that
+    holds it passes to the first leaf under its next child, cyclically."""
+    leaves: list[tuple[ZielonkaNode, tuple]] = []  # leaf, (node, child index) from the root
     first_leaf: dict[int, int] = {}
-
-    def walk(node: ZielonkaNode, d: int, par: Optional[ZielonkaNode]):
-        depth[id(node)] = d
-        parent[id(node)] = par
+    stack = [(tree, ())]
+    while stack:
+        node, branch = stack.pop()
+        first_leaf[id(node)] = len(leaves)
         if not node.children:
-            first_leaf[id(node)] = len(leaves)
-            leaves.append(node)
-        else:
-            start = len(leaves)
-            for child in node.children:
-                walk(child, d + 1, node)
-            first_leaf[id(node)] = start
-
-    walk(tree, 0, None)
-    height = max(depth[id(l)] for l in leaves)
-    shift = 0 if (height % 2 == 0) == tree.member else 1
+            leaves.append((node, branch))
+        stack += reversed([(kid, branch + ((node, i),)) for i, kid in enumerate(node.children)])
+    height = max(len(branch) for _, branch in leaves)
     # membership alternates along every branch, so this is consistent tree-wide
-    prio = lambda node: height - depth[id(node)] + shift
-
-    alphabet = tree.tuples
+    shift = 0 if (height % 2 == 0) == tree.member else 1
     delta: dict[tuple[int, Color], tuple[int, int]] = {}
-    for idx, leaf in enumerate(leaves):
-        branch = [leaf]
-        while parent[id(branch[-1])] is not None:
-            branch.append(parent[id(branch[-1])])
-        # branch[0] = leaf ... branch[-1] = root
-        for color in sorted(alphabet):
-            support = next(n for n in branch if color in n.tuples)
-            if support is leaf:
-                target = idx
-            else:
-                below = branch[branch.index(support) - 1]
-                siblings = support.children
-                i = next(j for j, c in enumerate(siblings) if c is below)
-                target = first_leaf[id(siblings[(i + 1) % len(siblings)])]
-            delta[(idx, color)] = (target, prio(support))
-    return ConditionAutomaton(
-        num_states=len(leaves),
-        initial=0,
-        lo=shift,
-        hi=height + shift,
-        delta=delta,
-        alphabet=alphabet,
-    )
+    for idx, (leaf, branch) in enumerate(leaves):
+        for color in sorted(tree.tuples):
+            d, target = len(branch), idx
+            if color not in leaf.tuples:
+                d = max(j for j, (node, _) in enumerate(branch) if color in node.tuples)
+                node, i = branch[d]
+                target = first_leaf[id(node.children[(i + 1) % len(node.children)])]
+            delta[(idx, color)] = (target, height - d + shift)
+    return ConditionAutomaton(num_states=len(leaves), initial=0, lo=shift,
+                              hi=height + shift, delta=delta, alphabet=tree.tuples)
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,8 @@ from explora.automata import (AnyAutomaton, Automaton, EquivalenceVerdict,
 from explora.determinize import Monitor, resolve_monitor
 from explora.errors import SolverCheckFailed
 from explora.games import (Arena, Color, ConditionAutomaton, MaxEvenParity,
-                           Not, Or, SolveResult, Strategy, _trampoline, any_of,
+                           Not, Or, SolveResult, Strategy, ZielonkaNode,
+                           _maximal_differing_subsets, _trampoline, any_of,
                            condition_automaton, solve_parity, verify_strategy,
                            zielonka_tree)
 
@@ -75,6 +76,70 @@ def solve_full_grid(arena: Arena, obj) -> tuple[frozenset, frozenset]:
     region0 = frozenset(p for p in range(n)
                         if p * m + cond.initial in inner.winning_region_0)
     return region0, frozenset(range(n)) - region0
+
+
+def zielonka_tree_recursive(obj, occurring) -> ZielonkaNode:
+    """`games.zielonka_tree` as a recursion, one call per tree level, that
+    evaluates the objective again at every node."""
+    tuples = frozenset(occurring)
+    if not tuples:
+        raise ValueError("need at least one occurring color tuple")
+
+    def build(ts: frozenset[Color]) -> ZielonkaNode:
+        member = obj.holds(ts)
+        kids = [build(sub) for sub in
+                sorted(_maximal_differing_subsets(obj, ts, member),
+                       key=lambda s: sorted(s))]
+        return ZielonkaNode(ts, member, kids)
+
+    return build(tuples)
+
+
+def condition_automaton_recursive(tree: ZielonkaNode) -> ConditionAutomaton:
+    """`games.condition_automaton` from a recursive walk that tables each
+    node's depth, parent and first leaf, each leaf rebuilding its branch
+    from the parent table."""
+    leaves: list[ZielonkaNode] = []
+    depth: dict[int, int] = {}
+    parent: dict[int, Optional[ZielonkaNode]] = {}
+    first_leaf: dict[int, int] = {}
+
+    def walk(node: ZielonkaNode, d: int, par: Optional[ZielonkaNode]):
+        depth[id(node)] = d
+        parent[id(node)] = par
+        if not node.children:
+            first_leaf[id(node)] = len(leaves)
+            leaves.append(node)
+        else:
+            start = len(leaves)
+            for child in node.children:
+                walk(child, d + 1, node)
+            first_leaf[id(node)] = start
+
+    walk(tree, 0, None)
+    height = max(depth[id(l)] for l in leaves)
+    shift = 0 if (height % 2 == 0) == tree.member else 1
+    prio = lambda node: height - depth[id(node)] + shift
+
+    alphabet = tree.tuples
+    delta: dict[tuple[int, Color], tuple[int, int]] = {}
+    for idx, leaf in enumerate(leaves):
+        branch = [leaf]
+        while parent[id(branch[-1])] is not None:
+            branch.append(parent[id(branch[-1])])
+        # branch[0] = leaf ... branch[-1] = root
+        for color in sorted(alphabet):
+            support = next(n for n in branch if color in n.tuples)
+            if support is leaf:
+                target = idx
+            else:
+                below = branch[branch.index(support) - 1]
+                siblings = support.children
+                i = next(j for j, c in enumerate(siblings) if c is below)
+                target = first_leaf[id(siblings[(i + 1) % len(siblings)])]
+            delta[(idx, color)] = (target, prio(support))
+    return ConditionAutomaton(num_states=len(leaves), initial=0, lo=shift,
+                              hi=height + shift, delta=delta, alphabet=alphabet)
 
 
 def _disjunction_member(colors) -> bool:

@@ -178,6 +178,26 @@ objective: or p0 p1
     assert payload["initial_winner"] == 0
 
 
+def test_solve_game_json_report(tmp_path, capsys, monkeypatch):
+    # the standard report plus the regions; without --json, the regions alone
+    monkeypatch.delenv("EXPLORE_CHANNEL_BUDGET", raising=False)
+    monkeypatch.delenv("EXPLORE_LASSO_BOUND", raising=False)
+    arena = write(tmp_path, "g.arena", "arena\npositions: 2\ninitial: 0\nchannels: 1\n"
+                                       "range: 0 0 1\nowner: 0 1\ne 0 1 0\ne 1 1 1\n"
+                                       "objective: p0\n")
+    assert main(["solve-game", arena]) == 1
+    regions = ('"objective": "p0", "winning_region_0": [], '
+               '"winning_region_1": [0, 1], "initial_winner": 1')
+    assert capsys.readouterr().out == '{"schema": 1, ' + regions + '}\n'
+    assert main(["--json", "solve-game", arena]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload.pop("timings_ms") >= 0
+    assert json.dumps(payload) == (
+        f'{{"schema": 1, "command": "solve-game", "input": "{arena}", '
+        '"verdict": "initial-winner: 1", "channel_budget": 5, "lasso_bound": 6, '
+        + regions + '}')
+
+
 def test_parse_error_exit_code(tmp_path, capsys):
     bad = write(tmp_path, "bad.aut", "automaton x\nalphabet a\n")
     assert main(["k-explorable", "-k", "1", bad]) == 3
@@ -463,7 +483,10 @@ def test_import_builds_no_parser():
     ("EXPLORE_LASSO_BOUND", "-3", "EXPLORE_LASSO_BOUND must be at least 1, got -3"),
     ("EXPLORE_LASSO_BOUND", "abc", "EXPLORE_LASSO_BOUND must be an integer, got 'abc'"),
     ("EXPLORE_CHANNEL_BUDGET", "abc", "EXPLORE_CHANNEL_BUDGET must be an integer, got 'abc'"),
-], ids=["lasso-bound-0", "lasso-bound-negative", "lasso-bound-abc", "channel-budget-abc"])
+    ("EXPLORE_CHANNEL_BUDGET", "0", "EXPLORE_CHANNEL_BUDGET must be at least 2, got 0"),
+    ("EXPLORE_CHANNEL_BUDGET", "-3", "EXPLORE_CHANNEL_BUDGET must be at least 2, got -3"),
+], ids=["lasso-bound-0", "lasso-bound-negative", "lasso-bound-abc", "channel-budget-abc",
+        "channel-budget-0", "channel-budget-negative"])
 @pytest.mark.parametrize("flags", [[], ["--json"]], ids=["text", "json"])
 def test_broken_knob_is_refused(tmp_path, capsys, monkeypatch, name, value, message, flags):
     # a deterministic Buchi input monitors itself: the lasso oracle checks it,
@@ -481,7 +504,8 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 
 # the --json keys README's CLI section names
 JSON_KEYS = {"schema", "command", "input", "verdict", "timings_ms", "channel_budget",
-             "lasso_bound", "witness_k", "target"}
+             "lasso_bound", "witness_k", "target", "objective", "winning_region_0",
+             "winning_region_1", "initial_winner"}
 
 
 def _readme_cli_lines():
@@ -520,7 +544,7 @@ def test_readme_cli_lines_parse():
 
 def test_json_keys_stay_within_readme(tmp_path, capsys, monkeypatch):
     # README's CLI block as a script, each line with --json, plus the two
-    # commands it leaves out; solve-game prints its regions object instead
+    # commands it leaves out
     monkeypatch.chdir(tmp_path)
     parity = "automaton p\nalphabet: a b\nstates: 1\ninitial: 0\ncondition: parity {}\n" \
              "t 0 a 0 {}\nt 0 b 0 {}\n"
@@ -538,9 +562,7 @@ def test_json_keys_stay_within_readme(tmp_path, capsys, monkeypatch):
     for argv, want in calls:
         code = main(["--json", *argv])
         assert code != 3 and want in (None, code), argv
-        out = capsys.readouterr().out
-        if argv[0] != "solve-game":
-            payload = json.loads(out)
-            assert set(payload) <= JSON_KEYS, argv
-            seen.add(payload["command"])
-    assert seen == set(_commands(cli.build_parser())) - {"solve-game"}
+        payload = json.loads(capsys.readouterr().out)
+        assert set(payload) <= JSON_KEYS, argv
+        seen.add(payload["command"])
+    assert seen == set(_commands(cli.build_parser()))

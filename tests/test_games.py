@@ -13,10 +13,11 @@ from explora.games import (And, Arena, MaxEvenParity, Not, Or, Strategy,
                            solve, solve_parity, verify_strategy, zielonka_tree)
 from explora.generators import random_automaton
 
-from conftest import run_optimized
-from reference import (random_multi_arena, random_parity_game,
-                       solve_full_grid, solve_parity_disjunction,
-                       solve_parity_reference)
+from conftest import run_optimized, run_python
+from reference import (condition_automaton_recursive, random_multi_arena,
+                       random_parity_game, solve_full_grid,
+                       solve_parity_disjunction, solve_parity_reference,
+                       zielonka_tree_recursive)
 
 
 def tuples_of(channels):
@@ -104,6 +105,52 @@ class TestConditionAutomaton:
     def test_single_atom_yields_one_state(self):
         cond = condition_automaton(zielonka_tree(MaxEvenParity(0), [(1,), (2,)]))
         assert cond.num_states == 1
+
+
+def random_objective(rng, width, depth=3):
+    """A random objective over channels below `width`, at most `depth`
+    operators deep."""
+    if depth == 0 or rng.random() < 0.2:
+        return MaxEvenParity(rng.randrange(width))
+    op = rng.choice((Not, And, Or))
+    if op is Not:
+        return Not(random_objective(rng, width, depth - 1))
+    return op(random_objective(rng, width, depth - 1), random_objective(rng, width, depth - 1))
+
+
+class TestAgreesWithRecursiveCompiler:
+    """The tree and condition automaton are built on explicit stacks; both
+    must be those of the recursive construction, field by field."""
+
+    def test_same_tree_and_condition_automaton(self):
+        rng = Random(18)
+        branching = 0
+        for _ in range(3000):
+            width = rng.randint(1, 3)
+            obj = random_objective(rng, width)
+            colors = [tuple(rng.randint(0, 4) for _ in range(width))
+                      for _ in range(rng.randint(1, 8))]
+            tree = zielonka_tree(obj, colors)
+            assert tree == zielonka_tree_recursive(obj, colors)
+            cond = condition_automaton(tree)
+            assert cond == condition_automaton_recursive(tree)
+            branching += cond.num_states > 1
+        assert branching > 200
+
+    def test_deep_tree_below_a_lowered_recursion_limit(self):
+        # a ring whose ranks alternate parity has one tree level per rank,
+        # twice as many as the limit allows frames; the objective is no atom
+        done = run_python("""
+import sys
+from explora.games import Arena, MaxEvenParity, Or, solve
+n = 80
+ring = Arena((0,) * n, tuple((((p + 1) % n, (p,)),) for p in range(n)), 0, ((0, n - 1),))
+sys.setrecursionlimit(40)
+result = solve(ring, Or(MaxEvenParity(0), MaxEvenParity(0)))
+sys.exit(0 if result.winning_region_1 == frozenset(range(n))
+         and sys.getrecursionlimit() == 40 else 4)
+""")
+        assert done.returncode == 0, done.stderr
 
 
 class TestCompileObjective:
