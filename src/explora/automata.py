@@ -562,16 +562,11 @@ def equivalent_on_lassos(a: AnyAutomaton, b: AnyAutomaton, bound: int) -> Equiva
     return EquivalenceVerdict(True)
 
 
-def explore_graph(roots, expand, visit=None):
+def explore_graph(roots, expand):
     """BFS-intern a lazily expanded graph from the given root keys:
     `expand(key)` yields (successor key, label) pairs.  Returns the keys in
     discovery order, the distinct roots first in their given order (a single
-    root is 0), and, per key, its (successor index, label) tuple.
-
-    `visit(index, key, out)`, when given, is called right after each key is
-    expanded, with its index and its out tuple; a true result stops the walk,
-    and `edges` then covers only the keys expanded so far, a prefix of the
-    returned keys."""
+    root is 0), and, per key, its (successor index, label) tuple."""
     index: dict = {}
     order = []
     for key in roots:
@@ -579,7 +574,7 @@ def explore_graph(roots, expand, visit=None):
             index[key] = len(order)
             order.append(key)
     edges = []
-    for i, key in enumerate(order):  # the walk takes in the keys appended on the way
+    for key in order:  # the walk takes in the keys appended on the way
         out = []
         for nxt, label in expand(key):
             j = index.get(nxt)
@@ -587,8 +582,5 @@ def explore_graph(roots, expand, visit=None):
                 j = index[nxt] = len(order)
                 order.append(nxt)
             out.append((j, label))
-        out = tuple(out)
-        edges.append(out)
-        if visit is not None and visit(i, key, out):
-            break
+        edges.append(tuple(out))
     return order, edges

@@ -8,11 +8,12 @@ token's run is accepting whenever the chosen word is in the language.
 
 For finite-word automata the game is a safety game over token multisets
 paired with a subset monitor ("never: monitor accepting while no token is").
-It is solved on the fly: the letter player's attractor to the bad positions
-grows during the walk that interns the arena, and a play of the game stops
-the walk as soon as the initial position is attracted, so a lost game is
-decided without building its whole arena.  For infinite-word automata the
-game is solved through the parity pipeline with the objective
+It is solved locally: each token-player position follows one move and tries
+the next only when that one is refuted, so a verdict explores only a part of
+the arena and builds none.  A won game's strategy covers the positions it
+reaches, and `games.verify_token_strategy` replays it against the automaton
+and the monitor.  For infinite-word automata the game is solved through the
+parity pipeline with the objective
 
     NOT MaxEvenParity(monitor) OR (OR over the token channels).
 
@@ -47,7 +48,8 @@ from .automata import (Automaton, AnyAutomaton, canonical_parity, complete,
 from .constructions import power_channels, union_power
 from .determinize import Monitor, resolve_monitor, subset_construction
 from .errors import NonSinkTarget, ReductionCheckFailed
-from .games import (Arena, MaxEvenParity, Not, Or, Strategy, any_of, solve)
+from .games import (Arena, MaxEvenParity, Not, Or, Strategy, any_of, solve,
+                    verify_token_strategy)
 
 
 @dataclass(frozen=True)
@@ -94,94 +96,73 @@ def _multiset_moves(dests, tokens: tuple, letter: str):
 # the k-explorability game
 
 
-_BAD = (2,)  # colour of the self-loop on a lost finite-game position
-
-
-def _build_finite_game(a: Automaton, monitor: Monitor, k: int, stop: bool = False):
-    """The finite-word k-token safety game, with the letter player's attractor
-    to its bad positions grown during the walk that interns the arena.
-
-    A (tokens, m) position belongs to the letter player and a (tokens, m,
-    letter) position to the token player.  The walk attracts a (tokens, m)
-    position when it is bad (the monitor accepts while no token does), or as
-    soon as one of its letter successors is attracted.  It attracts a
-    (tokens, m, letter) position once it has successors and all of them are
-    attracted; they are all known when it is expanded.  So the attractor of
-    a partial walk is a subset of the full one, and on a finished walk the
-    two are equal.  Each (tokens, m, letter) position is fresh when its
-    parent is expanded and has no other predecessor, so only the token
-    player's positions wait on counters.
-
-    Returns the arena and its attractor.  With `stop`, the walk ends as soon
-    as the initial position is attracted, the game is lost, and no arena is
-    built: the result is None and the attractor found so far.
-    """
+def _finite_tokens(a: Automaton, monitor: Monitor, k: int):
+    """Start, bad test and moves of the finite-word k-token safety game: a
+    (tokens, m) position is bad when the monitor accepts while no token does;
+    a (tokens, m, letter) position moves to the successor multisets, sorted."""
     mon = monitor.automaton
     mon_delta = {key: succ[0][0] for key, succ in mon.delta.items()}
     mon_accepting, accepting = mon.accepting, a.accepting
     dests = {key: tuple(sorted({d for d, _ in succ})) for key, succ in a.delta.items()}
-    start = tuple([a.initial] * k)
     token_moves: dict = {}  # (tokens, letter) -> successor multisets
 
-    def expand(key):
-        if len(key) == 2:
-            tokens, m = key
-            if m in mon_accepting and accepting.isdisjoint(tokens):
-                return [(key, _BAD)]
-            return [((tokens, m, letter), (1,)) for letter in a.alphabet]
-        tokens, m, letter = key
+    def bad(tokens, m):
+        return m in mon_accepting and accepting.isdisjoint(tokens)
+
+    def moves(tokens, m, letter):
+        out = token_moves.get((tokens, letter))
+        if out is None:
+            out = token_moves[(tokens, letter)] = _multiset_moves(dests, tokens, letter)
         m2 = mon_delta[(m, letter)]
-        moves = token_moves.get((tokens, letter))
-        if moves is None:
-            moves = token_moves[(tokens, letter)] = _multiset_moves(dests, tokens, letter)
-        return [((dsts, m2), (1,)) for dsts in moves]
+        return [(dsts, m2) for dsts in out]
 
-    attr: set[int] = set()
-    parent: dict[int, int] = {}  # token-player position -> its one predecessor
-    missing: dict[int, int] = {}  # token-player position -> successors outside attr
-    waiting: defaultdict[int, list[int]] = defaultdict(list)  # letter-player position -> who counts it
+    return (tuple([a.initial] * k), mon.initial), bad, moves
 
-    def attract(v):
-        # v is a letter-player position outside attr
-        attr.add(v)
-        stack = [v]
-        while stack:
-            for t in waiting.pop(stack.pop(), ()):
-                missing[t] -= 1
-                if not missing[t]:
-                    attr.add(t)
-                    p = parent[t]
-                    if p not in attr:
-                        attr.add(p)
-                        stack.append(p)
 
-    def visit(i, key, out):
-        if len(key) == 2:
-            if out != ((i, _BAD),):
-                for t, _ in out:
-                    parent[t] = i
-                return False
-            attract(i)
-            return stop and 0 in attr
-        n = 0
-        for v, _ in out:
-            if v not in attr:
-                waiting[v].append(i)
-                n += 1
-        if n:
-            missing[i] = n
-        elif out:
-            attr.add(i)
-            p = parent[i]
-            if p not in attr:
-                attract(p)
-                return stop and 0 in attr
+def _solve_finite_game(a: Automaton, monitor: Monitor, k: int):
+    """Solve the finite-word k-token safety game locally (Liu and Smolka,
+    ICALP 1998; OTFUR in Cassez et al., CONCUR 2005).  Each token-player
+    position follows its first move not known to be lost, and tries the next
+    only when that one is refuted.  A letter-player position is lost when it
+    is bad, tested on discovery, or when some letter has lost every move.
+    The walk stops once the initial position is lost.
+
+    Returns whether the game is won, every discovered letter-player position
+    with whether it is lost, and every explored token-player position with
+    its current move; on a won game, the current moves reached from the
+    initial position form a winning strategy."""
+    root, bad, moves = _finite_tokens(a, monitor, k)
+    lost = {root: bad(*root)}
+    current: dict = {}
+    waiting = defaultdict(list)  # w -> (t, t's untried moves) for each t whose current move is w
+    stack = [] if lost[root] else [root]
+
+    def advance(t, untried):
+        # t takes its first untried move not known to be lost, if any is left
+        for w in untried:
+            if w not in lost:
+                lost[w] = bad(*w)
+                if not lost[w]:
+                    stack.append(w)
+            if not lost[w]:
+                current[t] = w
+                waiting[w].append((t, untried))
+                return True
         return False
 
-    order, edges = explore_graph([(start, mon.initial)], expand, visit)
-    if stop and 0 in attr:
-        return None, attr
-    return _token_arena(order, edges, ((1, 2),)), attr
+    while stack and not lost[root]:
+        v = stack.pop()
+        if all(advance((*v, letter), iter(moves(*v, letter))) for letter in a.alphabet):
+            continue
+        lost[v] = True
+        refuted = [v]
+        while refuted:
+            for t, untried in waiting.pop(refuted.pop(), ()):
+                p = t[:2]
+                if not lost[p] and not advance(t, untried):
+                    lost[p] = True
+                    refuted.append(p)
+    return not lost[root], lost, current
 
 
 def _breakpoint_tokens(a: Automaton, mon: Automaton, k: int):
@@ -300,8 +281,17 @@ def build_k_explorability_game(a: AnyAutomaton, monitor: Monitor, k: int):
         raise ValueError("token count must be at least 1")
     a = complete(a)
     if monitor.is_finite:
-        arena, _ = _build_finite_game(a, monitor, k)
-        return arena, Not(MaxEvenParity(0))
+        root, bad, moves = _finite_tokens(a, monitor, k)
+
+        def expand(key):
+            if len(key) == 3:
+                return [(w, (1,)) for w in moves(*key)]
+            if bad(*key):  # a lost position loops on the even colour 2
+                return [(key, (2,))]
+            return [((*key, letter), (1,)) for letter in a.alphabet]
+
+        order, edges = explore_graph([root], expand)
+        return _token_arena(order, edges, ((1, 2),)), Not(MaxEvenParity(0))
     return _build_infinite_game(a, monitor, k)
 
 
@@ -309,21 +299,17 @@ def _play(a: AnyAutomaton, monitor: Monitor, k: int,
           witness: bool = False) -> tuple[bool, Optional[Strategy]]:
     """Play the k-explorability game of the (completed) automaton on the
     given monitor: whether the token player wins and, when `witness` is set
-    and it does, a winning strategy."""
+    and it does, a winning strategy.  Every won game's strategy is checked,
+    also when none is asked for: a finite-word one by replaying it, an
+    infinite-word one inside `solve`."""
     if k < 1:
         raise ValueError("token count must be at least 1")
     if monitor.is_finite:
-        arena, attr = _build_finite_game(a, monitor, k, stop=True)
-        if arena is None:
+        won, _, current = _solve_finite_game(a, monitor, k)
+        if not won:
             return False, None
-        if not witness:
-            return True, None
-        # each token-player position outside the attractor takes its first
-        # edge that stays outside
-        labels = arena.labels
-        moves = {str(labels[p]): str(next(labels[d] for d, _ in arena.edges[p] if d not in attr))
-                 for p in range(arena.num_positions) if arena.owner[p] == 0 and p not in attr}
-        return True, Strategy(0, moves)
+        moves = verify_token_strategy(a, monitor.automaton, k, current)
+        return True, Strategy(0, {str(t): str(w) for t, w in moves.items()}) if witness else None
     arena, objective = _build_infinite_game(a, monitor, k)
     result = solve(arena, objective)
     if arena.initial not in result.winning_region_0:

@@ -185,11 +185,17 @@ def _maximal_differing_subsets(obj: Objective, tuples: frozenset[Color],
     to enumerate caps over the values present on each channel.
     """
     width = len(next(iter(tuples)))
-    values = [sorted({t[c] for t in tuples}) for c in range(width)]
+    values = [sorted({t[c] for t in tuples}, reverse=True) for c in range(width)]
+    flipped: list[Color] = []  # caps whose set flips membership
     candidates: set[frozenset[Color]] = set()
+    # every cap comes after the caps above it, and one below a flipped cap
+    # has a subset of that cap's set, so it adds no maximal set
     for caps in _product(*values):
+        if any(all(x <= y for x, y in zip(caps, f)) for f in flipped):
+            continue
         sub = frozenset(t for t in tuples if all(t[c] <= caps[c] for c in range(width)))
         if sub and sub != tuples and obj.holds(sub) != member:
+            flipped.append(caps)
             candidates.add(sub)
     return [
         s for s in candidates
@@ -523,6 +529,62 @@ def verify_strategy(game: Arena, region, strategy: Strategy, owner: int) -> bool
                 return False
         adj[p] = out
     return parity_cycle(adj, [(0, 1 - owner)]) is None
+
+
+def _has_perfect_matching(adj) -> bool:
+    """True iff left vertex i -> right vertices adj[i], as many on each
+    side, match perfectly; Kuhn's augmenting paths, searched on a stack."""
+    mate, held = {}, {}  # right vertex -> its left vertex, and back
+    for root in range(len(adj)):
+        via, todo, free = {}, [root], None  # via: right vertex -> left vertex before it
+        while todo and free is None:
+            u = todo.pop()
+            for j in adj[u]:
+                if j not in via:
+                    via[j] = u
+                    if j not in mate:
+                        free = j
+                        break
+                    todo.append(mate[j])
+        if free is None:
+            return False
+        while free is not None:  # flip the path back to the root
+            u = via[free]
+            mate[free], held[u], free = u, free, held.get(u)
+    return True
+
+
+def verify_token_strategy(a, mon, k: int, moves: dict) -> dict:
+    """Replay `moves`, a finite-word k-token strategy from (tokens, m,
+    letter) to (tokens, m) positions, on automaton `a` and monitor automaton
+    `mon`: from the initial position, under every letter, it must move the
+    monitor to its successor and the tokens, as a multiset, along
+    transitions of `a` (a perfect matching of old to new tokens), and never
+    reach the monitor accepting while no token is.  Returns the moves at the
+    positions it reaches, in replay order; raises SolverCheckFailed if not."""
+    succ = {key: {d for d, _ in out} for key, out in a.delta.items()}
+    start = (tuple([a.initial] * k), mon.initial)
+    reached, todo, replayed = {start}, [start], {}
+    while todo:
+        tokens, m = todo.pop()
+        if m in mon.accepting and a.accepting.isdisjoint(tokens):
+            raise SolverCheckFailed(f"token strategy reaches the lost position {(tokens, m)}")
+        for letter in a.alphabet:
+            move = moves.get((tokens, m, letter))
+            if move is None:
+                raise SolverCheckFailed(f"token strategy has no move at {(tokens, m, letter)}")
+            dsts, m2 = move
+            if m2 != mon.delta[(m, letter)][0][0]:
+                raise SolverCheckFailed(f"token strategy moves the monitor from {m} to {m2}")
+            if len(dsts) != k or not _has_perfect_matching(
+                    [[j for j, d in enumerate(dsts) if d in succ.get((q, letter), ())]
+                     for q in tokens]):
+                raise SolverCheckFailed(f"token strategy moves {tokens} to {dsts} by {letter!r}")
+            replayed[(tokens, m, letter)] = move
+            if move not in reached:
+                reached.add(move)
+                todo.append(move)
+    return replayed
 
 
 def solve(arena: Arena, obj: Objective) -> SolveResult:

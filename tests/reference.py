@@ -21,7 +21,7 @@ from explora.determinize import Monitor, resolve_monitor
 from explora.errors import SolverCheckFailed
 from explora.games import (Arena, Color, ConditionAutomaton, MaxEvenParity,
                            Not, Or, SolveResult, Strategy, ZielonkaNode,
-                           _maximal_differing_subsets, _trampoline, any_of,
+                           _trampoline, any_of,
                            condition_automaton, solve_parity, verify_strategy,
                            zielonka_tree)
 
@@ -78,9 +78,23 @@ def solve_full_grid(arena: Arena, obj) -> tuple[frozenset, frozenset]:
     return region0, frozenset(range(n)) - region0
 
 
+def maximal_differing_subsets_reference(obj, tuples: frozenset[Color],
+                                        member: bool) -> list[frozenset[Color]]:
+    """`games._maximal_differing_subsets` without its pruning: the set of
+    every cap is computed and tested, and the maximal ones kept."""
+    width = len(next(iter(tuples)))
+    values = [sorted({t[c] for t in tuples}) for c in range(width)]
+    candidates = set()
+    for caps in product(*values):
+        sub = frozenset(t for t in tuples if all(t[c] <= caps[c] for c in range(width)))
+        if sub and sub != tuples and obj.holds(sub) != member:
+            candidates.add(sub)
+    return [s for s in candidates if not any(s < other for other in candidates)]
+
+
 def zielonka_tree_recursive(obj, occurring) -> ZielonkaNode:
     """`games.zielonka_tree` as a recursion, one call per tree level, that
-    evaluates the objective again at every node."""
+    evaluates the objective again at every node and tests every cap."""
     tuples = frozenset(occurring)
     if not tuples:
         raise ValueError("need at least one occurring color tuple")
@@ -88,7 +102,7 @@ def zielonka_tree_recursive(obj, occurring) -> ZielonkaNode:
     def build(ts: frozenset[Color]) -> ZielonkaNode:
         member = obj.holds(ts)
         kids = [build(sub) for sub in
-                sorted(_maximal_differing_subsets(obj, ts, member),
+                sorted(maximal_differing_subsets_reference(obj, ts, member),
                        key=lambda s: sorted(s))]
         return ZielonkaNode(ts, member, kids)
 
@@ -446,15 +460,19 @@ def build_finite_game_reference(a, monitor: Monitor, k: int):
     return arena, Not(MaxEvenParity(0)), bad_ids
 
 
-def solve_finite_game_reference(a, monitor: Monitor, k: int, stop: bool = False):
-    """The finite-word game built in full and its attractor computed after, in
-    a second pass, returned as `_build_finite_game` returns them: no arena
-    when `stop` is set and the initial position is attracted."""
+def solve_finite_game_reference(a, monitor: Monitor, k: int):
+    """The finite-word game built in full and its attractor computed after,
+    in a second pass, returned as `_solve_finite_game` returns them: whether
+    the initial position is outside the attractor, every letter-player
+    position with whether it is attracted, and every token-player position
+    outside the attractor with its first edge that stays outside."""
     arena, _, bad_ids = build_finite_game_reference(a, monitor, k)
     attr = _spoiler_attractor(arena, bad_ids)
-    if stop and arena.initial in attr:
-        return None, attr
-    return arena, attr
+    labels = arena.labels
+    lost = {labels[p]: p in attr for p in range(arena.num_positions) if arena.owner[p] == 1}
+    current = {labels[p]: labels[next(d for d, _ in arena.edges[p] if d not in attr)]
+               for p in range(arena.num_positions) if arena.owner[p] == 0 and p not in attr}
+    return arena.initial not in attr, lost, current
 
 
 # The game on token tuples with joint token moves of its own; production plays

@@ -1,28 +1,32 @@
+import json
+from ast import literal_eval
 from dataclasses import replace
+from itertools import chain
 from random import Random
 
 import pytest
 
 from explora.automata import (Automaton, MultiAutomaton, MultiTransition, complete,
-                              explore_graph, is_complete, member_finite)
+                              is_complete, member_finite)
 from explora.constructions import (compose_monitor, union_condition_automaton_02,
                                    union_power, union_product)
 from explora.determinize import Monitor, resolve_monitor
-from explora.errors import ChannelBudgetExceeded, NonSinkTarget, ReductionCheckFailed
-from explora.explorability import (PCPInstance, _build_finite_game, _play,
+from explora.errors import (ChannelBudgetExceeded, NonSinkTarget, ReductionCheckFailed,
+                           SolverCheckFailed)
+from explora.explorability import (PCPInstance, _play, _solve_finite_game,
                                    build_k_explorability_game,
                                    explorability_bounded,
                                    explorability_witness, is_k_explorable,
                                    is_k_population_winnable, pcp_reduce,
                                    pcp_to_explorability)
-from explora.games import MaxEvenParity, solve
+from explora.games import MaxEvenParity, solve, verify_token_strategy
 from explora.generators import gen_ak, gen_bk, gen_c, random_automaton
 from explora.textio import format_automaton
 
 from conftest import automaton_corpus, gen_c_rejecting_aaa, run_optimized, run_python
 from reference import (_spoiler_attractor, build_finite_game_reference,
                        build_tuple_game_reference, is_k_explorable_tuples,
-                       iter_words, solve_finite_game_reference)
+                       iter_words, multiset_moves_reference, solve_finite_game_reference)
 
 
 class TestBranchingFamily:
@@ -205,8 +209,8 @@ def _population_games(monkeypatch):
     on the reductions of ak3, bk1 and c at k = 1..3."""
     import explora.explorability as ex
     played = []
-    monkeypatch.setattr(ex, "_build_finite_game",
-                        lambda *args, **kw: played.append(args) or _build_finite_game(*args, **kw))
+    monkeypatch.setattr(ex, "_solve_finite_game",
+                        lambda *args: played.append(args) or _solve_finite_game(*args))
     for a in (gen_ak(3), gen_bk(1), gen_c()):
         inst = pcp_reduce(a)
         for k in (1, 2, 3):
@@ -214,6 +218,36 @@ def _population_games(monkeypatch):
     monkeypatch.undo()
     assert len(played) == 9
     return played
+
+
+def _random_finite_games(count):
+    """(automaton, k) of `count` seeded random games: 2-6 states over two or
+    three letters, some partial, at k = 1..3."""
+    rng = Random(19)
+    games = []
+    while len(games) < count:
+        a = random_automaton(rng, rng.randint(2, 6), "abc"[:rng.randint(2, 3)], "finite")
+        if rng.random() < 0.3:  # partial: drop about a quarter of the transitions
+            a = Automaton.build(a.name, a.alphabet, a.num_states, a.initial, "finite",
+                                [t for t in sorted(a.transitions) if rng.random() < 0.75],
+                                a.accepting)
+        games += [(complete(a), k) for k in (1, 2, 3)]
+    return games[:count]
+
+
+def _explored(lost, current):
+    """Positions the local solver explored: the letter-player positions it
+    discovered and the token-player positions it gave a move."""
+    return len(lost) + len(current)
+
+
+def _replay_witness_file(a, k, path):
+    """Read a finite-word --witness file back into position tuples and
+    replay it on the completed automaton under its subset monitor."""
+    a = complete(a)
+    moves = {literal_eval(key): literal_eval(value)
+             for key, value in json.loads(path.read_text()).items()}
+    verify_token_strategy(a, resolve_monitor(a).automaton, k, moves)
 
 
 class TestPartialInputs:
@@ -231,22 +265,23 @@ class TestPartialInputs:
 
 
 class TestFiniteGameMatchesReference:
-    """The finite-word builder against the one it was optimised from, which
-    recomputes the token moves at every position, runs the bad test twice and
-    computes the attractor in a second pass: a finished walk gives the same
-    positions in the same order, the same edges, the same bad positions and
-    the same attractor, hence the same verdicts and witnesses."""
+    """The finite-word arena of `build_k_explorability_game` against the
+    reference builder, which recomputes the token moves at every position
+    and runs the bad test twice: the same positions in the same order, the
+    same edges and the same bad positions.  Witness files, which now cover
+    only the positions the strategy reaches, give the reference's verdicts
+    and replay."""
 
     @staticmethod
     def assert_same_game(a, monitor, k):
-        arena, attr = _build_finite_game(a, monitor, k)
-        ref, _, ref_bad = build_finite_game_reference(a, monitor, k)
+        arena, objective = build_k_explorability_game(a, monitor, k)
+        ref, ref_objective, ref_bad = build_finite_game_reference(complete(a), monitor, k)
         assert arena.owner == ref.owner
         assert arena.edges == ref.edges
         assert arena.labels == ref.labels
         assert (arena.initial, arena.channels) == (ref.initial, ref.channels)
         assert _bad_positions(arena) == ref_bad
-        assert attr == _spoiler_attractor(ref, ref_bad)
+        assert objective == ref_objective
 
     @pytest.mark.parametrize("a, k", [pytest.param(a, k, id=f"{name}-k{k}")
                                       for name, a, k in _finite_game_corpus()])
@@ -263,7 +298,9 @@ class TestFiniteGameMatchesReference:
         assert objective == build_finite_game_reference(a, resolve_monitor(a), 2)[1]
 
     @pytest.mark.parametrize("name", ["ak3", "bk2", "c", "random-1", "repeated"])
-    def test_witness_files_identical(self, tmp_path, monkeypatch, name):
+    def test_witness_files_replay(self, tmp_path, monkeypatch, capsys, name):
+        # the same exit code and witness_k as the reference solver, and
+        # both witness files pass the replay check
         import explora.explorability as ex
         from explora.cli import main
         from explora.textio import format_automaton
@@ -271,57 +308,169 @@ class TestFiniteGameMatchesReference:
         path = tmp_path / "a.aut"
         path.write_text(format_automaton(a))
         outputs = []
-        for build in (_build_finite_game, solve_finite_game_reference):
-            monkeypatch.setattr(ex, "_build_finite_game", build)
+        for solver in (_solve_finite_game, solve_finite_game_reference):
+            monkeypatch.setattr(ex, "_solve_finite_game", solver)
             witness = tmp_path / f"witness-{len(outputs)}.json"
-            code = main(["explorable", "--max-k", str(kmax), "--witness", str(witness),
-                         str(path)])
-            outputs.append((code, witness.read_bytes() if witness.exists() else None))
+            code = main(["--json", "explorable", "--max-k", str(kmax),
+                         "--witness", str(witness), str(path)])
+            k = json.loads(capsys.readouterr().out).get("witness_k")
+            assert witness.exists() == (k is not None)
+            if k is not None:
+                _replay_witness_file(a, k, witness)
+            outputs.append((code, k))
         assert outputs[0] == outputs[1]
 
 
 class TestFiniteGameStopsEarly:
-    """The walk that stops once the initial position is attracted, against
-    the reference attractor of the full arena: the same verdict, the same
-    attractor on a won game, and a part of it on a lost one."""
+    """The local solver against the reference attractor of the full arena:
+    the same verdict, a lost set inside the attractor, a strategy outside
+    it that passes the replay check, and only a part of the arena explored."""
 
     @staticmethod
-    def assert_same_verdict(a, monitor, k):
+    def assert_agrees(a, monitor, k):
         ref, _, ref_bad = build_finite_game_reference(a, monitor, k)
-        ref_attr = _spoiler_attractor(ref, ref_bad)
-        arena, attr = _build_finite_game(a, monitor, k, stop=True)
-        assert (arena is not None) == (ref.initial not in ref_attr)
-        if arena is None:  # positions keep their numbers in a partial walk
-            assert ref.initial in attr and attr <= ref_attr
-        else:
-            assert attr == ref_attr
+        ref_lost = {ref.labels[p] for p in _spoiler_attractor(ref, ref_bad)}
+        won, lost, current = _solve_finite_game(a, monitor, k)
+        assert won == (ref.labels[ref.initial] not in ref_lost)
+        assert {v for v, is_lost in lost.items() if is_lost} <= ref_lost
+        assert set(ref.labels).issuperset(chain(lost, current))
+        if won:
+            strategy = verify_token_strategy(a, monitor.automaton, k, current)
+            assert ref_lost.isdisjoint(chain(strategy, strategy.values()))
 
     @pytest.mark.parametrize("a, k", [pytest.param(a, k, id=f"{name}-k{k}")
                                       for name, a, k in _finite_game_corpus()])
     def test_same_verdict_as_reference(self, a, k):
-        self.assert_same_verdict(a, resolve_monitor(a), k)
+        self.assert_agrees(complete(a), resolve_monitor(a), k)
 
     def test_same_verdict_on_population_games(self, monkeypatch):
         for args in _population_games(monkeypatch):
-            self.assert_same_verdict(*args)
+            self.assert_agrees(*args)
 
-    def test_lost_game_expands_part_of_the_arena(self, monkeypatch):
+    def test_same_verdict_on_random_games(self):
+        games = _random_finite_games(1002)
+        won = 0
+        for a, k in games:
+            self.assert_agrees(a, resolve_monitor(a), k)
+            won += is_k_explorable(a, k)
+        assert 0 < won < len(games)
+
+    def test_lost_game_expands_part_of_the_arena(self):
         # an 8-state NFA over abc that the letter player wins at k=2: the
-        # walk must stop well before it has expanded the whole arena
-        import explora.explorability as ex
+        # solver must stop well before it has explored the whole arena
         a = complete(random_automaton(Random(1), 8, "abc", "finite"))
         monitor = resolve_monitor(a)
-        expanded = []
-
-        def counting(roots, expand, visit=None):
-            order, edges = explore_graph(roots, expand, visit)
-            expanded.append(len(edges))
-            return order, edges
-
-        monkeypatch.setattr(ex, "explore_graph", counting)
-        assert ex._play(a, monitor, 2) == (False, None)
+        won, lost, current = _solve_finite_game(a, monitor, 2)
+        assert not won
         full = build_finite_game_reference(a, monitor, 2)[0].num_positions
-        assert 2 * expanded[0] < full
+        assert 2 * _explored(lost, current) < full
+
+    def test_won_ak6_explores_under_a_quarter_of_the_arena(self):
+        # the won k=6 game of ak6 has 3,761 positions; the solver explores
+        # 777 of them (185 letter-player, 592 token-player), and its
+        # strategy covers 28 token-player positions
+        a = complete(gen_ak(6))
+        monitor = resolve_monitor(a)
+        won, lost, current = _solve_finite_game(a, monitor, 6)
+        full = build_finite_game_reference(a, monitor, 6)[0].num_positions
+        assert won and full == 3761
+        assert 4 * _explored(lost, current) < full
+        assert len(verify_token_strategy(a, monitor.automaton, 6, current)) == 28
+
+
+def _token_strategy_mutants():
+    """(name, automaton, monitor automaton, k, moves) of the won k=3 game of
+    the corpus case "repeated": its strategy, then four mutants of it, each
+    changing one move: to a legal move the strategy has no answer after, to
+    a multiset the tokens cannot reach, to the wrong monitor state, and to a
+    legal move into a bad position."""
+    a = complete(next(a for name, a, k in _finite_game_corpus() if name == "repeated"))
+    monitor = resolve_monitor(a)
+    mon = monitor.automaton
+    _, _, current = _solve_finite_game(a, monitor, 3)
+    strategy = verify_token_strategy(a, mon, 3, current)
+    ref, _, ref_bad = build_finite_game_reference(a, monitor, 3)
+    bad = {ref.labels[p] for p in ref_bad}
+    answered = {t[:2] for t in strategy}
+
+    def legal(t):
+        return [ref.labels[d] for d, _ in ref.edges[ref.labels.index(t)]]
+
+    def unreachable(t):  # one token of the move put on another state
+        dsts, m2 = strategy[t]
+        moved = sorted({tuple(sorted(dsts[1:] + (q,))) for q in range(a.num_states)})
+        return [(d, m2) for d in moved if d not in multiset_moves_reference(a, t[0], t[2])]
+
+    def mutant(pick):
+        t, w = next((t, w) for t in strategy for w in pick(t) if w != strategy[t])
+        return {**strategy, t: w}
+
+    redirected = mutant(lambda t: [w for w in legal(t) if w not in answered and w not in bad])
+    illegal = mutant(unreachable)
+    monitor_state = mutant(lambda t: [(strategy[t][0], m) for m in range(mon.num_states)])
+    into_bad = mutant(lambda t: [w for w in legal(t) if w in bad])
+    return [(name, a, mon, 3, moves) for name, moves in (
+        ("strategy", strategy), ("redirected", redirected), ("illegal", illegal),
+        ("monitor", monitor_state), ("bad", into_bad))]
+
+
+class TestTokenStrategyCheck:
+    """`games.verify_token_strategy` accepts the solver's strategies and
+    refuses every mutant with SolverCheckFailed, also under `python -O`."""
+
+    MESSAGES = {"redirected": "has no move at", "illegal": "moves \\(",
+                "monitor": "moves the monitor", "bad": "reaches the lost position"}
+
+    def test_refuses_every_mutant(self):
+        cases = _token_strategy_mutants()
+        verify_token_strategy(*cases[0][1:])
+        for name, *args in cases[1:]:
+            with pytest.raises(SolverCheckFailed, match=self.MESSAGES[name]):
+                verify_token_strategy(*args)
+
+    def test_refuses_every_mutant_optimized(self):
+        done = run_optimized("""
+from explora.errors import SolverCheckFailed
+from explora.games import verify_token_strategy
+from test_explorability import _token_strategy_mutants
+for name, *args in _token_strategy_mutants():
+    try:
+        verify_token_strategy(*args)
+        print(name, "accepted")
+    except SolverCheckFailed:
+        print(name, "refused")
+""")
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split("\n") == ["strategy accepted", "redirected refused",
+                                            "illegal refused", "monitor refused",
+                                            "bad refused", ""]
+
+    def test_play_checks_the_strategy(self, monkeypatch):
+        # a solver that returns a mutant strategy makes the verdict fail
+        import explora.explorability as ex
+        _, a, _, k, moves = _token_strategy_mutants()[-1]
+        monkeypatch.setattr(ex, "_solve_finite_game", lambda *args: (True, {}, moves))
+        with pytest.raises(SolverCheckFailed):
+            is_k_explorable(a, k)
+
+    def test_needs_a_perfect_matching(self):
+        # from the tokens (1, 2, 5), where 1 and 2 move only to 3 and 5 to 3
+        # or 4, each new token of (3, 4, 4) has a source and each old token a
+        # target among them, yet no matching pairs them all
+        a = Automaton.build("m", ["a"], 6, 0, "finite",
+                            [(0, "a", 1, 0), (0, "a", 2, 0), (0, "a", 5, 0),
+                             (1, "a", 3, 0), (2, "a", 3, 0), (5, "a", 3, 0),
+                             (5, "a", 4, 0), (3, "a", 3, 0), (4, "a", 4, 0)], range(6))
+        mon = Automaton.build("all", ["a"], 1, 0, "finite", [(0, "a", 0, 0)], [0])
+
+        def moves(dsts):
+            return {((0, 0, 0), 0, "a"): ((1, 2, 5), 0),
+                    ((1, 2, 5), 0, "a"): (dsts, 0), (dsts, 0, "a"): (dsts, 0)}
+
+        verify_token_strategy(a, mon, 3, moves((3, 3, 3)))
+        verify_token_strategy(a, mon, 3, moves((3, 3, 4)))
+        with pytest.raises(SolverCheckFailed, match="moves \\(1, 2, 5\\)"):
+            verify_token_strategy(a, mon, 3, moves((3, 4, 4)))
 
 
 def _breakpoint_game_corpus():

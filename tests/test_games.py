@@ -137,6 +137,26 @@ class TestAgreesWithRecursiveCompiler:
             branching += cond.num_states > 1
         assert branching > 200
 
+    def test_long_chain_tests_few_caps(self):
+        # ranks 0..299 on one channel under `or p0 p0` give a chain of 300
+        # tree levels; a level tests only the caps not below the one that
+        # flips, 300 calls of `holds` in all where testing every cap made
+        # 44,851
+        calls = []
+
+        class Counting(Or):
+            def holds(self, tuples):
+                calls.append(len(tuples))
+                return super().holds(tuples)
+
+        colors = [(r,) for r in range(300)]
+        tree = zielonka_tree(Counting(MaxEvenParity(0), MaxEvenParity(0)), colors)
+        depth, node = 0, tree
+        while node.children:
+            (node,), depth = node.children, depth + 1
+        assert depth == 299
+        assert len(calls) <= 2 * len(colors)
+
     def test_deep_tree_below_a_lowered_recursion_limit(self):
         # a ring whose ranks alternate parity has one tree level per rank,
         # twice as many as the limit allows frames; the objective is no atom
