@@ -84,11 +84,15 @@ class _Report:
         # read before any work, so that a broken knob writes no file
         self.knobs = {"channel_budget": config.channel_budget(),
                       "lasso_bound": config.lasso_bound()} if self.json else {}
+        # a command that writes its artifact to stdout reports on stderr
+        self.to_stderr = "-" in (getattr(args, "output", None),
+                                 getattr(args, "emit_reduction", None))
         self.t0 = time.perf_counter()
         self.extra = {}
 
     def finish(self, verdict: str, code: int) -> int:
         ms = round((time.perf_counter() - self.t0) * 1000, 3)
+        out = sys.stderr if self.to_stderr else sys.stdout
         if self.json:
             payload = {
                 "schema": SCHEMA,
@@ -99,9 +103,9 @@ class _Report:
                 **self.knobs,
             }
             payload.update(self.extra)
-            print(json.dumps(payload))
+            print(json.dumps(payload), file=out)
         else:
-            print(verdict)
+            print(verdict, file=out)
         return code
 
 

@@ -19,20 +19,24 @@ parity pipeline with the objective
 
 The monitor's kind picks the infinite-word game.  A breakpoint monitor,
 which `determinize.resolve_monitor` builds for the inputs that
-`automata.ranked_01` admits, plays on multisets of (clean, state) tokens with
-Miyano-Hayashi breakpoints (Miyano and Hayashi, "Alternating finite automata
-on omega-words", TCS 1984).  Its arena has one rank per edge, folding the
-monitor's rank into the breakpoint's, so the objective is the bare ``p0``
-for every k and `games.solve` plays it without a product; see
-`_breakpoint_tokens`.  A user monitor (Buchi, general parity and
-multi-channel inputs) plays on token tuples, since per-token rank channels
-must follow actual runs: k tokens of `a` are one token of the k-fold union
-power `constructions.union_power(a, k)`, whose channels, one per copy and
-channel of `a`, grow with k and are capped by `config.check_channels`.
+`automata.ranked_01` admits, plays on multisets of clean or dirty tokens,
+coded as ints, with Miyano-Hayashi breakpoints (Miyano and Hayashi,
+"Alternating finite automata on omega-words", TCS 1984).  Its arena has one
+rank per edge, folding the monitor's rank into the breakpoint's, so the
+objective is the bare ``p0`` for every k and `games.solve` plays it without
+a product; see `_breakpoint_tokens`.  A user monitor (Buchi, general parity
+and multi-channel inputs) plays on token tuples, since per-token rank
+channels must follow actual runs: k tokens of `a` are one token of the
+k-fold union power `constructions.union_power(a, k)`, whose channels, one
+per copy and channel of `a`, grow with k and are capped by
+`config.check_channels`.
 
 The token moves do not depend on the monitor state, so every builder
 computes them once per (tokens, letter) and shares them between every
-monitor state that meets that pair; the memo lives for one build.
+monitor state that meets that pair; the memo lives for one build.  The
+infinite-word games key a token-player position by its moves' arguments
+(tokens, letter, m2, mrank), so every monitor state that steps to (m2,
+mrank) under the letter shares it: the moves and their ranks are the same.
 """
 
 from __future__ import annotations
@@ -169,7 +173,9 @@ def _breakpoint_tokens(a: Automaton, mon: Automaton, k: int):
     """Channel, objective, start and moves of the game on breakpoint
     multisets, played under a monitor that ranks in [0, 1].
 
-    A token is a (clean, state) pair, and a token stays clean while it takes
+    A token is an int: state q of ``canonical_parity(a)``, whose n states
+    count the sink it adds to safety and reachability inputs, is token q
+    while dirty and q + n while clean.  A token stays clean while it takes
     only rank-0 transitions.  When a move leaves no clean token, every token
     becomes clean again: that move is a breakpoint.  The token player wins
     iff the monitor rejects or there are finitely many breakpoints, and that
@@ -191,8 +197,9 @@ def _breakpoint_tokens(a: Automaton, mon: Automaton, k: int):
     seen infinitely often is even, so the objective is the bare ``p0`` for
     every k and the arena needs no product.
     """
-    delta = canonical_parity(a).delta
-    dests: dict = {}  # ((clean, state), letter) -> sorted distinct successor tokens
+    canonical = canonical_parity(a)
+    delta, n = canonical.delta, canonical.num_states
+    dests: dict = {}  # (token, letter) -> sorted distinct successor tokens
     token_moves: dict = {}  # (tokens, letter) -> successor multisets with their ranks
 
     def moves(tokens, letter, m2, mrank):
@@ -200,18 +207,18 @@ def _breakpoint_tokens(a: Automaton, mon: Automaton, k: int):
         if out is None:
             for token in tokens:
                 if (token, letter) not in dests:
-                    clean, q = token
+                    clean = token >= n
                     dests[(token, letter)] = tuple(sorted(
-                        {(clean and r == 0, d) for d, r in delta[(q, letter)]}))
+                        {d + n if clean and r == 0 else d for d, r in delta[(token % n, letter)]}))
             # a clean token sorts last; at a breakpoint every token becomes clean again
             out = token_moves[(tokens, letter)] = [
-                (dsts, (0,)) if dsts[-1][0] else (tuple((True, q) for _, q in dsts), (1,))
+                (dsts, (0,)) if dsts[-1] >= n else (tuple(q + n for q in dsts), (1,))
                 for dsts in _multiset_moves(dests, tokens, letter)]
         if mrank:  # the monitor's rank 1 outranks every breakpoint
             return [((dsts, m2), (2,)) for dsts, _ in out]
         return [((dsts, m2), rank) for dsts, rank in out]
 
-    return ((0, 2),), MaxEvenParity(0), tuple([(True, a.initial)] * k), moves
+    return ((0, 2),), MaxEvenParity(0), tuple([a.initial + n] * k), moves
 
 
 def _tuple_tokens(a: AnyAutomaton, mon: Automaton, k: int):
@@ -244,11 +251,10 @@ def _build_infinite_game(a: AnyAutomaton, monitor: Monitor, k: int):
     neutral = tuple(lo for lo, _ in channels)
 
     def expand(key):
-        if len(key) == 2:
+        if len(key) == 2:  # a token-player position is keyed by its moves' arguments
             tokens, m = key
-            return [((tokens, m, letter), neutral) for letter in a.alphabet]
-        tokens, m, letter = key
-        return moves(tokens, letter, *mon_delta[(m, letter)])
+            return [((tokens, letter, *mon_delta[(m, letter)]), neutral) for letter in a.alphabet]
+        return moves(*key)
 
     order, edges = explore_graph([(start, mon.initial)], expand)
     return _token_arena(order, edges, channels), objective
@@ -256,7 +262,8 @@ def _build_infinite_game(a: AnyAutomaton, monitor: Monitor, k: int):
 
 def _token_arena(order, edges, channels) -> Arena:
     """The arena of a token game walk: (tokens, m) positions belong to the
-    letter player, (tokens, m, letter) positions to the token player."""
+    letter player, (tokens, m, letter) and (tokens, letter, m2, mrank) ones,
+    of the finite- and infinite-word games, to the token player."""
     return Arena(
         owner=tuple(1 if len(key) == 2 else 0 for key in order),
         edges=tuple(edges),

@@ -605,9 +605,10 @@ def solve(arena: Arena, obj: Objective) -> SolveResult:
         product, cond = compile_objective(arena, obj)
         label = product.labels.__getitem__
     inner = solve_parity(product)
-    n = arena.num_positions
-    region0 = frozenset(p for p in range(n) if p in inner.winning_region_0)
-    region1 = frozenset(range(n)) - region0
+    region0, region1 = inner.winning_region_0, inner.winning_region_1
+    if product is not arena:  # each position with the condition automaton restarted
+        region0 = frozenset(p for p in range(arena.num_positions) if p in region0)
+        region1 = frozenset(range(arena.num_positions)) - region0
 
     def lift(strat):
         moves = dict(sorted((label(i), edge_idx) for i, edge_idx in strat.moves.items()))

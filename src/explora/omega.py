@@ -48,11 +48,14 @@ def build_elimination_game(a: Automaton) -> Arena:
     a = canonical_parity(complete(a))
     monitor = breakpoint_construction(a).automaton
     mon_delta = {key: succ[0] for key, succ in monitor.delta.items()}
+    posts: dict = {}  # (support, letter) -> its successor support, one step each
 
     def expand(key):
         if len(key) == 4:  # Protector picks the challenger transition
             support, q, p, letter = key
-            support2 = a.post(support, letter)
+            support2 = posts.get((support, letter))
+            if support2 is None:
+                support2 = posts[(support, letter)] = a.post(support, letter)
             p2, mrank = mon_delta[(p, letter)]
             out = []
             for q2, rank in sorted(set(a.successors(q, letter))):

@@ -479,6 +479,45 @@ def solve_finite_game_reference(a, monitor: Monitor, k: int):
 # it as one token of the union power.
 
 
+def build_breakpoint_game_reference(a, monitor: Monitor, k: int):
+    """The infinite-word k-token game on breakpoint multisets, unshared:
+    a token is a (clean, state) pair of ``canonical_parity(a)``, and a
+    token-player position is (tokens, m, letter), one per monitor state even
+    where two monitor states step to the same successor.  Each move lists
+    every joint token move and sorts it into a multiset; ranks as in
+    `explorability._breakpoint_tokens` (2 at a monitor rank 1, else 1 at a
+    breakpoint, else 0)."""
+    a = canonical_parity(complete(a))
+    mon = monitor.automaton
+    mon_delta = {key: succ[0] for key, succ in mon.delta.items()}
+
+    def expand(key):
+        if len(key) == 2:
+            tokens, m = key
+            return [((tokens, m, letter), (0,)) for letter in a.alphabet]
+        tokens, m, letter = key
+        m2, mrank = mon_delta[(m, letter)]
+        options = [{(clean and r == 0, d) for d, r in a.successors(q, letter)}
+                   for clean, q in tokens]
+        out = []
+        for dsts in sorted({tuple(sorted(combo)) for combo in product(*options)}):
+            reset = not any(clean for clean, _ in dsts)
+            if reset:  # a breakpoint: every token becomes clean again
+                dsts = tuple((True, q) for _, q in dsts)
+            out.append(((dsts, m2), (2 if mrank else int(reset),)))
+        return out
+
+    order, edges = explore_graph([(tuple([(True, a.initial)] * k), mon.initial)], expand)
+    arena = Arena(
+        owner=tuple(1 if len(key) == 2 else 0 for key in order),
+        edges=tuple(edges),
+        initial=0,
+        channels=((0, 2),),
+        labels=tuple(order),
+    )
+    return arena, MaxEvenParity(0)
+
+
 def _token_channels(a: AnyAutomaton) -> tuple[tuple[int, int], ...]:
     if isinstance(a, MultiAutomaton):
         return a.channels

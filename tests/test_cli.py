@@ -159,6 +159,58 @@ def test_generate_and_construct(tmp_path):
     assert reduced.condition == "safety"
 
 
+ARTIFACT_COMMANDS = [["generate", "ak", "-k", "3"], ["pcp-reduce", "a2.aut"],
+                     ["pcp-to-nfa", "a2.pcp"], ["construct", "to13", "p14.aut"],
+                     ["construct", "power", "-k", "2", "a2.aut"],
+                     ["construct", "cond02", "-k", "2"]]
+
+
+@pytest.mark.parametrize("flags", [[], ["--json"]], ids=["text", "json"])
+@pytest.mark.parametrize("argv", ARTIFACT_COMMANDS, ids=lambda argv: "-".join(argv[:2]))
+def test_artifact_on_stdout_alone(tmp_path, capsys, monkeypatch, argv, flags):
+    # with -o - (the default) stdout holds what -o FILE writes, and the
+    # verdict line or JSON report goes to stderr
+    monkeypatch.chdir(tmp_path)
+    write(tmp_path, "a2.aut", format_automaton(gen_ak(2)))
+    write(tmp_path, "p14.aut", "automaton p\nalphabet: a b\nstates: 1\ninitial: 0\n"
+                               "condition: parity 1 4\nt 0 a 0 2\nt 0 b 0 3\n")
+    assert main(["pcp-reduce", "a2.aut", "-o", "a2.pcp"]) == 0
+    capsys.readouterr()
+    assert main([*flags, *argv, "-o", "file.out"]) == 0
+    to_file = capsys.readouterr()
+    assert to_file.err == ""
+    assert main([*flags, *argv]) == 0
+    to_stdout = capsys.readouterr()
+    assert to_stdout.out == (tmp_path / "file.out").read_text()
+    if flags:
+        reports = [json.loads(text) for text in (to_file.out, to_stdout.err)]
+        for report in reports:
+            del report["timings_ms"]
+        assert reports[0] == reports[1]
+    else:
+        assert to_stdout.err == to_file.out
+
+
+def test_generated_file_on_stdout_is_read_back(tmp_path, capsys, monkeypatch):
+    # explora generate ak -k 3 > a3.aut; explora explorable --max-k 3 a3.aut
+    monkeypatch.chdir(tmp_path)
+    assert main(["generate", "ak", "-k", "3"]) == 0
+    write(tmp_path, "a3.aut", capsys.readouterr().out)
+    assert main(["explorable", "--max-k", "3", "a3.aut"]) == 0
+    assert capsys.readouterr().out == "explorable-with: 3\n"
+    assert main(["pcp-reduce", "a3.aut"]) == 0
+    write(tmp_path, "a3.pcp", capsys.readouterr().out)
+    assert main(["population", "-k", "3", "a3.pcp"]) == 0
+    assert capsys.readouterr().out == "determiniser-wins: True\n"
+    write(tmp_path, "p14.aut", "automaton p\nalphabet: a b\nstates: 1\ninitial: 0\n"
+                               "condition: parity 1 4\nt 0 a 0 2\nt 0 b 0 3\n")
+    assert main(["omega-explorable", "--emit-reduction", "-", "p14.aut"]) == 2
+    reduction = capsys.readouterr()
+    assert reduction.err == "unknown (Buchi reduction available)\n"
+    write(tmp_path, "buchi.aut", reduction.out)
+    assert main(["omega-explorable", "buchi.aut"]) == 2
+
+
 def test_solve_game(tmp_path, capsys):
     text = """arena
 positions: 2

@@ -6,8 +6,8 @@ from random import Random
 
 import pytest
 
-from explora.automata import (Automaton, MultiAutomaton, MultiTransition, complete,
-                              is_complete, member_finite)
+from explora.automata import (Automaton, MultiAutomaton, MultiTransition, canonical_parity,
+                              complete, is_complete, member_finite)
 from explora.constructions import (compose_monitor, union_condition_automaton_02,
                                    union_power, union_product)
 from explora.determinize import Monitor, resolve_monitor
@@ -24,9 +24,10 @@ from explora.generators import gen_ak, gen_bk, gen_c, random_automaton
 from explora.textio import format_automaton
 
 from conftest import automaton_corpus, gen_c_rejecting_aaa, run_optimized, run_python
-from reference import (_spoiler_attractor, build_finite_game_reference,
-                       build_tuple_game_reference, is_k_explorable_tuples,
-                       iter_words, multiset_moves_reference, solve_finite_game_reference)
+from reference import (_spoiler_attractor, build_breakpoint_game_reference,
+                       build_finite_game_reference, build_tuple_game_reference,
+                       is_k_explorable_tuples, iter_words, multiset_moves_reference,
+                       solve_finite_game_reference)
 
 
 class TestBranchingFamily:
@@ -189,9 +190,11 @@ def test_corpora_do_not_depend_on_the_hash_seed():
     script = """
 from explora.textio import format_automaton
 from test_explorability import (_breakpoint_game_corpus, _finite_game_corpus,
-                                _tuple_game_corpus)
+                                _ranked_01_corpus, _tuple_game_corpus)
 for name, a, k in _finite_game_corpus() + _breakpoint_game_corpus():
     print(name, k, format_automaton(a))
+for name, a in _ranked_01_corpus():
+    print(name, format_automaton(a))
 for name, a, m, k in _tuple_game_corpus():
     print(name, k, format_automaton(a), format_automaton(m))
 """
@@ -570,6 +573,86 @@ class TestBreakpointGameMatchesTuples:
         monitor = resolve_monitor(u, compose_monitor(u, union_condition_automaton_02(2)))
         arena, _ = build_k_explorability_game(u, monitor, 2)
         assert len(arena.channels) == 5
+
+
+def _ranked_01_corpus():
+    """(name, automaton) of 200 seeded random inputs that `ranked_01`
+    admits: safety, coBuchi, parity 0 1 and reachability, 2-4 states, every
+    other one partial."""
+    rng = Random(201)
+    cases = []
+    for i in range(200):
+        condition = ("safety", "cobuchi", "parity", "reachability")[i % 4]
+        parity = (0, 1) if condition == "parity" else None
+        a = random_automaton(rng, rng.randint(2, 4), "abc"[:rng.randint(2, 3)], condition,
+                             parity=parity)
+        kept = [t for t in sorted(a.transitions) if i % 8 < 4 or rng.random() < 0.75]
+        if condition == "reachability":  # few accepting transitions, so that games are lost too
+            kept = [t._replace(rank=0) if t.rank and rng.random() < 0.75 else t for t in kept]
+        a = Automaton.build(a.name, a.alphabet, a.num_states, a.initial, condition, kept,
+                            parity=parity)
+        cases.append((f"{condition}-{'partial' if i % 8 >= 4 else 'complete'}-{i}", a))
+    return cases
+
+
+def _num_edges(arena):
+    return sum(map(len, arena.edges))
+
+
+class TestBreakpointGameMatchesReference:
+    """The breakpoint game codes tokens as ints and keys each token-player
+    position by its moves' arguments (tokens, letter, m2, mrank), shared by
+    every monitor state that steps to (m2, mrank); the reference keeps
+    (clean, state) tokens and one (tokens, m, letter) position per monitor
+    state.  Shared positions are bisimilar, so the verdicts agree."""
+
+    @pytest.mark.parametrize("a", [pytest.param(a, id=name) for name, a in _ranked_01_corpus()])
+    def test_same_verdict_smaller_arena(self, a):
+        a = complete(a)
+        monitor = resolve_monitor(a)
+        n = canonical_parity(a).num_states
+        mon_delta = {key: succ[0] for key, succ in monitor.automaton.delta.items()}
+        for k in (1, 2, 3):
+            arena, objective = build_k_explorability_game(a, monitor, k)
+            ref, ref_objective = build_breakpoint_game_reference(a, monitor, k)
+            won = arena.initial in solve(arena, objective).winning_region_0
+            assert won == (ref.initial in solve(ref, ref_objective).winning_region_0)
+            assert arena.num_positions <= ref.num_positions
+            assert _num_edges(arena) <= _num_edges(ref)
+            # the same letter-player positions, and one token-player
+            # position per distinct (tokens, letter, m2, mrank)
+            letter_positions = {(tuple((q >= n, q % n) for q in tokens), m)
+                                for tokens, m in (key for key in arena.labels if len(key) == 2)}
+            assert letter_positions == {key for key in ref.labels if len(key) == 2}
+            shared = {(tokens, letter, *mon_delta[(m, letter)])
+                      for tokens, m, letter in (key for key in ref.labels if len(key) == 3)}
+            assert sum(len(key) == 4 for key in arena.labels) == len(shared)
+
+    def test_corpus_has_won_and_lost_games(self):
+        verdicts = {(a.condition, is_k_explorable(a, 2)) for _, a in _ranked_01_corpus()[::3]}
+        assert verdicts == {(c, won) for c in ("safety", "cobuchi", "parity", "reachability")
+                            for won in (True, False)}
+
+    def test_monitor_states_share_a_token_position(self):
+        # both monitor states step to (1, 0) under a and to (0, 0) under b,
+        # so a clean token on state 0 meets one token position per letter
+        a = Automaton.build("shared", "ab", 2, 0, "cobuchi",
+                            [(0, "a", 0, 0), (0, "a", 1, 0), (0, "b", 0, 0),
+                             (1, "a", 0, 1), (1, "a", 1, 0), (1, "b", 0, 1)])
+        monitor = resolve_monitor(a)
+        arena, _ = build_k_explorability_game(a, monitor, 1)
+        ref, _ = build_breakpoint_game_reference(a, monitor, 1)
+        index = {key: p for p, key in enumerate(arena.labels)}
+        moves = [arena.edges[index[((2,), m)]] for m in (0, 1)]
+        assert moves[0] == moves[1] == ((index[((2,), "a", 1, 0)], (0,)),
+                                        (index[((2,), "b", 0, 0)], (0,)))
+        assert {(((True, 0),), m, letter) for m in (0, 1) for letter in "ab"} <= set(ref.labels)
+        assert (arena.num_positions, ref.num_positions) == (7, 9)
+
+    def test_scale_instance_counts(self):
+        a = random_automaton(Random(7), 5, "ab", "cobuchi")
+        arena, _ = build_k_explorability_game(a, resolve_monitor(complete(a)), 4)
+        assert (arena.num_positions, _num_edges(arena)) == (11777, 44192)
 
 
 class TestBreakpointGameScale:

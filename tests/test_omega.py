@@ -1,3 +1,4 @@
+from collections import Counter
 from random import Random
 
 import pytest
@@ -28,6 +29,20 @@ class TestEliminationGame:
             n = a.num_states
             assert arena.num_positions <= \
                 2 ** n * n * 3 ** n * (1 + len(a.alphabet))
+
+    def test_one_support_step_per_support_and_letter(self, monkeypatch):
+        import explora.omega as omega
+        a = gen_fig4("left")
+        monitor = omega.breakpoint_construction(canonical_parity(complete(a)))
+        monkeypatch.setattr(omega, "breakpoint_construction", lambda _: monitor)
+        calls = []
+        real = Automaton.post
+        monkeypatch.setattr(Automaton, "post",
+                            lambda self, *args: calls.append(args) or real(self, *args))
+        arena = build_elimination_game(a)
+        letter_positions = [key for key in arena.labels if len(key) == 4]
+        assert Counter(calls) == Counter({(key[0], key[3]) for key in letter_positions})
+        assert len(calls) < len(letter_positions)
 
     def test_deterministic_cobuchi_corpus_is_omega_explorable(self):
         for a in automaton_corpus(71, 8, 3, ["a", "b"], "cobuchi", max_branch=1):
