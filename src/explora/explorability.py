@@ -52,8 +52,8 @@ from .automata import (Automaton, AnyAutomaton, canonical_parity, complete,
 from .constructions import power_channels, union_power
 from .determinize import Monitor, resolve_monitor, subset_construction
 from .errors import NonSinkTarget, ReductionCheckFailed
-from .games import (Arena, MaxEvenParity, Not, Or, Strategy, any_of, solve,
-                    verify_token_strategy)
+from .games import (Arena, MaxEvenParity, Not, Objective, Or, Strategy, any_of,
+                    explore_arena, solve, verify_token_strategy)
 
 
 @dataclass(frozen=True)
@@ -74,10 +74,6 @@ class ExplorabilityVerdict:
     status: str  # "explorable-with" | "not-explorable-up-to"
     k: int
     witness: Optional[Strategy] = None
-
-    @property
-    def is_explorable(self) -> Optional[bool]:
-        return True if self.status == "explorable-with" else None
 
 
 # ---------------------------------------------------------------------------
@@ -256,50 +252,31 @@ def _build_infinite_game(a: AnyAutomaton, monitor: Monitor, k: int):
             return [((tokens, letter, *mon_delta[(m, letter)]), neutral) for letter in a.alphabet]
         return moves(*key)
 
-    order, edges = explore_graph([(start, mon.initial)], expand)
-    return _token_arena(order, edges, channels), objective
+    # (tokens, m) positions belong to the letter player, the others to the token player
+    arena = explore_arena((start, mon.initial), expand,
+                          lambda key: 1 if len(key) == 2 else 0, channels)
+    return arena, objective
 
 
-def _token_arena(order, edges, channels) -> Arena:
-    """The arena of a token game walk: (tokens, m) positions belong to the
-    letter player, (tokens, m, letter) and (tokens, letter, m2, mrank) ones,
-    of the finite- and infinite-word games, to the token player."""
-    return Arena(
-        owner=tuple(1 if len(key) == 2 else 0 for key in order),
-        edges=tuple(edges),
-        initial=0,
-        channels=channels,
-        labels=tuple(order),
-    )
-
-
-def build_k_explorability_game(a: AnyAutomaton, monitor: Monitor, k: int):
+def build_k_explorability_game(a: AnyAutomaton, monitor: Monitor,
+                               k: int) -> tuple[Arena, Objective]:
     """Arena and Determiniser objective of the k-token explorability game of
-    the completed automaton, as `is_k_explorable` plays it.
+    the completed automaton, as `is_k_explorable` plays it.  It builds
+    infinite-word arenas only.
 
-    The monitor's kind picks the game.  A subset monitor (finite words) gets
-    the safety formulation over token multisets.  A breakpoint monitor gets
-    token multisets in a one-rank arena over [0, 2] and the objective ``p0``
-    for every k.  A user monitor gets token tuples, played as one token of
-    the k-fold union power, under ``not p0 or p1 or ... or pw``, since
-    per-token parity channels are only meaningful along actual runs.
+    The monitor's kind picks the game.  A breakpoint monitor gets token
+    multisets in a one-rank arena over [0, 2] and the objective ``p0`` for
+    every k.  A user monitor gets token tuples, played as one token of the
+    k-fold union power, under ``not p0 or p1 or ... or pw``, since per-token
+    parity channels are only meaningful along actual runs.  A subset monitor
+    (finite words) is refused: that game is solved locally and builds no
+    arena.
     """
     if k < 1:
         raise ValueError("token count must be at least 1")
-    a = complete(a)
     if monitor.is_finite:
-        root, bad, moves = _finite_tokens(a, monitor, k)
-
-        def expand(key):
-            if len(key) == 3:
-                return [(w, (1,)) for w in moves(*key)]
-            if bad(*key):  # a lost position loops on the even colour 2
-                return [(key, (2,))]
-            return [((*key, letter), (1,)) for letter in a.alphabet]
-
-        order, edges = explore_graph([root], expand)
-        return _token_arena(order, edges, ((1, 2),)), Not(MaxEvenParity(0))
-    return _build_infinite_game(a, monitor, k)
+        raise ValueError("the finite-word game is solved locally and builds no arena")
+    return _build_infinite_game(complete(a), monitor, k)
 
 
 def _play(a: AnyAutomaton, monitor: Monitor, k: int,

@@ -1,7 +1,10 @@
 """Two-player games on explicit arenas with parity-algebra objectives.
 
 Arenas are finite graphs whose edges carry integer rank tuples (one entry per
-channel).  Objectives are boolean combinations of per-channel atoms "the
+channel).  `explore_arena` is the one constructor of every explored game (the
+k-token game, the elimination game and the Eve-versus-k-Adam token game):
+the positions reachable from a root, in BFS order, labelled by their keys.
+Objectives are boolean combinations of per-channel atoms "the
 maximal rank appearing infinitely often on channel c is even"; owner 0 is the
 protagonist of the objective.  Such an objective is compiled into a single
 max-parity condition by building the Zielonka tree of the induced Muller
@@ -62,6 +65,15 @@ class Arena:
 
     def occurring_colors(self) -> frozenset[Color]:
         return frozenset(color for outgoing in self.edges for _, color in outgoing)
+
+
+def explore_arena(root, expand, owner, channels) -> Arena:
+    """The arena of the positions reachable from `root`, numbered in
+    `automata.explore_graph`'s BFS order from root = position 0:
+    ``expand(key)`` lists a position's ``(successor key, color)`` pairs,
+    ``owner(key)`` its owner, and ``labels[i]`` is position i's key."""
+    order, edges = explore_graph([root], expand)
+    return Arena(tuple(map(owner, order)), tuple(edges), 0, channels, tuple(order))
 
 
 # ---------------------------------------------------------------------------
@@ -619,21 +631,6 @@ def solve(arena: Arena, obj: Objective) -> SolveResult:
 
 # ---------------------------------------------------------------------------
 # arena text format (solve-game CLI)
-
-
-def format_arena(arena: Arena, obj: Objective) -> str:
-    out = ["arena",
-           f"positions: {arena.num_positions}",
-           f"initial: {arena.initial}",
-           f"channels: {len(arena.channels)}"]
-    for c, (lo, hi) in enumerate(arena.channels):
-        out.append(f"range: {c} {lo} {hi}")
-    out.append("owner: " + " ".join(str(o) for o in arena.owner))
-    for p in range(arena.num_positions):
-        for dst, color in arena.edges[p]:
-            out.append(f"e {p} {dst} " + " ".join(map(str, color)))
-    out.append("objective: " + format_objective(obj))
-    return "\n".join(out) + "\n"
 
 
 def parse_arena(text: str, source: str = "<string>") -> tuple[Arena, Objective]:

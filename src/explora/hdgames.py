@@ -13,11 +13,12 @@ from itertools import product
 from typing import Optional
 
 from . import config
-from .automata import Automaton, canonical_parity, complete, explore_graph
+from .automata import Automaton, canonical_parity, complete
 from .constructions import power_channels
 from .errors import UnverifiedExplorability
 from .explorability import is_k_explorable
-from .games import (Arena, MaxEvenParity, Not, Objective, Or, all_of, solve)
+from .games import (Arena, MaxEvenParity, Not, Objective, Or, all_of, explore_arena,
+                    solve)
 
 EVE = "eve"
 ADAM = "adam"
@@ -52,14 +53,8 @@ def build_token_game(a: Automaton, k: int) -> tuple[Arena, Objective]:
         return [((eve,) + tuple(d for d, _ in combo), (lo,) + tuple(r for _, r in combo))
                 for combo in product(*options)]
 
-    order, edges = explore_graph([tuple([a.initial] * (k + 1))], expand)
-    arena = Arena(
-        owner=tuple(0 if len(key) > k + 1 and key[-1] == "E" else 1 for key in order),
-        edges=tuple(edges),
-        initial=0,
-        channels=channels,
-        labels=tuple(order),
-    )
+    arena = explore_arena(tuple([a.initial] * (k + 1)), expand,
+                          lambda key: 0 if len(key) > k + 1 and key[-1] == "E" else 1, channels)
     # no size checks: a key is k + 1 states of `a`, alone or with a letter and
     # a turn, and a color is k + 1 ranks of a.rank_range (Buchi, k=2: 8 colors)
     objective = Or(MaxEvenParity(0),

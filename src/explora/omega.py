@@ -20,11 +20,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .automata import (Automaton, Transition, canonical_parity, complete,
-                       explore_graph, ranked_01)
+from .automata import Automaton, Transition, canonical_parity, complete, ranked_01
 from .determinize import breakpoint_construction
 from .errors import MonitorCheckFailed
-from .games import Arena, solve_parity
+from .games import Arena, explore_arena, solve_parity
 
 
 @dataclass(frozen=True)
@@ -72,16 +71,10 @@ def build_elimination_game(a: Automaton) -> Arena:
 
     start = (frozenset({a.initial}), a.initial, monitor.initial)
     # no size check: interned keys are distinct tuples over A's and M's states
-    order, edges = explore_graph([start], expand)
-    arena = Arena(
-        owner=tuple(0 if len(key) == 3 and key[0] != "elim" else 1 for key in order),
-        edges=tuple(edges),
-        initial=0,
-        channels=((1, 3),),
-        labels=tuple(order),
-    )
+    arena = explore_arena(start, expand,
+                          lambda key: 0 if len(key) == 3 and key[0] != "elim" else 1, ((1, 3),))
     # rank-3 edges occur exactly at breakpoint monitor transitions
-    for i, key in enumerate(order):
+    for i, key in enumerate(arena.labels):
         if len(key) == 4:
             _, mrank = mon_delta[(key[2], key[3])]
             if any((color[0] == 3) != (mrank == 1) for _, color in arena.edges[i]):

@@ -21,8 +21,8 @@ from explora.determinize import Monitor, resolve_monitor
 from explora.errors import SolverCheckFailed
 from explora.games import (Arena, Color, ConditionAutomaton, MaxEvenParity,
                            Not, Or, SolveResult, Strategy, ZielonkaNode,
-                           _trampoline, any_of,
-                           condition_automaton, solve_parity, verify_strategy,
+                           _trampoline, any_of, condition_automaton,
+                           format_objective, solve_parity, verify_strategy,
                            zielonka_tree)
 
 
@@ -672,3 +672,19 @@ def random_multi_arena(rng: Random, num_positions: int,
             for _ in range(degree))
         edges.append(out)
     return Arena(owner, tuple(edges), 0, channels)
+
+
+def format_arena(arena: Arena, obj) -> str:
+    """The arena in the text format that `games.parse_arena` reads."""
+    out = ["arena",
+           f"positions: {arena.num_positions}",
+           f"initial: {arena.initial}",
+           f"channels: {len(arena.channels)}"]
+    for c, (lo, hi) in enumerate(arena.channels):
+        out.append(f"range: {c} {lo} {hi}")
+    out.append("owner: " + " ".join(str(o) for o in arena.owner))
+    for p in range(arena.num_positions):
+        for dst, color in arena.edges[p]:
+            out.append(f"e {p} {dst} " + " ".join(map(str, color)))
+    out.append("objective: " + format_objective(obj))
+    return "\n".join(out) + "\n"

@@ -50,7 +50,6 @@ class TestNonExplorable:
         verdict = explorability_bounded(gen_c(), 4)
         assert verdict.status == "not-explorable-up-to"
         assert verdict.k == 4
-        assert verdict.is_explorable is None
 
 
 class TestExponentialFamily:
@@ -72,16 +71,22 @@ class TestExponentialFamily:
 
 class TestGameStructure:
     def test_arena_bound_on_b2(self):
-        a = gen_bk(2)
+        # the positions the local solver discovers, letter- and token-player
+        a = complete(gen_bk(2))
         monitor = resolve_monitor(a)
         k = 3
-        arena, _ = build_k_explorability_game(a, monitor, k)
+        _, lost, current = _solve_finite_game(a, monitor, k)
         n = a.num_states
         binom = 1
         for i in range(k):
             binom = binom * (n + i) // (i + 1)
         bound = binom * monitor.automaton.num_states * (1 + len(a.alphabet))
-        assert arena.num_positions <= bound
+        assert _explored(lost, current) <= bound
+
+    def test_finite_word_game_builds_no_arena(self):
+        a = complete(gen_ak(2))
+        with pytest.raises(ValueError, match="solved locally and builds no arena"):
+            build_k_explorability_game(a, resolve_monitor(a), 2)
 
     def test_deterministic_automata_are_1_explorable(self):
         for a in automaton_corpus(51, 6, 3, ["a", "b"], "finite", max_branch=1):
@@ -97,13 +102,14 @@ class TestGameStructure:
                 assert is_k_explorable(a, k) == is_k_explorable_tuples(a, k)
 
     def test_safety_game_agrees_with_generic_pipeline(self):
-        # the attractor fast path and the compiled parity game must coincide
+        # the local solver and the compiled parity game of the full arena
+        # must coincide
         rng = Random(78)
         for _ in range(10):
             a = complete(random_automaton(rng, 3, ["a", "b"], "finite"))
             monitor = resolve_monitor(a)
             for k in (1, 2):
-                arena, objective = build_k_explorability_game(a, monitor, k)
+                arena, objective, _ = build_finite_game_reference(a, monitor, k)
                 via_solver = arena.initial in solve(arena, objective).winning_region_0
                 assert via_solver == is_k_explorable(a, k)
 
@@ -203,10 +209,6 @@ for name, a, m, k in _tuple_game_corpus():
     assert runs[0].stdout == runs[1].stdout
 
 
-def _bad_positions(arena):
-    return [i for i, out in enumerate(arena.edges) if out == ((i, (2,)),)]
-
-
 def _population_games(monkeypatch):
     """(automaton, monitor, k) of the games `is_k_population_winnable` plays
     on the reductions of ak3, bk1 and c at k = 1..3."""
@@ -253,52 +255,9 @@ def _replay_witness_file(a, k, path):
     verify_token_strategy(a, resolve_monitor(a).automaton, k, moves)
 
 
-class TestPartialInputs:
-    """`build_k_explorability_game` completes its input, as `is_k_explorable`
-    does: a missing transition must not leave a position without an edge."""
-
-    @pytest.mark.parametrize("a, k", [pytest.param(a, k, id=f"{name}-k{k}")
-                                      for name, a, k in _finite_game_corpus()
-                                      if not is_complete(a)])
-    def test_no_dead_end_and_same_verdict(self, a, k):
-        arena, objective = build_k_explorability_game(a, resolve_monitor(a), k)
-        assert all(arena.edges)
-        won = arena.initial in solve(arena, objective).winning_region_0
-        assert won == is_k_explorable(a, k)
-
-
 class TestFiniteGameMatchesReference:
-    """The finite-word arena of `build_k_explorability_game` against the
-    reference builder, which recomputes the token moves at every position
-    and runs the bad test twice: the same positions in the same order, the
-    same edges and the same bad positions.  Witness files, which now cover
-    only the positions the strategy reaches, give the reference's verdicts
-    and replay."""
-
-    @staticmethod
-    def assert_same_game(a, monitor, k):
-        arena, objective = build_k_explorability_game(a, monitor, k)
-        ref, ref_objective, ref_bad = build_finite_game_reference(complete(a), monitor, k)
-        assert arena.owner == ref.owner
-        assert arena.edges == ref.edges
-        assert arena.labels == ref.labels
-        assert (arena.initial, arena.channels) == (ref.initial, ref.channels)
-        assert _bad_positions(arena) == ref_bad
-        assert objective == ref_objective
-
-    @pytest.mark.parametrize("a, k", [pytest.param(a, k, id=f"{name}-k{k}")
-                                      for name, a, k in _finite_game_corpus()])
-    def test_same_arena_as_reference(self, a, k):
-        self.assert_same_game(a, resolve_monitor(a), k)
-
-    def test_same_arena_on_population_games(self, monkeypatch):
-        for args in _population_games(monkeypatch):
-            self.assert_same_game(*args)
-
-    def test_objective(self):
-        a = complete(gen_ak(2))
-        _, objective = build_k_explorability_game(a, resolve_monitor(a), 2)
-        assert objective == build_finite_game_reference(a, resolve_monitor(a), 2)[1]
+    """Witness files of the local solver, which cover only the positions the
+    strategy reaches, give the reference solver's verdicts and replay."""
 
     @pytest.mark.parametrize("name", ["ak3", "bk2", "c", "random-1", "repeated"])
     def test_witness_files_replay(self, tmp_path, monkeypatch, capsys, name):
@@ -511,6 +470,7 @@ class TestBreakpointGameMatchesTuples:
         monitor = resolve_monitor(complete(a))
         arena, objective = build_k_explorability_game(a, monitor, k)
         assert arena.channels == ((0, 2),)
+        assert all(arena.edges)  # a partial input is completed: no dead end
         won = arena.initial in solve(arena, objective).winning_region_0
         ref, ref_objective = build_tuple_game_reference(complete(a), monitor, k)
         assert won == (ref.initial in solve(ref, ref_objective).winning_region_0)

@@ -78,20 +78,22 @@ class TestEliminationGame:
 
     def test_breakpoint_rank_check_raises_under_optimize(self):
         # a fault in the arena: one edge's rank-3 mark no longer follows the
-        # monitor's breakpoints; the check must not be an assert
+        # monitor's breakpoints; the check must not be an assert.  The fault
+        # goes into the walk that `games.explore_arena` runs.
         done = run_optimized("""
 import sys
+import explora.games as games
 import explora.omega as omega
 from explora.errors import MonitorCheckFailed
 from explora.generators import gen_fig4
-real = omega.explore_graph
+real = games.explore_graph
 def faulty(roots, expand):
     order, edges = real(roots, expand)
     i = next(i for i, key in enumerate(order) if len(key) == 4)
     dst, color = edges[i][0]
     edges[i] = ((dst, (1,) if color == (3,) else (3,)),) + edges[i][1:]
     return order, edges
-omega.explore_graph = faulty
+games.explore_graph = faulty
 try:
     omega.build_elimination_game(gen_fig4("left"))
 except MonitorCheckFailed:

@@ -5,11 +5,12 @@ from explora.cli import main
 from explora.errors import ParseError
 from explora.generators import (format_atm, gen_ak, gen_bk, gen_c,
                                 gen_fig4, parse_atm)
-from explora.games import format_arena, parse_arena, parse_objective
+from explora.games import parse_arena, parse_objective
 from explora.textio import (format_automaton, format_lasso, parse_automaton,
                             parse_lasso)
 
 from conftest import ATM_CORPUS, automaton_corpus
+from reference import format_arena
 
 
 def test_roundtrip_on_generator_corpus():
