@@ -13,13 +13,13 @@ from explora.constructions import (compose_monitor, union_condition_automaton_02
 from explora.determinize import Monitor, resolve_monitor
 from explora.errors import (ChannelBudgetExceeded, NonSinkTarget, ReductionCheckFailed,
                            SolverCheckFailed)
-from explora.explorability import (PCPInstance, _play, _solve_finite_game,
+from explora.explorability import (PCPInstance, _finite_tokens, _play, _solve_finite_game,
                                    build_k_explorability_game,
                                    explorability_bounded,
                                    explorability_witness, is_k_explorable,
                                    is_k_population_winnable, pcp_reduce,
                                    pcp_to_explorability)
-from explora.games import MaxEvenParity, solve, verify_token_strategy
+from explora.games import MaxEvenParity, explore_arena, solve, verify_token_strategy
 from explora.generators import gen_ak, gen_bk, gen_c, random_automaton
 from explora.textio import format_automaton
 
@@ -209,6 +209,27 @@ for name, a, m, k in _tuple_game_corpus():
     assert runs[0].stdout == runs[1].stdout
 
 
+def _bad_positions(arena):
+    return [i for i, out in enumerate(arena.edges) if out == ((i, (2,)),)]
+
+
+def _finite_game_arena(a, monitor, k):
+    """The finite-word game on the local solver's own start, bad test and
+    token moves (`explorability._finite_tokens`), assembled by
+    `games.explore_arena` in the reference builder's layout: a bad
+    letter-player position loops on rank 2, every other edge has rank 1."""
+    root, bad, moves = _finite_tokens(a, monitor, k)
+
+    def expand(key):
+        if len(key) == 3:
+            return [(w, (1,)) for w in moves(*key)]
+        if bad(*key):
+            return [(key, (2,))]
+        return [((*key, letter), (1,)) for letter in a.alphabet]
+
+    return explore_arena(root, expand, lambda key: 1 if len(key) == 2 else 0, ((1, 2),))
+
+
 def _population_games(monkeypatch):
     """(automaton, monitor, k) of the games `is_k_population_winnable` plays
     on the reductions of ak3, bk1 and c at k = 1..3."""
@@ -255,9 +276,49 @@ def _replay_witness_file(a, k, path):
     verify_token_strategy(a, resolve_monitor(a).automaton, k, moves)
 
 
+class TestPartialInputs:
+    """`is_k_explorable` completes its input before the local solver plays
+    it: a missing transition must leave no token-player position without a
+    move, and the verdict is the reference's on the completed input."""
+
+    @pytest.mark.parametrize("a, k", [pytest.param(a, k, id=f"{name}-k{k}")
+                                      for name, a, k in _finite_game_corpus()
+                                      if not is_complete(a)])
+    def test_no_dead_end_and_same_verdict(self, a, k):
+        monitor = resolve_monitor(a)
+        assert all(_finite_game_arena(complete(a), monitor, k).edges)
+        ref, objective, _ = build_finite_game_reference(complete(a), monitor, k)
+        won = ref.initial in solve(ref, objective).winning_region_0
+        assert won == is_k_explorable(a, k)
+
+
 class TestFiniteGameMatchesReference:
-    """Witness files of the local solver, which cover only the positions the
+    """The game the local solver walks, from its own start, bad test and
+    token moves, against the reference builder, which recomputes the token
+    moves at every position and runs the bad test twice: the same positions
+    in the same order, the same edges in the same order (the order in which
+    the solver tries moves, so its strategies and witness files) and the
+    same bad positions.  Witness files, which cover only the positions the
     strategy reaches, give the reference solver's verdicts and replay."""
+
+    @staticmethod
+    def assert_same_game(a, monitor, k):
+        arena = _finite_game_arena(a, monitor, k)
+        ref, _, ref_bad = build_finite_game_reference(complete(a), monitor, k)
+        assert arena.owner == ref.owner
+        assert arena.edges == ref.edges
+        assert arena.labels == ref.labels
+        assert (arena.initial, arena.channels) == (ref.initial, ref.channels)
+        assert _bad_positions(arena) == ref_bad
+
+    @pytest.mark.parametrize("a, k", [pytest.param(a, k, id=f"{name}-k{k}")
+                                      for name, a, k in _finite_game_corpus()])
+    def test_same_arena_as_reference(self, a, k):
+        self.assert_same_game(complete(a), resolve_monitor(a), k)
+
+    def test_same_arena_on_population_games(self, monkeypatch):
+        for args in _population_games(monkeypatch):
+            self.assert_same_game(*args)
 
     @pytest.mark.parametrize("name", ["ak3", "bk2", "c", "random-1", "repeated"])
     def test_witness_files_replay(self, tmp_path, monkeypatch, capsys, name):
