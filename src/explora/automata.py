@@ -29,7 +29,7 @@ from typing import Iterator, NamedTuple, Optional, Sequence, Union
 CONDITIONS = ("finite", "safety", "reachability", "buchi", "cobuchi", "parity")
 
 # Fixed rank ranges for the non-parity tags.
-_TAG_RANGE = {
+TAG_RANGE = {
     "finite": (0, 0),
     "safety": (0, 1),
     "reachability": (0, 1),
@@ -94,7 +94,7 @@ class Automaton(_TransitionTable):
                 raise ValueError("parity condition needs (lo, hi)")
             lo, hi = parity
         else:
-            lo, hi = _TAG_RANGE[condition]
+            lo, hi = TAG_RANGE[condition]
         return cls(
             name=name,
             alphabet=tuple(alphabet),
@@ -115,7 +115,7 @@ class Automaton(_TransitionTable):
     def rank_range(self) -> tuple[int, int]:
         if self.condition == "parity":
             return (self.lo, self.hi)
-        return _TAG_RANGE[self.condition]
+        return TAG_RANGE[self.condition]
 
     def post(self, states, letter: str) -> frozenset[int]:
         """Set of successors of a state set under one letter."""

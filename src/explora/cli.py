@@ -24,12 +24,13 @@ from .explorability import (PCPInstance,
                             explorability_bounded, is_k_explorable,
                             is_k_population_winnable, pcp_reduce,
                             pcp_to_explorability, explorability_witness)
-from .games import format_objective, parse_arena, solve
-from .generators import (atm_reduce, gen_ak, gen_bk, gen_c, gen_fig4,
-                         parse_atm)
+from .games import solve
+from .generators import atm_reduce, gen_ak, gen_bk, gen_c, gen_fig4
 from .hdgames import is_hd_assuming_explorable, is_hd_exact
 from .omega import is_omega_explorable
-from .textio import _is_int, format_automaton, parse_automaton
+from .textio import (format_automaton, format_objective, format_pcp,
+                     format_witness, parse_arena, parse_atm, parse_automaton,
+                     parse_pcp)
 
 SCHEMA = 1
 
@@ -45,24 +46,7 @@ def _read(path: str, kind=(Automaton, MultiAutomaton)):
 
 
 def _read_pcp(path: str) -> PCPInstance:
-    """A population-control instance: a finite-acceptance automaton whose
-    target state is named by a '# target: <id>' comment line."""
-    text = Path(path).read_text()
-    nfa = parse_automaton(text, path)
-    lines = [raw.strip() for raw in text.splitlines()]
-    if isinstance(nfa, MultiAutomaton) or nfa.condition != "finite":
-        no = next(i for i, line in enumerate(lines, start=1)
-                  if line.startswith(("condition:", "channels:")))
-        raise ParseError(path, no, "'condition: finite' in a population instance")
-    found = [i for i, line in enumerate(lines, start=1) if line.startswith("# target:")]
-    if not found:
-        raise ParseError(path, 1, "a '# target: <id>' comment line")
-    no = found[-1]
-    target = lines[no - 1].split(":", 1)[1].strip()
-    if not _is_int(target) or not 0 <= int(target) < nfa.num_states:
-        raise ParseError(path, no, f"a target state in [0, {nfa.num_states - 1}] "
-                                   "after '# target:'")
-    return PCPInstance(nfa, int(target))
+    return parse_pcp(Path(path).read_text(), path)
 
 
 def _write(path, text: str):
@@ -70,10 +54,6 @@ def _write(path, text: str):
         sys.stdout.write(text)
     else:
         Path(path).write_text(text)
-
-
-def _format_pcp(inst: PCPInstance) -> str:
-    return f"# target: {inst.target}\n" + format_automaton(inst.nfa)
 
 
 class _Report:
@@ -117,8 +97,7 @@ def _maybe_monitor(args):
 
 def _dump_witness(args, witness):
     if getattr(args, "witness", None) and witness is not None:
-        moves = {str(k): str(v) for k, v in witness.moves.items()}
-        Path(args.witness).write_text(json.dumps(moves, indent=1))
+        Path(args.witness).write_text(format_witness(witness))
 
 
 def cmd_k_explorable(args) -> int:
@@ -173,7 +152,7 @@ def cmd_omega_explorable(args) -> int:
 def cmd_pcp_reduce(args) -> int:
     rep = _Report(args, "pcp-reduce", args.automaton)
     inst = pcp_reduce(_read(args.automaton, Automaton))
-    _write(args.output, _format_pcp(inst))
+    _write(args.output, format_pcp(inst))
     rep.extra["target"] = inst.target
     return rep.finish(f"states: {inst.nfa.num_states}, target: {inst.target}", 0)
 
@@ -350,10 +329,7 @@ def main(argv=None) -> int:
         return 3 if e.code not in (0, None) else 0
     try:
         return args.func(args)
-    except ParseError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 3
-    except (ValueError, OSError) as e:
+    except (ValueError, OSError) as e:  # ParseError is a ValueError
         print(f"error: {e}", file=sys.stderr)
         return 3
 

@@ -54,6 +54,7 @@ from .determinize import Monitor, resolve_monitor, subset_construction
 from .errors import NonSinkTarget, ReductionCheckFailed
 from .games import (Arena, MaxEvenParity, Not, Objective, Or, Strategy, any_of,
                     explore_arena, solve, verify_token_strategy)
+from .generators import gen_c
 
 
 @dataclass(frozen=True)
@@ -279,42 +280,36 @@ def build_k_explorability_game(a: AnyAutomaton, monitor: Monitor,
     return _build_infinite_game(complete(a), monitor, k)
 
 
-def _play(a: AnyAutomaton, monitor: Monitor, k: int,
-          witness: bool = False) -> tuple[bool, Optional[Strategy]]:
+def _play(a: AnyAutomaton, monitor: Monitor, k: int) -> Optional[Strategy]:
     """Play the k-explorability game of the (completed) automaton on the
-    given monitor: whether the token player wins and, when `witness` is set
-    and it does, a winning strategy.  Every won game's strategy is checked,
-    also when none is asked for: a finite-word one by replaying it, an
-    infinite-word one inside `solve`."""
+    given monitor: the token player's winning strategy, checked, or None if
+    the token player loses.  A finite-word strategy is checked by replaying
+    it and maps (tokens, m, letter) positions to the (tokens, m) positions
+    they move to; an infinite-word one is checked inside `solve`."""
     if k < 1:
         raise ValueError("token count must be at least 1")
     if monitor.is_finite:
         won, _, current = _solve_finite_game(a, monitor, k)
         if not won:
-            return False, None
-        moves = verify_token_strategy(a, monitor.automaton, k, current)
-        return True, Strategy(0, {str(t): str(w) for t, w in moves.items()}) if witness else None
+            return None
+        return Strategy(0, verify_token_strategy(a, monitor.automaton, k, current))
     arena, objective = _build_infinite_game(a, monitor, k)
     result = solve(arena, objective)
-    if arena.initial not in result.winning_region_0:
-        return False, None
-    return True, result.strategy_0
+    return result.strategy_0 if arena.initial in result.winning_region_0 else None
 
 
 def is_k_explorable(a: AnyAutomaton, k: int,
                     user_monitor: Optional[Automaton] = None) -> bool:
     """True iff the token player wins the k-explorability game."""
     a = complete(a)
-    won, _ = _play(a, resolve_monitor(a, user_monitor), k)
-    return won
+    return _play(a, resolve_monitor(a, user_monitor), k) is not None
 
 
 def explorability_witness(a: AnyAutomaton, k: int,
                           user_monitor: Optional[Automaton] = None) -> Optional[Strategy]:
     """Winning token-player strategy at k tokens, if one exists."""
     a = complete(a)
-    _, strategy = _play(a, resolve_monitor(a, user_monitor), k, witness=True)
-    return strategy
+    return _play(a, resolve_monitor(a, user_monitor), k)
 
 
 def explorability_bounded(a: AnyAutomaton, kmax: int,
@@ -333,8 +328,8 @@ def explorability_bounded(a: AnyAutomaton, kmax: int,
         # refuse before playing any k, not at the first k past the budget
         config.check_channels(power_channels(a, kmax))
     for k in range(1, kmax + 1):
-        won, strategy = _play(a, monitor, k, witness=True)
-        if won:
+        strategy = _play(a, monitor, k)
+        if strategy is not None:
             return ExplorabilityVerdict("explorable-with", k, strategy)
     return ExplorabilityVerdict("not-explorable-up-to", kmax)
 
@@ -393,8 +388,7 @@ def is_k_population_winnable(inst: PCPInstance, k: int) -> bool:
     nfa = replace(nfa, accepting=frozenset(range(nfa.num_states)) - {inst.target})
     everything = Automaton.build("all", nfa.alphabet, 1, 0, "finite",
                                  [(0, letter, 0) for letter in nfa.alphabet], [0])
-    won, _ = _play(nfa, Monitor(everything, "subset"), k)
-    return won
+    return _play(nfa, Monitor(everything, "subset"), k) is not None
 
 
 def pcp_to_explorability(inst: PCPInstance) -> Automaton:
@@ -402,8 +396,6 @@ def pcp_to_explorability(inst: PCPInstance) -> Automaton:
     the fixed 4-state all-accepting-but-non-explorable automaton, under union
     acceptance; the result accepts every word and is k-explorable exactly when
     the token player survives the k-population game."""
-    from .generators import gen_c
-
     nfa = complete(inst.nfa)
     targ = inst.target
     for letter in nfa.alphabet:

@@ -36,7 +36,7 @@ from math import inf
 from typing import Iterable, Optional
 
 from .automata import explore_graph, parity_cycle
-from .errors import ParseError, SolverCheckFailed
+from .errors import SolverCheckFailed
 
 Color = tuple[int, ...]
 
@@ -133,48 +133,6 @@ def max_channel(obj: Objective) -> int:
     if isinstance(obj, Not):
         return max_channel(obj.sub)
     return max(max_channel(obj.left), max_channel(obj.right))
-
-
-def format_objective(obj: Objective) -> str:
-    if isinstance(obj, MaxEvenParity):
-        return f"p{obj.channel}"
-    if isinstance(obj, Not):
-        return f"not {format_objective(obj.sub)}"
-    tag = "and" if isinstance(obj, And) else "or"
-    return f"{tag} {format_objective(obj.left)} {format_objective(obj.right)}"
-
-
-OBJECTIVE_DEPTH = 100  # operators on one path, well inside the recursion limit
-
-
-def parse_objective(text: str, source: str = "<objective>", line: int = 1) -> Objective:
-    """Prefix notation: ``p<channel>``, ``not E``, ``and E E``, ``or E E``,
-    nested at most OBJECTIVE_DEPTH operators deep; errors are reported at
-    `line` of `source`."""
-    tokens = text.split()
-    pos = 0
-
-    def expr(depth: int = 0) -> Objective:
-        nonlocal pos
-        if pos >= len(tokens):
-            raise ParseError(source, line, "an objective term")
-        tok = tokens[pos]
-        pos += 1
-        if tok in ("not", "and", "or") and depth == OBJECTIVE_DEPTH:
-            raise ParseError(source, line, f"at most {OBJECTIVE_DEPTH} nested operators")
-        if tok == "not":
-            return Not(expr(depth + 1))
-        if tok in ("and", "or"):
-            cls = And if tok == "and" else Or
-            return cls(expr(depth + 1), expr(depth + 1))
-        if tok.startswith("p") and tok[1:].isdigit():
-            return MaxEvenParity(int(tok[1:]))
-        raise ParseError(source, line, f"p<channel>/not/and/or, got {tok!r}")
-
-    result = expr()
-    if pos != len(tokens):
-        raise ParseError(source, line, "end of objective expression")
-    return result
 
 
 # ---------------------------------------------------------------------------
@@ -627,53 +585,3 @@ def solve(arena: Arena, obj: Objective) -> SolveResult:
         return Strategy(strat.owner, moves, memory=cond)
 
     return SolveResult(region0, region1, lift(inner.strategy_0), lift(inner.strategy_1))
-
-
-# ---------------------------------------------------------------------------
-# arena text format (solve-game CLI)
-
-
-def parse_arena(text: str, source: str = "<string>") -> tuple[Arena, Objective]:
-    from .textio import _Reader, _is_int  # shared line reader
-
-    r = _Reader(text, source)
-    no, line = r.next("'arena' header")
-    if line != "arena":
-        raise ParseError(source, no, "'arena' header")
-    n = r.int_field("positions", 1)
-    initial = r.int_field("initial", 0, n - 1)
-    k = r.int_field("channels", 1)
-    channels = r.channel_ranges(k)
-    no, parts = r.keyword_line("owner")
-    if len(parts) != n or not all(p in ("0", "1") for p in parts):
-        raise ParseError(source, no, f"{n} owner bits after 'owner:'")
-    owner = tuple(int(p) for p in parts)
-    edges: list[list] = [[] for _ in range(n)]
-    obj = None
-    while r.peek() is not None:
-        no, line = r.next("edge or objective line")
-        if line.startswith("objective:"):
-            obj = parse_objective(line.split(":", 1)[1], source, no)
-            if max_channel(obj) >= k:
-                raise ParseError(source, no, f"objective channels below {k}, "
-                                 f"got p{max_channel(obj)}")
-            continue
-        parts = line.split()
-        if parts[0] != "e" or len(parts) != 3 + k:
-            raise ParseError(source, no, f"'e <src> <dst>' plus {k} ranks")
-        if not all(_is_int(p) for p in parts[1:]):
-            raise ParseError(source, no, "integer positions and ranks in edge")
-        src, dst = int(parts[1]), int(parts[2])
-        if not (0 <= src < n and 0 <= dst < n):
-            raise ParseError(source, no, f"positions in [0, {n - 1}], got {src} and {dst}")
-        color = tuple(int(p) for p in parts[3:])
-        for c, ((lo, hi), rank) in enumerate(zip(channels, color)):
-            if not lo <= rank <= hi:
-                raise ParseError(source, no, f"channel {c} rank in [{lo}, {hi}], got {rank}")
-        edges[src].append((dst, color))
-    for p, out in enumerate(edges):
-        if not out:
-            raise ParseError(source, r.end, f"an edge out of position {p}")
-    if obj is None:
-        raise ParseError(source, r.end, "an 'objective:' line")
-    return Arena(owner, tuple(tuple(e) for e in edges), initial, tuple(channels)), obj

@@ -15,7 +15,7 @@ from random import Random
 from typing import Optional
 
 from .automata import Automaton, Transition, complete
-from .errors import ConfigSpaceTooLarge, ParseError
+from .errors import ConfigSpaceTooLarge
 
 
 def gen_ak(k: int) -> Automaton:
@@ -331,62 +331,6 @@ def atm_reduce(m: ATM, word: str) -> Automaton:
 
     return Automaton.build(f"atm({m.num_states}s,P{P})", letters, len(names),
                            q0, "safety", transitions)
-
-
-# ---------------------------------------------------------------------------
-# ATM text format
-
-
-def parse_atm(text: str, source: str = "<string>") -> ATM:
-    """Format: ``atm`` header, then ``states:``, optional ``initial:``
-    (default 0), ``existential:``, ``accepting:``, ``space:``, and
-    ``t <q> <read> <q'> <write> <L|R>`` lines.  Everything `validate_atm`
-    checks is checked here too, at the offending line."""
-    from .textio import _Reader, _is_int
-
-    r = _Reader(text, source)
-    no, line = r.next("'atm' header")
-    if line != "atm":
-        raise ParseError(source, no, "'atm' header")
-    num_states = r.int_field("states", 1)
-    initial = 0
-    item = r.peek()
-    if item is not None and item[1].startswith("initial:"):
-        initial = r.int_field("initial", 0, num_states - 1)
-    no, parts = r.keyword_line("existential")
-    if not all(_is_int(p) and 0 <= int(p) < num_states for p in parts):
-        raise ParseError(source, no, f"state ids in [0, {num_states - 1}] after 'existential:'")
-    existential = frozenset(int(p) for p in parts)
-    if initial not in existential:
-        raise ParseError(source, no, f"initial state {initial} among the existential ones")
-    accepting = r.int_field("accepting", 0, num_states - 1)
-    space = r.int_field("space", 1)
-    transitions = []
-    while r.peek() is not None:
-        no, line = r.next("transition line")
-        parts = line.split()
-        if len(parts) != 6 or parts[0] != "t" or not (_is_int(parts[1]) and _is_int(parts[3])):
-            raise ParseError(source, no, "'t <q> <read> <q2> <write> <L|R>'")
-        if not (parts[2] in ("0", "1") and parts[4] in ("0", "1") and parts[5] in ("L", "R")):
-            raise ParseError(source, no, "tape symbols 0 or 1 and a direction L or R")
-        q, q2 = int(parts[1]), int(parts[3])
-        if not (0 <= q < num_states and 0 <= q2 < num_states):
-            raise ParseError(source, no, f"state ids in [0, {num_states - 1}] in transition")
-        if (q in existential) == (q2 in existential):
-            raise ParseError(source, no, "a transition between an existential and "
-                             "a universal state")
-        transitions.append((q, parts[2], q2, parts[4], parts[5]))
-    return ATM(num_states, existential, frozenset(transitions), initial,
-               accepting, space)
-
-
-def format_atm(m: ATM) -> str:
-    out = ["atm", f"states: {m.num_states}", f"initial: {m.initial}",
-           "existential: " + " ".join(map(str, sorted(m.existential))),
-           f"accepting: {m.accepting}", f"space: {m.space}"]
-    for q, read, q2, write, d in sorted(m.transitions):
-        out.append(f"t {q} {read} {q2} {write} {d}")
-    return "\n".join(out) + "\n"
 
 
 # ---------------------------------------------------------------------------

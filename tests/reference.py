@@ -22,8 +22,8 @@ from explora.errors import SolverCheckFailed
 from explora.games import (Arena, Color, ConditionAutomaton, MaxEvenParity,
                            Not, Or, SolveResult, Strategy, ZielonkaNode,
                            _trampoline, any_of, condition_automaton,
-                           format_objective, solve_parity, verify_strategy,
-                           zielonka_tree)
+                           solve_parity, verify_strategy, zielonka_tree)
+from explora.textio import format_objective
 
 
 def equivalent_on_all_lassos(a, b, bound: int) -> EquivalenceVerdict:
@@ -675,7 +675,7 @@ def random_multi_arena(rng: Random, num_positions: int,
 
 
 def format_arena(arena: Arena, obj) -> str:
-    """The arena in the text format that `games.parse_arena` reads."""
+    """The arena in the text format that `textio.parse_arena` reads."""
     out = ["arena",
            f"positions: {arena.num_positions}",
            f"initial: {arena.initial}",

@@ -11,8 +11,8 @@ from explora import cli
 from explora.automata import MultiAutomaton
 from explora.cli import main
 from explora.constructions import power_channels
-from explora.generators import format_atm, gen_ak, gen_c, gen_fig4
-from explora.textio import format_automaton, parse_automaton
+from explora.generators import gen_ak, gen_c, gen_fig4
+from explora.textio import format_atm, format_automaton, parse_automaton
 
 from conftest import ATM_CORPUS
 

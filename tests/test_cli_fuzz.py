@@ -18,12 +18,13 @@ from pathlib import Path
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from explora.automata import Automaton
-from explora.cli import _format_pcp, main
+from explora.cli import main
 from explora.constructions import union_power
 from explora.errors import ParseError
 from explora.explorability import pcp_reduce
-from explora.generators import format_atm, gen_ak, gen_bk, gen_fig4
-from explora.textio import format_automaton, format_lasso, parse_lasso
+from explora.generators import gen_ak, gen_bk, gen_fig4
+from explora.textio import (format_atm, format_automaton, format_lasso,
+                            format_pcp, parse_lasso)
 
 from conftest import ATM_CORPUS
 
@@ -64,7 +65,7 @@ SEEDS = [
     (format_automaton(gen_fig4("left")), [["omega-explorable", "{x}"]]),
     (format_automaton(union_power(BUCHI, 2)),
      [["k-explorable", "-k", "1", "{x}"], ["construct", "flatten", "{x}"]]),
-    (_format_pcp(pcp_reduce(gen_bk(1))),
+    (format_pcp(pcp_reduce(gen_bk(1))),
      [["population", "-k", "2", "{x}"], ["pcp-to-nfa", "{x}"]]),
     (ARENA, [["solve-game", "{x}"]]),
     (format_atm(ATM_CORPUS[0][1]), [["generate", "atm", "{x}", "0"]]),

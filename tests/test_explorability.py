@@ -743,12 +743,12 @@ class TestTupleGameMatchesReference:
         monkeypatch.setenv("EXPLORE_CHANNEL_BUDGET", "7")
         monitor = Monitor(m, "user")
         ref, objective = build_tuple_game_reference(a, monitor, k)
-        won, _ = _play(a, monitor, k)
+        won = _play(a, monitor, k) is not None
         assert won == (ref.initial in solve(ref, objective).winning_region_0)
 
     def test_corpus_has_won_and_lost_games(self, monkeypatch):
         monkeypatch.setenv("EXPLORE_CHANNEL_BUDGET", "7")
-        verdicts = {(name.split("-")[0], _play(a, Monitor(m, "user"), k)[0])
+        verdicts = {(name.split("-")[0], _play(a, Monitor(m, "user"), k) is not None)
                     for name, a, m, k in _tuple_game_corpus()}
         assert verdicts == {(tag, won) for tag in ("buchi", "parity02", "parity13", "multi")
                             for won in (True, False)}
@@ -949,7 +949,7 @@ class TestHardnessProduct:
     def test_universality_check_is_exact(self, monkeypatch):
         # the product is the mutant itself, which accepts every word of
         # length <= 2 and rejects aaa
-        monkeypatch.setattr("explora.generators.gen_c", gen_c_rejecting_aaa)
+        monkeypatch.setattr("explora.explorability.gen_c", gen_c_rejecting_aaa)
         nfa = Automaton.build("one", ["a"], 1, 0, "finite", [(0, "a", 0, 0)])
         with pytest.raises(ReductionCheckFailed):
             pcp_to_explorability(PCPInstance(nfa, 0))
@@ -959,11 +959,10 @@ class TestHardnessProduct:
         done = run_optimized("""
 import sys
 import explora.explorability as ex
-import explora.generators
 from explora.automata import Automaton
 from explora.errors import ReductionCheckFailed
 from conftest import gen_c_rejecting_aaa
-explora.generators.gen_c = gen_c_rejecting_aaa
+ex.gen_c = gen_c_rejecting_aaa
 nfa = Automaton.build("one", ["a"], 1, 0, "finite", [(0, "a", 0, 0)])
 try:
     ex.pcp_to_explorability(ex.PCPInstance(nfa, 0))

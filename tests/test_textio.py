@@ -3,11 +3,12 @@ import pytest
 from explora.automata import LassoWord, MultiAutomaton, MultiTransition
 from explora.cli import main
 from explora.errors import ParseError
-from explora.generators import (format_atm, gen_ak, gen_bk, gen_c,
-                                gen_fig4, parse_atm)
-from explora.games import parse_arena, parse_objective
-from explora.textio import (format_automaton, format_lasso, parse_automaton,
-                            parse_lasso)
+from explora.explorability import pcp_reduce
+from explora.generators import gen_ak, gen_bk, gen_c, gen_fig4
+from explora.textio import (format_atm, format_automaton, format_lasso,
+                            format_pcp, parse_arena, parse_atm,
+                            parse_automaton, parse_lasso, parse_objective,
+                            parse_pcp)
 
 from conftest import ATM_CORPUS, automaton_corpus
 from reference import format_arena
@@ -80,6 +81,12 @@ def test_lasso_syntax():
 def test_atm_roundtrip():
     for name, machine, _, _ in ATM_CORPUS:
         assert parse_atm(format_atm(machine)) == machine
+
+
+def test_pcp_roundtrip():
+    for a in (gen_ak(2), gen_bk(1), gen_bk(2), gen_c()):
+        inst = pcp_reduce(a)
+        assert parse_pcp(format_pcp(inst)) == inst
 
 
 def test_atm_parse_error():
