@@ -24,12 +24,19 @@ coded as ints, with Miyano-Hayashi breakpoints (Miyano and Hayashi,
 "Alternating finite automata on omega-words", TCS 1984).  Its arena has one
 rank per edge, folding the monitor's rank into the breakpoint's, so the
 objective is the bare ``p0`` for every k and `games.solve` plays it without
-a product; see `_breakpoint_tokens`.  A user monitor (Buchi, general parity
-and multi-channel inputs) plays on token tuples, since per-token rank
-channels must follow actual runs: k tokens of `a` are one token of the
-k-fold union power `constructions.union_power(a, k)`, whose channels, one
-per copy and channel of `a`, grow with k and are capped by
-`config.check_channels`.
+a product; see `_breakpoint_tokens`.  `_play` plays it in two rounds.  The
+piled round limits the token player to piles, k tokens on one state that
+all move to the same successor; it is the 1-token game with each key
+repeated k times, so it is won exactly on history-deterministic inputs, and
+its win is a win of the full game, as only the token player lost moves.
+Only a lost piled round at k > 1 is followed by the full arena.
+
+A user monitor (Buchi, general parity and multi-channel inputs) plays on
+token tuples, since per-token rank channels must follow actual runs: k
+tokens of `a` are one token of the k-fold union power
+`constructions.union_power(a, k)`, whose channels, one per copy and channel
+of `a`, grow with k and are capped by `config.check_channels`.  It has no
+piled round: the union power's states carry no labels to pile tokens by.
 
 The token moves do not depend on the monitor state, so every builder
 computes them once per (tokens, letter) and shares them between every
@@ -41,7 +48,6 @@ mrank) under the letter shares it: the moves and their ranks are the same.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass, replace
 from itertools import chain, combinations_with_replacement, groupby, product
 from typing import Optional
@@ -51,7 +57,7 @@ from .automata import (Automaton, AnyAutomaton, canonical_parity, complete,
                        explore_graph)
 from .constructions import power_channels, union_power
 from .determinize import Monitor, resolve_monitor, subset_construction
-from .errors import NonSinkTarget, ReductionCheckFailed
+from .errors import NonSinkTarget, ReductionCheckFailed, SolverCheckFailed
 from .games import (Arena, MaxEvenParity, Not, Objective, Or, Strategy, any_of,
                     explore_arena, solve, verify_token_strategy)
 from .generators import gen_c
@@ -126,7 +132,9 @@ def _solve_finite_game(a: Automaton, monitor: Monitor, k: int):
     position follows its first move not known to be lost, and tries the next
     only when that one is refuted.  A letter-player position is lost when it
     is bad, tested on discovery, or when some letter has lost every move.
-    The walk stops once the initial position is lost.
+    A position that only lost positions move to is not expanded until some
+    current move comes back to it.  The walk stops once the initial position
+    is lost.
 
     Returns whether the game is won, every discovered letter-player position
     with whether it is lost, and every explored token-player position with
@@ -135,40 +143,53 @@ def _solve_finite_game(a: Automaton, monitor: Monitor, k: int):
     root, bad, moves = _finite_tokens(a, monitor, k)
     lost = {root: bad(*root)}
     current: dict = {}
-    waiting = defaultdict(list)  # w -> (t, t's untried moves) for each t whose current move is w
+    # w -> (t, its position, its untried moves) for each t whose current
+    # move is w; a position not lost is on the stack or expanded iff it has
+    # an entry
+    waiting: dict = {root: []}
     stack = [] if lost[root] else [root]
 
-    def advance(t, untried):
-        # t takes its first untried move not known to be lost, if any is left
+    def advance(t, p, untried):
+        # t, of position p, takes its first untried move not known to be
+        # lost, if any is left
         for w in untried:
             if w not in lost:
                 lost[w] = bad(*w)
-                if not lost[w]:
-                    stack.append(w)
             if not lost[w]:
                 current[t] = w
-                waiting[w].append((t, untried))
+                waiters = waiting.get(w)
+                if waiters is None:  # discovered, or dropped from the stack
+                    waiting[w] = [(t, p, untried)]
+                    stack.append(w)
+                else:
+                    waiters.append((t, p, untried))
                 return True
         return False
 
     while stack and not lost[root]:
         v = stack.pop()
-        if all(advance((*v, letter), iter(moves(*v, letter))) for letter in a.alphabet):
+        if v is not root:
+            for _, p, _ in waiting[v]:
+                if not lost[p]:
+                    break
+            else:  # only lost positions move to v: drop it
+                del waiting[v]
+                continue
+        if all(advance((*v, letter), v, iter(moves(*v, letter))) for letter in a.alphabet):
             continue
         lost[v] = True
         refuted = [v]
         while refuted:
-            for t, untried in waiting.pop(refuted.pop(), ()):
-                p = t[:2]
-                if not lost[p] and not advance(t, untried):
+            for t, p, untried in waiting.pop(refuted.pop(), ()):
+                if not lost[p] and not advance(t, p, untried):
                     lost[p] = True
                     refuted.append(p)
     return not lost[root], lost, current
 
 
 def _breakpoint_tokens(a: Automaton, mon: Automaton, k: int):
-    """Channel, objective, start and moves of the game on breakpoint
-    multisets, played under a monitor that ranks in [0, 1].
+    """Channel, objective, start, moves and piled moves of the game on
+    breakpoint multisets, played under a monitor that ranks in [0, 1].
 
     A token is an int: state q of ``canonical_parity(a)``, whose n states
     count the sink it adds to safety and reachability inputs, is token q
@@ -193,6 +214,10 @@ def _breakpoint_tokens(a: Automaton, mon: Automaton, k: int):
     at a breakpoint, else 0.  The token player wins iff the largest rank
     seen infinitely often is even, so the objective is the bare ``p0`` for
     every k and the arena needs no product.
+
+    The piled moves take a pile, k tokens on one state, all to the same
+    successor.  A pile is clean or dirty as one token is, so they are the
+    moves of the 1-token game with each key repeated k times.
     """
     canonical = canonical_parity(a)
     delta, n = canonical.delta, canonical.num_states
@@ -215,7 +240,13 @@ def _breakpoint_tokens(a: Automaton, mon: Automaton, k: int):
             return [((dsts, m2), (2,)) for dsts, _ in out]
         return [((dsts, m2), rank) for dsts, rank in out]
 
-    return ((0, 2),), MaxEvenParity(0), tuple([a.initial + n] * k), moves
+    def piled(tokens, letter, m2, mrank):  # the pile moves as its one token would
+        return [((dsts * k, m2), rank)
+                for (dsts, _), rank in moves(tokens[:1], letter, m2, mrank)]
+
+    start = tuple([a.initial + n] * k)
+    # at k = 1 every move is piled
+    return ((0, 2),), MaxEvenParity(0), start, moves, moves if k == 1 else piled
 
 
 def _tuple_tokens(a: AnyAutomaton, mon: Automaton, k: int):
@@ -224,7 +255,8 @@ def _tuple_tokens(a: AnyAutomaton, mon: Automaton, k: int):
     tuple of k states of `a`, and its rank channels, one per copy and
     channel of `a`, follow actual runs, so the multiset quotient does not
     apply.  The objective ``not p0 or p1 or ... or pw`` asks that the
-    monitor's channel 0 rejects or some token channel is won."""
+    monitor's channel 0 rejects or some token channel is won.  The tuple
+    game has no piled moves: its tokens carry no labels to pile them by."""
     power = union_power(a, k)
     view = power.lasso_view
     channels = (mon.rank_range,) + view.channels
@@ -234,29 +266,37 @@ def _tuple_tokens(a: AnyAutomaton, mon: Automaton, k: int):
     def moves(q, letter, m2, mrank):
         return [((d, m2), (mrank,) + ranks) for d, ranks in view.delta[(q, letter)]]
 
-    return channels, objective, power.initial, moves
+    return channels, objective, power.initial, moves, None
 
 
 def _build_infinite_game(a: AnyAutomaton, monitor: Monitor, k: int):
-    """The infinite-word k-token game and the token player's objective, as
-    the monitor's kind picks it: a one-rank arena on breakpoint multisets,
-    won by ``p0``, or token tuples under a user monitor."""
+    """The infinite-word k-token game, as the monitor's kind picks it: a
+    one-rank arena on breakpoint multisets, won by ``p0``, or token tuples
+    under a user monitor.  Returns the token player's objective and
+    `explore(piled=False)`, which builds the arena; with `piled`, on
+    breakpoint multisets only, the token player keeps only its piled moves.
+    Every arena it builds shares one set-up, monitor table and move memo."""
     game = _breakpoint_tokens if monitor.provenance == "breakpoint" else _tuple_tokens
     mon = monitor.automaton
-    channels, objective, start, moves = game(a, mon, k)
+    channels, objective, start, moves, piled_moves = game(a, mon, k)
     mon_delta = {key: succ[0] for key, succ in mon.delta.items()}
     neutral = tuple(lo for lo, _ in channels)
 
-    def expand(key):
-        if len(key) == 2:  # a token-player position is keyed by its moves' arguments
-            tokens, m = key
-            return [((tokens, letter, *mon_delta[(m, letter)]), neutral) for letter in a.alphabet]
-        return moves(*key)
+    def explore(piled=False):
+        token_moves = piled_moves if piled else moves
 
-    # (tokens, m) positions belong to the letter player, the others to the token player
-    arena = explore_arena((start, mon.initial), expand,
-                          lambda key: 1 if len(key) == 2 else 0, channels)
-    return arena, objective
+        def expand(key):
+            if len(key) == 2:  # a token-player position is keyed by its moves' arguments
+                tokens, m = key
+                return [((tokens, letter, *mon_delta[(m, letter)]), neutral)
+                        for letter in a.alphabet]
+            return token_moves(*key)
+
+        # (tokens, m) positions belong to the letter player, the others to the token player
+        return explore_arena((start, mon.initial), expand,
+                             lambda key: 1 if len(key) == 2 else 0, channels)
+
+    return objective, explore
 
 
 def build_k_explorability_game(a: AnyAutomaton, monitor: Monitor,
@@ -277,15 +317,45 @@ def build_k_explorability_game(a: AnyAutomaton, monitor: Monitor,
         raise ValueError("token count must be at least 1")
     if monitor.is_finite:
         raise ValueError("the finite-word game is solved locally and builds no arena")
-    return _build_infinite_game(complete(a), monitor, k)
+    objective, explore = _build_infinite_game(complete(a), monitor, k)
+    return explore(), objective
 
 
-def _play(a: AnyAutomaton, monitor: Monitor, k: int) -> Optional[Strategy]:
+def _check_letter_moves(arena: Arena, alphabet) -> None:
+    """Raise SolverCheckFailed unless every letter-player position of the
+    arena moves once under each letter, in the alphabet's order: a piled
+    round may limit the token player only, or its win is no win of the full
+    game."""
+    letters, labels = list(alphabet), arena.labels
+    for key, out, owner in zip(labels, arena.edges, arena.owner):
+        if owner == 1 and [labels[d][1] for d, _ in out] != letters:
+            raise SolverCheckFailed(f"the piled game does not offer every letter at {key}")
+
+
+def _winning_strategy(arena: Arena, objective: Objective) -> Optional[Strategy]:
+    result = solve(arena, objective)
+    return result.strategy_0 if arena.initial in result.winning_region_0 else None
+
+
+def _play(a: AnyAutomaton, monitor: Monitor, k: int,
+          piled_first: bool = True) -> Optional[Strategy]:
     """Play the k-explorability game of the (completed) automaton on the
     given monitor: the token player's winning strategy, checked, or None if
     the token player loses.  A finite-word strategy is checked by replaying
     it and maps (tokens, m, letter) positions to the (tokens, m) positions
-    they move to; an infinite-word one is checked inside `solve`."""
+    they move to; an infinite-word one is checked inside `solve`.
+
+    On breakpoint multisets the game is played in two rounds, unless
+    `piled_first` is False.  The piled round limits the token player to
+    piled moves, every token on one state and all of them moving to the same
+    successor, and keeps every letter; `_check_letter_moves` makes sure of
+    the latter.  It is the 1-token game with each key repeated k times, so it
+    is won iff the automaton is history-deterministic, and then its strategy
+    is a k-token strategy of the full game, which offers the token player
+    more moves and the letter player the same.  A lost piled round at k > 1
+    is played again on the full arena.  It has dropped a move: had every
+    token-player position one move, the pile would follow the only run of
+    the automaton and win."""
     if k < 1:
         raise ValueError("token count must be at least 1")
     if monitor.is_finite:
@@ -293,9 +363,14 @@ def _play(a: AnyAutomaton, monitor: Monitor, k: int) -> Optional[Strategy]:
         if not won:
             return None
         return Strategy(0, verify_token_strategy(a, monitor.automaton, k, current))
-    arena, objective = _build_infinite_game(a, monitor, k)
-    result = solve(arena, objective)
-    return result.strategy_0 if arena.initial in result.winning_region_0 else None
+    objective, explore = _build_infinite_game(a, monitor, k)
+    if piled_first and monitor.provenance == "breakpoint":
+        arena = explore(piled=True)
+        _check_letter_moves(arena, a.alphabet)
+        strategy = _winning_strategy(arena, objective)
+        if strategy is not None or k == 1:
+            return strategy
+    return _winning_strategy(explore(), objective)
 
 
 def is_k_explorable(a: AnyAutomaton, k: int,
@@ -328,7 +403,9 @@ def explorability_bounded(a: AnyAutomaton, kmax: int,
         # refuse before playing any k, not at the first k past the budget
         config.check_channels(power_channels(a, kmax))
     for k in range(1, kmax + 1):
-        strategy = _play(a, monitor, k)
+        # k = 1 is played first, and on breakpoint multisets its game is the
+        # piled round of every k, so no k plays that round again
+        strategy = _play(a, monitor, k, piled_first=False)
         if strategy is not None:
             return ExplorabilityVerdict("explorable-with", k, strategy)
     return ExplorabilityVerdict("not-explorable-up-to", kmax)

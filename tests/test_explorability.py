@@ -13,7 +13,8 @@ from explora.constructions import (compose_monitor, union_condition_automaton_02
 from explora.determinize import Monitor, resolve_monitor
 from explora.errors import (ChannelBudgetExceeded, NonSinkTarget, ReductionCheckFailed,
                            SolverCheckFailed)
-from explora.explorability import (PCPInstance, _finite_tokens, _play, _solve_finite_game,
+from explora.explorability import (PCPInstance, _build_infinite_game, _finite_tokens, _play,
+                                   _solve_finite_game,
                                    build_k_explorability_game,
                                    explorability_bounded,
                                    explorability_witness, is_k_explorable,
@@ -388,9 +389,18 @@ class TestFiniteGameStopsEarly:
         full = build_finite_game_reference(a, monitor, 2)[0].num_positions
         assert 2 * _explored(lost, current) < full
 
+    def test_positions_nothing_waits_on_stay_unexpanded(self):
+        # the lost k=3 game of an 8-state NFA over abc: expanding every
+        # discovered position explored 1,468 positions; expanding only those
+        # that a token-player position of a position not known to be lost
+        # moves to explores 435
+        a = complete(random_automaton(Random(0), 8, "abc", "finite"))
+        won, lost, current = _solve_finite_game(a, resolve_monitor(a), 3)
+        assert not won and _explored(lost, current) == 435
+
     def test_won_ak6_explores_under_a_quarter_of_the_arena(self):
         # the won k=6 game of ak6 has 3,761 positions; the solver explores
-        # 777 of them (185 letter-player, 592 token-player), and its
+        # 742 of them (185 letter-player, 557 token-player), and its
         # strategy covers 28 token-player positions
         a = complete(gen_ak(6))
         monitor = resolve_monitor(a)
@@ -698,6 +708,141 @@ class TestBreakpointGameScale:
         path.write_text(format_automaton(a))
         assert main(["k-explorable", "-k", "5", str(path)]) == 0
         assert capsys.readouterr().out.strip() == "5-explorable: True"
+
+
+def _piled_round_corpus():
+    """(name, automaton) of the distinct automata of the breakpoint corpus
+    and of 36 random coBuchi, safety and reachability inputs, 2-4 states."""
+    cases = {name: a for name, a, _ in _breakpoint_game_corpus()}
+    rng = Random(241)
+    for i in range(36):
+        condition = ("cobuchi", "safety", "reachability")[i % 3]
+        cases[f"{condition}-random-{i}"] = random_automaton(
+            rng, rng.randint(2, 4), "abc"[:rng.randint(2, 3)], condition)
+    return list(cases.items())
+
+
+def _piled_arena(a, monitor, k):
+    _, explore = _build_infinite_game(a, monitor, k)
+    return explore(piled=True)
+
+
+class TestPiledRound:
+    """On breakpoint multisets `_play` first plays the piled round, in which
+    every token sits on one state and all move to the same successor, and
+    plays the full arena only if that round is lost and dropped a move."""
+
+    @pytest.mark.parametrize("a", [pytest.param(a, id=name) for name, a in _piled_round_corpus()])
+    def test_same_verdict_as_full_game(self, a):
+        monitor = resolve_monitor(complete(a))
+        hd = is_k_explorable(a, 1)
+        for k in (2, 3, 4):
+            arena, objective = build_k_explorability_game(a, monitor, k)
+            won = arena.initial in solve(arena, objective).winning_region_0
+            assert is_k_explorable(a, k) == won
+            # the piled round is the 1-token game with each key repeated k times
+            piled = _piled_arena(complete(a), monitor, k)
+            assert (piled.initial in solve(piled, objective).winning_region_0) == hd
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_piled_arena_is_the_one_token_arena(self, k):
+        for name, a in _piled_round_corpus()[::4]:
+            a = complete(a)
+            monitor = resolve_monitor(a)
+            one, _ = build_k_explorability_game(a, monitor, 1)
+            piled = _piled_arena(a, monitor, k)
+            assert [(key[0] * k,) + key[1:] for key in one.labels] == list(piled.labels)
+            assert (piled.owner, piled.edges) == (one.owner, one.edges)
+
+    def test_lost_piled_round_dropped_a_move(self):
+        # a pile with one move at every token-player position follows the
+        # only run of the automaton and wins, so a lost piled round at k > 1
+        # has always dropped a move of the full game
+        verdicts = set()
+        for _, a in _piled_round_corpus():
+            a = complete(a)
+            piled = _piled_arena(a, resolve_monitor(a), 2)
+            hd = is_k_explorable(a, 1)
+            assert hd or any(len(out) > 1 for out, owner in zip(piled.edges, piled.owner)
+                             if owner == 0)
+            verdicts.add((hd, is_k_explorable(a, 2)))
+        assert verdicts == {(True, True), (False, True), (False, False)}
+
+    @staticmethod
+    def _rounds(monkeypatch):
+        """Record (k, piled) for every arena `_play` builds, and count solves."""
+        import explora.explorability as ex
+        built, solves = [], []
+        real_build, real_solve = ex._build_infinite_game, ex.solve
+
+        def build(a, monitor, k):
+            objective, explore = real_build(a, monitor, k)
+            return objective, lambda piled=False: built.append((k, piled)) or explore(piled)
+
+        monkeypatch.setattr(ex, "_build_infinite_game", build)
+        monkeypatch.setattr(ex, "solve", lambda *args: solves.append(1) or real_solve(*args))
+        return built, solves
+
+    def test_rounds_played(self, tmp_path, capsys, monkeypatch):
+        from explora.cli import main
+        built, solves = self._rounds(monkeypatch)
+
+        def run(argv, seed):
+            path = tmp_path / f"{seed}.aut"
+            path.write_text(format_automaton(random_automaton(Random(seed), 3, "ab", "cobuchi")))
+            built.clear()
+            solves.clear()
+            code = main(argv + [str(path)])
+            capsys.readouterr()
+            return code, list(built), len(solves)
+
+        # history-deterministic: the piled round decides
+        assert run(["k-explorable", "-k", "4"], 0) == (0, [(4, True)], 1)
+        # lost piled round that dropped a move: the full arena decides
+        assert run(["k-explorable", "-k", "4"], 25) == (0, [(4, True), (4, False)], 2)
+        assert run(["k-explorable", "-k", "3"], 25) == (1, [(3, True), (3, False)], 2)
+        # the bounded search plays k = 1, whose game is the piled round of
+        # every k, so it builds no piled game and solves once per k
+        assert run(["explorable", "--max-k", "4"], 25) == (
+            0, [(1, False), (2, False), (3, False), (4, False)], 4)
+        assert run(["explorable", "--max-k", "4"], 2) == (
+            2, [(1, False), (2, False), (3, False), (4, False)], 4)
+
+    def test_won_piled_round_gives_a_k_token_strategy(self):
+        a = complete(random_automaton(Random(0), 3, "ab", "cobuchi"))
+        monitor = resolve_monitor(a)
+        piled = _piled_arena(a, monitor, 4)
+        strategy = explorability_witness(a, 4)
+        assert strategy.moves and all(piled.owner[p] == 0 and len(piled.labels[p][0]) == 4
+                                      for p, _ in strategy.moves)
+
+    def test_letter_check_raises_under_optimize(self):
+        # an arena walk that loses one letter of a letter-player position:
+        # the piled round must refuse it, not decide on it, and the check
+        # must not be an assert, which `python -O` strips
+        done = run_optimized("""
+import sys
+from random import Random
+import explora.games as games
+from explora.errors import SolverCheckFailed
+from explora.explorability import is_k_explorable
+from explora.generators import random_automaton
+real = games.explore_graph
+def faulty(roots, expand):
+    order, edges = real(roots, expand)
+    i = next(i for i, key in enumerate(order) if len(key) == 2 and i > 0)
+    edges[i] = edges[i][:-1]
+    return order, edges
+games.explore_graph = faulty
+try:
+    is_k_explorable(random_automaton(Random(25), 3, "ab", "cobuchi"), 2)
+except SolverCheckFailed as failed:
+    print(failed)
+    sys.exit(0 if not __debug__ else 4)
+sys.exit(5)
+""")
+        assert done.returncode == 0, done.stderr
+        assert "the piled game does not offer every letter" in done.stdout
 
 
 _TWO_CHANNELS = ((1, 2), (0, 1))  # a Buchi and a coBuchi channel
