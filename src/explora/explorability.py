@@ -24,19 +24,18 @@ coded as ints, with Miyano-Hayashi breakpoints (Miyano and Hayashi,
 "Alternating finite automata on omega-words", TCS 1984).  Its arena has one
 rank per edge, folding the monitor's rank into the breakpoint's, so the
 objective is the bare ``p0`` for every k and `games.solve` plays it without
-a product; see `_breakpoint_tokens`.  `_play` plays it in two rounds.  The
-piled round limits the token player to piles, k tokens on one state that
-all move to the same successor; it is the 1-token game with each key
-repeated k times, so it is won exactly on history-deterministic inputs, and
-its win is a win of the full game, as only the token player lost moves.
-Only a lost piled round at k > 1 is followed by the full arena.
+a product; see `_breakpoint_tokens`.  `explorability_witness` plays it at
+k = 1 first: a won 1-token game means the automaton is history-deterministic,
+so every token can follow the one token's run, and its strategy, played by
+every token, wins at any k.  Only a lost 1-token game at k > 1 is followed by
+the k-token one.
 
 A user monitor (Buchi, general parity and multi-channel inputs) plays on
 token tuples, since per-token rank channels must follow actual runs: k
 tokens of `a` are one token of the k-fold union power
 `constructions.union_power(a, k)`, whose channels, one per copy and channel
-of `a`, grow with k and are capped by `config.check_channels`.  It has no
-piled round: the union power's states carry no labels to pile tokens by.
+of `a`, grow with k and are capped by `config.check_channels`.  It is played
+at k only, as is the finite-word game.
 
 The token moves do not depend on the monitor state, so every builder
 computes them once per (tokens, letter) and shares them between every
@@ -188,8 +187,8 @@ def _solve_finite_game(a: Automaton, monitor: Monitor, k: int):
 
 
 def _breakpoint_tokens(a: Automaton, mon: Automaton, k: int):
-    """Channel, objective, start, moves and piled moves of the game on
-    breakpoint multisets, played under a monitor that ranks in [0, 1].
+    """Channel, objective, start and moves of the game on breakpoint
+    multisets, played under a monitor that ranks in [0, 1].
 
     A token is an int: state q of ``canonical_parity(a)``, whose n states
     count the sink it adds to safety and reachability inputs, is token q
@@ -214,10 +213,6 @@ def _breakpoint_tokens(a: Automaton, mon: Automaton, k: int):
     at a breakpoint, else 0.  The token player wins iff the largest rank
     seen infinitely often is even, so the objective is the bare ``p0`` for
     every k and the arena needs no product.
-
-    The piled moves take a pile, k tokens on one state, all to the same
-    successor.  A pile is clean or dirty as one token is, so they are the
-    moves of the 1-token game with each key repeated k times.
     """
     canonical = canonical_parity(a)
     delta, n = canonical.delta, canonical.num_states
@@ -240,13 +235,7 @@ def _breakpoint_tokens(a: Automaton, mon: Automaton, k: int):
             return [((dsts, m2), (2,)) for dsts, _ in out]
         return [((dsts, m2), rank) for dsts, rank in out]
 
-    def piled(tokens, letter, m2, mrank):  # the pile moves as its one token would
-        return [((dsts * k, m2), rank)
-                for (dsts, _), rank in moves(tokens[:1], letter, m2, mrank)]
-
-    start = tuple([a.initial + n] * k)
-    # at k = 1 every move is piled
-    return ((0, 2),), MaxEvenParity(0), start, moves, moves if k == 1 else piled
+    return ((0, 2),), MaxEvenParity(0), tuple([a.initial + n] * k), moves
 
 
 def _tuple_tokens(a: AnyAutomaton, mon: Automaton, k: int):
@@ -255,8 +244,7 @@ def _tuple_tokens(a: AnyAutomaton, mon: Automaton, k: int):
     tuple of k states of `a`, and its rank channels, one per copy and
     channel of `a`, follow actual runs, so the multiset quotient does not
     apply.  The objective ``not p0 or p1 or ... or pw`` asks that the
-    monitor's channel 0 rejects or some token channel is won.  The tuple
-    game has no piled moves: its tokens carry no labels to pile them by."""
+    monitor's channel 0 rejects or some token channel is won."""
     power = union_power(a, k)
     view = power.lasso_view
     channels = (mon.rank_range,) + view.channels
@@ -266,44 +254,14 @@ def _tuple_tokens(a: AnyAutomaton, mon: Automaton, k: int):
     def moves(q, letter, m2, mrank):
         return [((d, m2), (mrank,) + ranks) for d, ranks in view.delta[(q, letter)]]
 
-    return channels, objective, power.initial, moves, None
-
-
-def _build_infinite_game(a: AnyAutomaton, monitor: Monitor, k: int):
-    """The infinite-word k-token game, as the monitor's kind picks it: a
-    one-rank arena on breakpoint multisets, won by ``p0``, or token tuples
-    under a user monitor.  Returns the token player's objective and
-    `explore(piled=False)`, which builds the arena; with `piled`, on
-    breakpoint multisets only, the token player keeps only its piled moves.
-    Every arena it builds shares one set-up, monitor table and move memo."""
-    game = _breakpoint_tokens if monitor.provenance == "breakpoint" else _tuple_tokens
-    mon = monitor.automaton
-    channels, objective, start, moves, piled_moves = game(a, mon, k)
-    mon_delta = {key: succ[0] for key, succ in mon.delta.items()}
-    neutral = tuple(lo for lo, _ in channels)
-
-    def explore(piled=False):
-        token_moves = piled_moves if piled else moves
-
-        def expand(key):
-            if len(key) == 2:  # a token-player position is keyed by its moves' arguments
-                tokens, m = key
-                return [((tokens, letter, *mon_delta[(m, letter)]), neutral)
-                        for letter in a.alphabet]
-            return token_moves(*key)
-
-        # (tokens, m) positions belong to the letter player, the others to the token player
-        return explore_arena((start, mon.initial), expand,
-                             lambda key: 1 if len(key) == 2 else 0, channels)
-
-    return objective, explore
+    return channels, objective, power.initial, moves
 
 
 def build_k_explorability_game(a: AnyAutomaton, monitor: Monitor,
                                k: int) -> tuple[Arena, Objective]:
     """Arena and Determiniser objective of the k-token explorability game of
-    the completed automaton, as `is_k_explorable` plays it.  It builds
-    infinite-word arenas only.
+    the completed automaton, as `_play` solves it.  It builds infinite-word
+    arenas only.
 
     The monitor's kind picks the game.  A breakpoint monitor gets token
     multisets in a one-rank arena over [0, 2] and the objective ``p0`` for
@@ -317,45 +275,44 @@ def build_k_explorability_game(a: AnyAutomaton, monitor: Monitor,
         raise ValueError("token count must be at least 1")
     if monitor.is_finite:
         raise ValueError("the finite-word game is solved locally and builds no arena")
-    objective, explore = _build_infinite_game(complete(a), monitor, k)
-    return explore(), objective
+    a = complete(a)
+    game = _breakpoint_tokens if monitor.provenance == "breakpoint" else _tuple_tokens
+    mon = monitor.automaton
+    channels, objective, start, moves = game(a, mon, k)
+    mon_delta = {key: succ[0] for key, succ in mon.delta.items()}
+    neutral = tuple(lo for lo, _ in channels)
+
+    def expand(key):
+        if len(key) == 2:  # a token-player position is keyed by its moves' arguments
+            tokens, m = key
+            return [((tokens, letter, *mon_delta[(m, letter)]), neutral)
+                    for letter in a.alphabet]
+        return moves(*key)
+
+    # (tokens, m) positions belong to the letter player, the others to the token player
+    arena = explore_arena((start, mon.initial), expand,
+                          lambda key: 1 if len(key) == 2 else 0, channels)
+    return arena, objective
 
 
 def _check_letter_moves(arena: Arena, alphabet) -> None:
     """Raise SolverCheckFailed unless every letter-player position of the
-    arena moves once under each letter, in the alphabet's order: a piled
-    round may limit the token player only, or its win is no win of the full
-    game."""
+    arena moves once under each letter, in the alphabet's order: a game that
+    keeps a letter from the letter player can be won by a token player that
+    loses the real one."""
     letters, labels = list(alphabet), arena.labels
     for key, out, owner in zip(labels, arena.edges, arena.owner):
         if owner == 1 and [labels[d][1] for d, _ in out] != letters:
-            raise SolverCheckFailed(f"the piled game does not offer every letter at {key}")
+            raise SolverCheckFailed(f"the game does not offer every letter at {key}")
 
 
-def _winning_strategy(arena: Arena, objective: Objective) -> Optional[Strategy]:
-    result = solve(arena, objective)
-    return result.strategy_0 if arena.initial in result.winning_region_0 else None
-
-
-def _play(a: AnyAutomaton, monitor: Monitor, k: int,
-          piled_first: bool = True) -> Optional[Strategy]:
+def _play(a: AnyAutomaton, monitor: Monitor, k: int) -> Optional[Strategy]:
     """Play the k-explorability game of the (completed) automaton on the
     given monitor: the token player's winning strategy, checked, or None if
     the token player loses.  A finite-word strategy is checked by replaying
     it and maps (tokens, m, letter) positions to the (tokens, m) positions
-    they move to; an infinite-word one is checked inside `solve`.
-
-    On breakpoint multisets the game is played in two rounds, unless
-    `piled_first` is False.  The piled round limits the token player to
-    piled moves, every token on one state and all of them moving to the same
-    successor, and keeps every letter; `_check_letter_moves` makes sure of
-    the latter.  It is the 1-token game with each key repeated k times, so it
-    is won iff the automaton is history-deterministic, and then its strategy
-    is a k-token strategy of the full game, which offers the token player
-    more moves and the letter player the same.  A lost piled round at k > 1
-    is played again on the full arena.  It has dropped a move: had every
-    token-player position one move, the pile would follow the only run of
-    the automaton and win."""
+    they move to.  An infinite-word one is checked inside `solve`, on an
+    arena whose letter moves `_check_letter_moves` has checked first."""
     if k < 1:
         raise ValueError("token count must be at least 1")
     if monitor.is_finite:
@@ -363,28 +320,33 @@ def _play(a: AnyAutomaton, monitor: Monitor, k: int,
         if not won:
             return None
         return Strategy(0, verify_token_strategy(a, monitor.automaton, k, current))
-    objective, explore = _build_infinite_game(a, monitor, k)
-    if piled_first and monitor.provenance == "breakpoint":
-        arena = explore(piled=True)
-        _check_letter_moves(arena, a.alphabet)
-        strategy = _winning_strategy(arena, objective)
-        if strategy is not None or k == 1:
+    arena, objective = build_k_explorability_game(a, monitor, k)
+    _check_letter_moves(arena, a.alphabet)
+    result = solve(arena, objective)
+    return result.strategy_0 if arena.initial in result.winning_region_0 else None
+
+
+def explorability_witness(a: AnyAutomaton, k: int,
+                          user_monitor: Optional[Automaton] = None) -> Optional[Strategy]:
+    """Winning token-player strategy at k tokens, if one exists.
+
+    On breakpoint multisets the 1-token game is played first.  Its win makes
+    the automaton history-deterministic, and its strategy, played by every
+    token, wins at any k, so no k-token arena is built.  Only a lost 1-token
+    game at k > 1 is followed by the k-token one."""
+    a = complete(a)
+    monitor = resolve_monitor(a, user_monitor)
+    if k > 1 and monitor.provenance == "breakpoint":
+        strategy = _play(a, monitor, 1)
+        if strategy is not None:
             return strategy
-    return _winning_strategy(explore(), objective)
+    return _play(a, monitor, k)
 
 
 def is_k_explorable(a: AnyAutomaton, k: int,
                     user_monitor: Optional[Automaton] = None) -> bool:
     """True iff the token player wins the k-explorability game."""
-    a = complete(a)
-    return _play(a, resolve_monitor(a, user_monitor), k) is not None
-
-
-def explorability_witness(a: AnyAutomaton, k: int,
-                          user_monitor: Optional[Automaton] = None) -> Optional[Strategy]:
-    """Winning token-player strategy at k tokens, if one exists."""
-    a = complete(a)
-    return _play(a, resolve_monitor(a, user_monitor), k)
+    return explorability_witness(a, k, user_monitor) is not None
 
 
 def explorability_bounded(a: AnyAutomaton, kmax: int,
@@ -403,9 +365,7 @@ def explorability_bounded(a: AnyAutomaton, kmax: int,
         # refuse before playing any k, not at the first k past the budget
         config.check_channels(power_channels(a, kmax))
     for k in range(1, kmax + 1):
-        # k = 1 is played first, and on breakpoint multisets its game is the
-        # piled round of every k, so no k plays that round again
-        strategy = _play(a, monitor, k, piled_first=False)
+        strategy = _play(a, monitor, k)
         if strategy is not None:
             return ExplorabilityVerdict("explorable-with", k, strategy)
     return ExplorabilityVerdict("not-explorable-up-to", kmax)

@@ -13,7 +13,7 @@ from explora.constructions import (compose_monitor, union_condition_automaton_02
 from explora.determinize import Monitor, resolve_monitor
 from explora.errors import (ChannelBudgetExceeded, NonSinkTarget, ReductionCheckFailed,
                            SolverCheckFailed)
-from explora.explorability import (PCPInstance, _build_infinite_game, _finite_tokens, _play,
+from explora.explorability import (PCPInstance, _finite_tokens, _play,
                                    _solve_finite_game,
                                    build_k_explorability_game,
                                    explorability_bounded,
@@ -22,7 +22,7 @@ from explora.explorability import (PCPInstance, _build_infinite_game, _finite_to
                                    pcp_to_explorability)
 from explora.games import MaxEvenParity, explore_arena, solve, verify_token_strategy
 from explora.generators import gen_ak, gen_bk, gen_c, random_automaton
-from explora.textio import format_automaton
+from explora.textio import format_automaton, format_witness
 
 from conftest import automaton_corpus, gen_c_rejecting_aaa, run_optimized, run_python
 from reference import (_spoiler_attractor, build_breakpoint_game_reference,
@@ -710,7 +710,7 @@ class TestBreakpointGameScale:
         assert capsys.readouterr().out.strip() == "5-explorable: True"
 
 
-def _piled_round_corpus():
+def _one_token_round_corpus():
     """(name, automaton) of the distinct automata of the breakpoint corpus
     and of 36 random coBuchi, safety and reachability inputs, 2-4 states."""
     cases = {name: a for name, a, _ in _breakpoint_game_corpus()}
@@ -722,17 +722,45 @@ def _piled_round_corpus():
     return list(cases.items())
 
 
-def _piled_arena(a, monitor, k):
-    _, explore = _build_infinite_game(a, monitor, k)
-    return explore(piled=True)
+_FULL_ROUND_MUTANT = """
+import contextlib, io, os, sys, tempfile
+from random import Random
+import explora.cli as cli
+import explora.games as games
+from explora.generators import random_automaton
+from explora.textio import format_automaton
+real = games.explore_graph
+def faulty(roots, expand):
+    order, edges = real(roots, expand)
+    # a letter-player position whose tokens are not all equal: only a
+    # k-token arena at k > 1 has one
+    i = next((i for i, key in enumerate(order) if len(key) == 2 and len(set(key[0])) > 1),
+             None)
+    if i is not None:
+        edges[i] = edges[i][:-1]
+    return order, edges
+games.explore_graph = faulty
+with tempfile.TemporaryDirectory() as tmp:
+    path = os.path.join(tmp, "cob3.aut")
+    with open(path, "w") as out:
+        out.write(format_automaton(random_automaton(Random(25), 3, "ab", "cobuchi")))
+    for argv in (["k-explorable", "-k", "2", path], ["explorable", "--max-k", "2", path]):
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+        print(code, err.getvalue().strip())
+sys.exit(0 if not __debug__ else 4)
+"""
 
 
-class TestPiledRound:
-    """On breakpoint multisets `_play` first plays the piled round, in which
-    every token sits on one state and all move to the same successor, and
-    plays the full arena only if that round is lost and dropped a move."""
+class TestOneTokenRound:
+    """On breakpoint multisets `explorability_witness` plays the 1-token game
+    first at k > 1: its win makes the automaton history-deterministic and is
+    a win at every k.  Only a lost 1-token game is followed by the k-token
+    one."""
 
-    @pytest.mark.parametrize("a", [pytest.param(a, id=name) for name, a in _piled_round_corpus()])
+    @pytest.mark.parametrize("a", [pytest.param(a, id=name)
+                                   for name, a in _one_token_round_corpus()])
     def test_same_verdict_as_full_game(self, a):
         monitor = resolve_monitor(complete(a))
         hd = is_k_explorable(a, 1)
@@ -740,46 +768,33 @@ class TestPiledRound:
             arena, objective = build_k_explorability_game(a, monitor, k)
             won = arena.initial in solve(arena, objective).winning_region_0
             assert is_k_explorable(a, k) == won
-            # the piled round is the 1-token game with each key repeated k times
-            piled = _piled_arena(complete(a), monitor, k)
-            assert (piled.initial in solve(piled, objective).winning_region_0) == hd
+            # a won 1-token game is a won k-token game
+            assert won or not hd
 
     @pytest.mark.parametrize("k", [2, 3, 4])
-    def test_piled_arena_is_the_one_token_arena(self, k):
-        for name, a in _piled_round_corpus()[::4]:
-            a = complete(a)
-            monitor = resolve_monitor(a)
-            one, _ = build_k_explorability_game(a, monitor, 1)
-            piled = _piled_arena(a, monitor, k)
-            assert [(key[0] * k,) + key[1:] for key in one.labels] == list(piled.labels)
-            assert (piled.owner, piled.edges) == (one.owner, one.edges)
+    def test_hd_inputs_get_the_one_token_witness(self, k):
+        for _, a in _one_token_round_corpus():
+            if is_k_explorable(a, 1):
+                one = format_witness(explorability_witness(a, 1))
+                assert format_witness(explorability_witness(a, k)) == one
 
-    def test_lost_piled_round_dropped_a_move(self):
-        # a pile with one move at every token-player position follows the
-        # only run of the automaton and wins, so a lost piled round at k > 1
-        # has always dropped a move of the full game
-        verdicts = set()
-        for _, a in _piled_round_corpus():
-            a = complete(a)
-            piled = _piled_arena(a, resolve_monitor(a), 2)
-            hd = is_k_explorable(a, 1)
-            assert hd or any(len(out) > 1 for out, owner in zip(piled.edges, piled.owner)
-                             if owner == 0)
-            verdicts.add((hd, is_k_explorable(a, 2)))
+    def test_corpus_has_hd_and_non_hd_inputs(self):
+        verdicts = {(is_k_explorable(a, 1), is_k_explorable(a, 2))
+                    for _, a in _one_token_round_corpus()}
         assert verdicts == {(True, True), (False, True), (False, False)}
 
     @staticmethod
     def _rounds(monkeypatch):
-        """Record (k, piled) for every arena `_play` builds, and count solves."""
+        """Record the k of every arena `_play` builds, and count solves."""
         import explora.explorability as ex
         built, solves = [], []
-        real_build, real_solve = ex._build_infinite_game, ex.solve
+        real_build, real_solve = ex.build_k_explorability_game, ex.solve
 
         def build(a, monitor, k):
-            objective, explore = real_build(a, monitor, k)
-            return objective, lambda piled=False: built.append((k, piled)) or explore(piled)
+            built.append(k)
+            return real_build(a, monitor, k)
 
-        monkeypatch.setattr(ex, "_build_infinite_game", build)
+        monkeypatch.setattr(ex, "build_k_explorability_game", build)
         monkeypatch.setattr(ex, "solve", lambda *args: solves.append(1) or real_solve(*args))
         return built, solves
 
@@ -796,30 +811,38 @@ class TestPiledRound:
             capsys.readouterr()
             return code, list(built), len(solves)
 
-        # history-deterministic: the piled round decides
-        assert run(["k-explorable", "-k", "4"], 0) == (0, [(4, True)], 1)
-        # lost piled round that dropped a move: the full arena decides
-        assert run(["k-explorable", "-k", "4"], 25) == (0, [(4, True), (4, False)], 2)
-        assert run(["k-explorable", "-k", "3"], 25) == (1, [(3, True), (3, False)], 2)
-        # the bounded search plays k = 1, whose game is the piled round of
-        # every k, so it builds no piled game and solves once per k
-        assert run(["explorable", "--max-k", "4"], 25) == (
-            0, [(1, False), (2, False), (3, False), (4, False)], 4)
-        assert run(["explorable", "--max-k", "4"], 2) == (
-            2, [(1, False), (2, False), (3, False), (4, False)], 4)
+        # history-deterministic: the 1-token game decides
+        assert run(["k-explorable", "-k", "4"], 0) == (0, [1], 1)
+        # not history-deterministic: the k-token game decides
+        assert run(["k-explorable", "-k", "4"], 25) == (0, [1, 4], 2)
+        assert run(["k-explorable", "-k", "3"], 25) == (1, [1, 3], 2)
+        # the bounded search plays k = 1 on its own, then one game per k
+        assert run(["explorable", "--max-k", "4"], 25) == (0, [1, 2, 3, 4], 4)
+        assert run(["explorable", "--max-k", "4"], 2) == (2, [1, 2, 3, 4], 4)
 
-    def test_won_piled_round_gives_a_k_token_strategy(self):
-        a = complete(random_automaton(Random(0), 3, "ab", "cobuchi"))
-        monitor = resolve_monitor(a)
-        piled = _piled_arena(a, monitor, 4)
-        strategy = explorability_witness(a, 4)
-        assert strategy.moves and all(piled.owner[p] == 0 and len(piled.labels[p][0]) == 4
-                                      for p, _ in strategy.moves)
+    def test_other_games_play_only_at_k(self, monkeypatch):
+        # a deterministic Buchi input monitors itself and plays on token
+        # tuples, a finite-word one plays the local game: neither plays the
+        # 1-token game first, though both inputs here are 1-explorable
+        import explora.explorability as ex
+        built, solves = self._rounds(monkeypatch)
+        finite = []
+        real_finite = ex._solve_finite_game
+        monkeypatch.setattr(ex, "_solve_finite_game",
+                            lambda a, monitor, k: finite.append(k) or real_finite(a, monitor, k))
+        det = random_automaton(Random(3), 3, "ab", "buchi", max_branch=1)
+        assert is_k_explorable(det, 1) and is_k_explorable(gen_ak(1), 1)
+        built.clear()
+        solves.clear()
+        finite.clear()
+        assert is_k_explorable(det, 3)
+        assert is_k_explorable(gen_ak(1), 3)
+        assert (built, len(solves), finite) == ([3], 1, [3])
 
     def test_letter_check_raises_under_optimize(self):
         # an arena walk that loses one letter of a letter-player position:
-        # the piled round must refuse it, not decide on it, and the check
-        # must not be an assert, which `python -O` strips
+        # the game must refuse it, not decide on it, and the check must not
+        # be an assert, which `python -O` strips
         done = run_optimized("""
 import sys
 from random import Random
@@ -842,7 +865,15 @@ except SolverCheckFailed as failed:
 sys.exit(5)
 """)
         assert done.returncode == 0, done.stderr
-        assert "the piled game does not offer every letter" in done.stdout
+        assert "the game does not offer every letter" in done.stdout
+        # the same fault in the k-token arena only, past a lost 1-token
+        # game, and in the bounded search, which checks every k
+        done = run_optimized(_FULL_ROUND_MUTANT)
+        assert done.returncode == 0, done.stderr
+        lines = done.stdout.splitlines()
+        assert len(lines) == 2
+        assert all(line.startswith("3 error: the game does not offer every letter at ((")
+                   for line in lines)
 
 
 _TWO_CHANNELS = ((1, 2), (0, 1))  # a Buchi and a coBuchi channel

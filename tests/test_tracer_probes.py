@@ -37,14 +37,17 @@ def test_every_probe_resolves_to_a_callable():
 
 
 def test_traced_runs_give_the_untraced_verdicts(tmp_path, capsys):
-    # five commands that between them run every explored game, once plain
+    # six commands that between them run every explored game, once plain
     # and once with the tracer installed: the same exit codes, stdout and
-    # witness files, and afterwards every patched name is its original again
+    # witness files, and afterwards every patched name is its original again.
+    # cob3 is not history-deterministic, so `k-explorable -k 3` plays the
+    # 1-token game and then the 3-token one
     inputs = {"cob3": random_automaton(Random(20), 3, "ab", "cobuchi"),
               "ak3": gen_ak(3), "fig4": gen_fig4("left")}
     for name, a in inputs.items():
         (tmp_path / f"{name}.aut").write_text(format_automaton(a))
     commands = [["k-explorable", "-k", "2", "cob3"],
+                ["k-explorable", "-k", "3", "--witness", "{w}", "cob3"],
                 ["explorable", "--max-k", "3", "--witness", "{w}", "ak3"],
                 ["omega-explorable", "fig4"],
                 ["hd", "--via-g2", "--witness-k", "2", "cob3"],
@@ -73,8 +76,8 @@ def test_traced_runs_give_the_untraced_verdicts(tmp_path, capsys):
     finally:
         tracer.uninstall()
     assert traced == plain
-    assert [code for code, _, _ in plain] == [0, 0, 0, 1, 1]
-    assert plain[1][2] is not None
+    assert [code for code, _, _ in plain] == [0, 0, 0, 0, 1, 1]
+    assert plain[1][2] is not None and plain[2][2] is not None
     assert tracer.counts["omega.elim_positions"] > 0
     assert tracer.counts["hdgames.token_positions"] > 0
     assert all(getattr(module, attr) is original
