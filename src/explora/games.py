@@ -20,8 +20,12 @@ There is one graph layout from the product to the verifier: an `Arena`'s
 that tuple names it in strategies.  `solve_parity` solves it by Zielonka's
 algorithm on edge ranks, reading these tuples as the successor lists; the one
 conversion, in `_EdgeRankGame`, adds the predecessor index and each
-position's rank bounds.  `verify_strategy` checks the positional strategies
-it extracts by cycle analysis on the same tuples.
+position's rank bounds.  The positional strategies it extracts are checked on
+the same tuples.  When every rank lies within three consecutive values, the
+solve's own attractor order yields a progress measure for each region
+(Jurdzinski, STACS 2000), and `check_progress_measures` checks it in one pass
+over the strategy-restricted edges; on wider arenas `verify_strategy` checks
+each strategy by cycle analysis.
 
 Attractor processing order, strategy edge choice and tree child order depend
 only on the input, so outputs are deterministic.
@@ -250,10 +254,14 @@ class Strategy:
 
 @dataclass
 class SolveResult:
+    """`measures`, when set, holds the progress measures that certify the
+    two regions, as `check_progress_measures` reads them."""
+
     winning_region_0: frozenset
     winning_region_1: frozenset
     strategy_0: Strategy
     strategy_1: Strategy
+    measures: Optional[tuple[dict, dict]] = None
 
 
 def _atom_condition(arena: Arena, obj: Objective) -> Optional[ConditionAutomaton]:
@@ -327,6 +335,15 @@ class _EdgeRankGame:
     rank <= cap between positions of `sub`, and every position of `sub` keeps
     at least one.  `move[p]` ends up as the edge index the winner of p takes
     there, when p is the winner's.
+
+    One clock runs through the whole solve, and every position an attractor
+    adds is stamped with it in `stamp`: the positions that take the
+    attractor's top rank share one tick, and each later one gets a tick of
+    its own, above those of the positions it was attracted to.  With lo the
+    least rank, a subgame on which a level d == lo + 1 ends with the opponent
+    winning nothing is a core, and `core` maps its positions to one tick
+    taken after theirs.  On ranks lo..lo + 2, `measures` reads both regions'
+    progress measures off the last stamps.
     """
 
     def __init__(self, game: Arena):
@@ -346,12 +363,17 @@ class _EdgeRankGame:
             self.low.append(lo)
             self.high.append(hi)
         self.move = [0] * len(game.edges)
+        self.lo = min(self.low, default=0)
+        self.stamp, self.clock, self.core = [0] * len(game.edges), 0, {}
 
     def attractor(self, sub, player: int, cap: int, targets=(), top=False) -> set:
         """Positions of the subgame (sub, cap) from which `player` forces
         reaching `targets` or, when `top` is set, taking an edge of rank
-        `cap`; records the edge each attracted `player` position takes."""
-        owner, succ, pred, move = self.owner, self.succ, self.pred, self.move
+        `cap`; records the edge each attracted `player` position takes, and
+        stamps the positions that take a rank-cap edge with one shared tick
+        of the clock and every later one with a tick of its own."""
+        owner, succ, pred, move, stamp = self.owner, self.succ, self.pred, self.move, self.stamp
+        t = self.clock
         attr = set(targets)
         queue = list(attr)
         left: dict[int, int] = {}  # opponent position -> edges not yet pulled
@@ -380,7 +402,9 @@ class _EdgeRankGame:
                     continue
                 attr.add(u)
                 queue.append(u)
+                stamp[u] = t
             cap -= 1
+            t += 1
         while queue and len(attr) < len(sub):
             edges = iter(pred[queue.pop()])
             for u, r, i in zip(edges, edges, edges):
@@ -399,6 +423,9 @@ class _EdgeRankGame:
                             continue
                     attr.add(u)
                     queue.append(u)
+                    stamp[u] = t
+                    t += 1
+        self.clock = t
         return attr
 
     def zielonka(self, sub: set, cap: int):
@@ -432,12 +459,26 @@ class _EdgeRankGame:
             attr = self.attractor(sub, sigma, cap, top=True)
             lost = (yield self.zielonka(sub - attr, d - 1))[1 - sigma]
             if not lost:
+                if d == self.lo + 1:
+                    self.core.update(dict.fromkeys(sub, self.clock))
+                    self.clock += 1
                 won[sigma].update(sub)
                 break
             lost = self.attractor(sub, 1 - sigma, cap, targets=lost)
             won[1 - sigma].update(lost)
             sub = sub - lost
         return won
+
+    def measures(self, regions) -> tuple[dict, dict]:
+        """Progress measures for the regions (W0, W1) of a game on ranks
+        lo..lo + 2, indexed by player: the bottom player, lo % 2, gets
+        rho(p) = stamp[p]; the other player (a, stamp[p]) on a core of stamp
+        a, and (stamp[p], 0) elsewhere."""
+        stamp, core, bottom = self.stamp, self.core, self.lo % 2
+        rho = {p: stamp[p] for p in regions[bottom]}
+        pairs = {p: (core[p], stamp[p]) if p in core else (stamp[p], 0)
+                 for p in regions[1 - bottom]}
+        return (rho, pairs) if bottom == 0 else (pairs, rho)
 
 
 def _trampoline(gen):
@@ -458,15 +499,19 @@ def solve_parity(game: Arena) -> SolveResult:
     """Solve a single-channel max-parity game with Zielonka's algorithm on
     edge ranks.
 
-    Regions partition the positions; both strategies are positional and
-    checked by independent cycle analysis.  A failed check raises
+    Regions partition the positions, and both strategies are positional.
+    When every rank lies in lo..lo + 2, with lo the least, the solve's
+    stamps give both regions progress measures, returned in `measures` and
+    checked by `check_progress_measures`; otherwise `verify_strategy` checks
+    each strategy by cycle analysis.  A failed check raises
     `SolverCheckFailed`, and a position without an edge `ValueError`.
     """
     if len(game.channels) != 1:
         raise ValueError("solve_parity expects a single-channel game")
     n = game.num_positions
     solver = _EdgeRankGame(game)
-    w0, w1 = _trampoline(solver.zielonka(set(range(n)), max(solver.high, default=0)))
+    hi = max(solver.high, default=0)
+    w0, w1 = _trampoline(solver.zielonka(set(range(n)), hi))
     region0, region1 = frozenset(w0), frozenset(w1)
     if region0 | region1 != frozenset(range(n)) or region0 & region1:
         raise SolverCheckFailed("winning regions do not partition the positions")
@@ -476,10 +521,63 @@ def solve_parity(game: Arena) -> SolveResult:
 
     strategy_0 = Strategy(0, moves(region0, 0))
     strategy_1 = Strategy(1, moves(region1, 1))
+    if hi - solver.lo <= 2:
+        measures = solver.measures((region0, region1))
+        check_progress_measures(game, solver.lo, (region0, region1),
+                                (strategy_0.moves, strategy_1.moves), measures)
+        return SolveResult(region0, region1, strategy_0, strategy_1, measures)
     if not (verify_strategy(game, region0, strategy_0, 0)
             and verify_strategy(game, region1, strategy_1, 1)):
         raise SolverCheckFailed("extracted strategies failed verification")
     return SolveResult(region0, region1, strategy_0, strategy_1)
+
+
+def check_progress_measures(game: Arena, lo: int, regions, moves, measures) -> None:
+    """Raise `SolverCheckFailed` unless, for each player p, ``moves[p]``
+    wins ``regions[p]`` as certified by ``measures[p]``, on a single-channel
+    max-parity game whose edge ranks all lie in lo..lo + 2.
+
+    One pass over the edges the strategy leaves: every edge of an opponent
+    position and the chosen edge of a position of p's.  None may leave the
+    region.  The bottom player, lo % 2, has an int rho on its region: a rank
+    lo + 1 edge strictly lowers it, a rank-lo edge does not raise it, and a
+    rank lo + 2 edge is free.  The other player has pairs (a, b): a rank
+    lo + 2 edge strictly lowers a, a rank lo + 1 edge does not raise a, and a
+    rank-lo edge strictly lowers (a, b).  Along any cycle the measure could
+    then not fall for ever, so its top rank is the owner's (Jurdzinski,
+    "Small progress measures for solving parity games", STACS 2000).
+    """
+    edges, owner = game.edges, game.owner
+    for player in (0, 1):
+        region, move, measure = regions[player], moves[player], measures[player]
+        missing = region - measure.keys()
+        if missing:
+            raise SolverCheckFailed(f"position {min(missing)} of player {player}'s "
+                                    f"region has no progress measure")
+        bottom = player == lo % 2
+        for u in region:
+            out = edges[u]
+            if owner[u] == player:
+                i = move.get(u)
+                if i is None or not 0 <= i < len(out):
+                    raise SolverCheckFailed(f"player {player} has no move at position {u}")
+                out = (out[i],)
+            mu = measure[u]
+            for v, (r,) in out:
+                if v not in region:
+                    raise SolverCheckFailed(
+                        f"edge {u} -> {v} leaves player {player}'s region")
+                mv = measure[v]
+                if r == lo:
+                    ok = mv <= mu if bottom else mv < mu
+                elif r == lo + 1:
+                    ok = mv < mu if bottom else mv[0] <= mu[0]
+                else:
+                    ok = r == lo + 2 and (bottom or mv[0] < mu[0])
+                if not ok:
+                    raise SolverCheckFailed(
+                        f"edge {u} -> {v}, of rank {r}, breaks player "
+                        f"{player}'s progress measure {mu} -> {mv}")
 
 
 def verify_strategy(game: Arena, region, strategy: Strategy, owner: int) -> bool:

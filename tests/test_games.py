@@ -7,15 +7,18 @@ import pytest
 from explora.automata import LassoView, _member_run, complete
 from explora.determinize import resolve_monitor
 from explora.errors import SolverCheckFailed
-from explora.explorability import build_k_explorability_game
+from explora.explorability import build_k_explorability_game, is_k_explorable
 from explora.games import (And, Arena, MaxEvenParity, Not, Or, Strategy,
-                           compile_objective, condition_automaton, max_channel,
-                           solve, solve_parity, verify_strategy, zielonka_tree)
-from explora.generators import random_automaton
+                           check_progress_measures, compile_objective,
+                           condition_automaton, max_channel, solve, solve_parity,
+                           verify_strategy, zielonka_tree)
+from explora.generators import gen_fig4, random_automaton
+from explora.omega import is_omega_explorable_cobuchi
 
 from conftest import run_optimized, run_python
-from reference import (condition_automaton_recursive, random_multi_arena,
-                       random_parity_game, solve_full_grid,
+from reference import (condition_automaton_recursive, progress_measure_mutants,
+                       random_multi_arena, random_parity_game,
+                       random_three_rank_game, solve_full_grid,
                        solve_parity_disjunction, solve_parity_reference,
                        zielonka_tree_recursive)
 
@@ -346,6 +349,95 @@ class TestAgreesWithReferenceSolver:
             for k in (2, 3):
                 arena, objective = build_k_explorability_game(a, monitor, k)
                 self.assert_same(compile_objective(arena, objective)[0])
+
+
+class TestProgressMeasures:
+    """On ranks lo..lo + 2, `solve_parity` certifies both regions with the
+    progress measures its attractors stamp, and calls `verify_strategy` only
+    on wider arenas."""
+
+    MESSAGES = {**{f"off-by-one {who} lo+{j}": "breaks player"
+                   for who, rules in (("bottom", (0, 1)), ("other", (0, 1, 2)))
+                   for j in rules},
+                "missing": "has no progress measure", "redirected": "leaves player"}
+
+    @pytest.mark.parametrize("middle", [True, False])
+    @pytest.mark.parametrize("lo", [0, 1, 2])
+    def test_agrees_with_reference_and_cycle_check(self, lo, middle):
+        rng = Random(10 * lo + middle)
+        for _ in range(300):
+            game = random_three_rank_game(rng, rng.randint(1, 40), lo, middle)
+            got, want = solve_parity(game), solve_parity_reference(game)
+            assert got.measures is not None
+            assert got.winning_region_0 == want.winning_region_0
+            assert got.winning_region_1 == want.winning_region_1
+            assert got.strategy_0.moves == want.strategy_0.moves
+            assert got.strategy_1.moves == want.strategy_1.moves
+            assert verify_strategy(game, got.winning_region_0, got.strategy_0, 0)
+            assert verify_strategy(game, got.winning_region_1, got.strategy_1, 1)
+
+    def test_wider_arenas_keep_the_cycle_check(self, monkeypatch):
+        checked = []
+        monkeypatch.setattr("explora.games.verify_strategy",
+                            lambda game, region, strategy, owner: checked.append(owner) or True)
+        assert solve_parity(random_parity_game(Random(8), 10, 3)).measures is None
+        assert checked == [0, 1]
+
+    def test_verdicts_need_no_cycle_check(self, monkeypatch):
+        a = complete(random_automaton(Random(0), 3, ["a", "b"], "cobuchi"))
+        want = is_k_explorable(a, 4)
+
+        def refuse(*args):
+            raise AssertionError("verify_strategy called on a three-rank arena")
+
+        monkeypatch.setattr("explora.games.verify_strategy", refuse)
+        assert is_k_explorable(a, 4) == want
+        assert is_omega_explorable_cobuchi(gen_fig4("left"))
+        assert not is_omega_explorable_cobuchi(gen_fig4("right"))
+
+    @pytest.mark.parametrize("lo", [0, 1])
+    def test_forged_certificates_refused(self, lo):
+        game = random_three_rank_game(Random(38), 16, lo)
+        result = solve_parity(game)
+        regions = (result.winning_region_0, result.winning_region_1)
+        check_progress_measures(game, lo, regions,
+                                (result.strategy_0.moves, result.strategy_1.moves),
+                                result.measures)
+        mutants = progress_measure_mutants(game, result)
+        assert sorted(mutants) == sorted(self.MESSAGES)
+        for name, (moves, measures) in mutants.items():
+            with pytest.raises(SolverCheckFailed, match=self.MESSAGES[name]):
+                check_progress_measures(game, lo, regions, moves, measures)
+
+    @pytest.mark.parametrize("player, measure", [(0, 5), (1, (5, 5))])
+    def test_rank_outside_three_refused(self, player, measure):
+        # a rank-3 self-loop on ranks 0..2: neither rule covers it
+        game = Arena((player,), (((0, (3,)),),), 0, ((0, 3),))
+        regions, moves, measures = [frozenset(), frozenset()], [{}, {}], [{}, {}]
+        regions[player], moves[player], measures[player] = frozenset({0}), {0: 0}, {0: measure}
+        with pytest.raises(SolverCheckFailed, match="of rank 3"):
+            check_progress_measures(game, 0, regions, moves, measures)
+
+    def test_forged_certificates_refused_under_optimize(self):
+        done = run_optimized("""
+import sys
+from random import Random
+from explora.errors import SolverCheckFailed
+from explora.games import check_progress_measures, solve_parity
+from reference import progress_measure_mutants, random_three_rank_game
+refused = []
+for lo in (0, 1):
+    game = random_three_rank_game(Random(38), 16, lo)
+    result = solve_parity(game)
+    regions = (result.winning_region_0, result.winning_region_1)
+    for name, (moves, measures) in sorted(progress_measure_mutants(game, result).items()):
+        try:
+            check_progress_measures(game, lo, regions, moves, measures)
+        except SolverCheckFailed:
+            refused.append(name)
+sys.exit(0 if len(refused) == 14 and not __debug__ else 4)
+""")
+        assert done.returncode == 0, done.stderr
 
 
 class TestVerifyStrategy:
