@@ -14,7 +14,8 @@ monitor is validated exactly: its construction's state labels are checked
 transition by transition (translation validation), and a breakpoint monitor
 also passes a product check of L(A) <= L(M).  A user monitor carries no
 labels: it passes the same product check, and L(M) <= L(A) is checked by the
-bounded lasso oracle only.
+bounded lasso oracle only.  A built monitor keeps its labels in
+`Monitor.labels`.
 """
 
 from __future__ import annotations
@@ -33,6 +34,9 @@ from .errors import MissingMonitor, MonitorCheckFailed, MonitorMismatch
 class Monitor:
     automaton: Automaton
     provenance: str  # "subset" | "breakpoint" | "user"
+    # state i's construction label: S for a subset monitor, (S, B) for a
+    # breakpoint one; None for a monitor no construction built
+    labels: Optional[tuple] = None
 
     @property
     def is_finite(self) -> bool:
@@ -122,7 +126,7 @@ def subset_construction(a: Automaton) -> Monitor:
     """Deterministic finite-word monitor over reachable state subsets."""
     monitor, labels = _subset(a)
     _check_subset(a, monitor, labels)
-    return Monitor(monitor, "subset")
+    return Monitor(monitor, "subset", tuple(labels))
 
 
 def _breakpoint(a: Automaton) -> tuple[Automaton, list]:
@@ -201,7 +205,7 @@ def breakpoint_construction(a: Automaton) -> Monitor:
     monitor, labels = _breakpoint(a)
     _check_breakpoint(a, monitor, labels)
     _check_included(a, monitor)
-    return Monitor(monitor, "breakpoint")
+    return Monitor(monitor, "breakpoint", tuple(labels))
 
 
 def resolve_monitor(a: AnyAutomaton, user: Optional[Automaton] = None) -> Monitor:

@@ -2,13 +2,13 @@
 
 Reachability automata are always omega-explorable.  For the other automata
 that `automata.ranked_01` admits, the decision goes through the elimination
-game: a support set of reachable states evolves deterministically, the
-protecting player keeps one challenger token alive inside it, and must
-relocate the challenger (an elimination) whenever it crosses a rank-1
-transition.  The eliminating player wins iff eliminations happen infinitely
-often while the deterministic monitor accepts the word; ranked 3/2/1
-(monitor-rank-1 step / elimination / quiet step), this is a three-rank parity
-game, positionally determined.
+game: the support, the set of states A reaches on the word read so far, is
+the S of the breakpoint monitor state's label; the protecting player keeps
+one challenger token alive inside it, and must relocate the challenger (an
+elimination) whenever it crosses a rank-1 transition.  The eliminating
+player wins iff eliminations happen infinitely often while the deterministic
+monitor accepts the word; ranked 3/2/1 (monitor-rank-1 step / elimination /
+quiet step), this is a three-rank parity game, positionally determined.
 
 The other infinite-word inputs, Buchi and parity beyond [0, 1], are open
 territory: they are reduced, with omega-explorability preserved, to a Buchi
@@ -35,51 +35,70 @@ class OmegaVerdict:
 def build_elimination_game(a: Automaton) -> Arena:
     """Three-rank parity game deciding omega-explorability.
 
-    Positions are (support, challenger, monitor state) with letter and
-    relocation micro-positions; owner 0 is the eliminating player, whose
-    objective is the built-in max-even condition (rank 2 = elimination is the
-    only even rank).  Rank-3 edges coincide exactly with breakpoint (rank-1)
-    monitor transitions, which is checked structurally: a mismatch raises
-    `MonitorCheckFailed`.
+    The eliminating player (owner 0) picks a letter at (challenger, monitor
+    state).  The protecting player moves the challenger at (challenger,
+    letter, monitor step), shared by every monitor state with that step, and
+    relocates it at ("elim", monitor state).  A protector position with one
+    move is not built: the letter edge, of the least rank 1, takes that
+    move's target and rank instead, which keeps the largest rank seen
+    infinitely often.  The objective is the built-in max-even condition
+    (rank 2 = elimination is the only even rank).  Rank-3 edges coincide
+    exactly with breakpoint (rank-1) monitor transitions, which is checked
+    structurally: a mismatch raises `MonitorCheckFailed`.
     """
     if not ranked_01(a):
         raise ValueError("elimination game needs an automaton ranked in [0, 1]")
     a = canonical_parity(complete(a))
-    monitor = breakpoint_construction(a).automaton
-    mon_delta = {key: succ[0] for key, succ in monitor.delta.items()}
-    posts: dict = {}  # (support, letter) -> its successor support, one step each
+    monitor = breakpoint_construction(a)
+    supports = [s for s, _ in monitor.labels]
+    mon_delta = {key: succ[0] for key, succ in monitor.automaton.delta.items()}
+    delta = a.delta
+
+    def moves(q, letter, p2, mrank):
+        out = []
+        for q2, rank in delta[(q, letter)]:
+            if rank == 0:
+                out.append(((q2, p2), (3 if mrank == 1 else 1,)))
+            else:  # elimination: challenger crossed a rank-1 transition
+                out.append((("elim", p2), (3 if mrank == 1 else 2,)))
+        return out
 
     def expand(key):
         if len(key) == 4:  # Protector picks the challenger transition
-            support, q, p, letter = key
-            support2 = posts.get((support, letter))
-            if support2 is None:
-                support2 = posts[(support, letter)] = a.post(support, letter)
-            p2, mrank = mon_delta[(p, letter)]
-            out = []
-            for q2, rank in sorted(set(a.successors(q, letter))):
-                if rank == 0:
-                    out.append(((support2, q2, p2), (3 if mrank == 1 else 1,)))
-                else:  # elimination: challenger crossed a rank-1 transition
-                    out.append((("elim", support2, p2), (3 if mrank == 1 else 2,)))
-            return out
+            return moves(*key)
         if key[0] == "elim":  # Protector relocates inside the support
-            _, support2, p2 = key
-            return [((support2, q2, p2), (1,)) for q2 in sorted(support2)]
-        support, q, p = key  # Eliminator picks a letter
-        return [((support, q, p, letter), (1,)) for letter in a.alphabet]
+            p2 = key[1]
+            return [((q2, p2), (1,)) for q2 in sorted(supports[p2])]
+        q, p = key  # Eliminator picks a letter; a forced move rides its edge
+        out = []
+        for letter in a.alphabet:
+            step = (q, letter) + mon_delta[(p, letter)]
+            out.append(moves(*step)[0] if len(delta[(q, letter)]) == 1 else (step, (1,)))
+        return out
 
-    start = (frozenset({a.initial}), a.initial, monitor.initial)
     # no size check: interned keys are distinct tuples over A's and M's states
-    arena = explore_arena(start, expand,
-                          lambda key: 0 if len(key) == 3 and key[0] != "elim" else 1, ((1, 3),))
-    # rank-3 edges occur exactly at breakpoint monitor transitions
-    for i, key in enumerate(arena.labels):
+    arena = explore_arena((a.initial, monitor.automaton.initial), expand,
+                          lambda key: 0 if len(key) == 2 and key[0] != "elim" else 1,
+                          ((1, 3),))
+    # rank-3 edges occur exactly at breakpoint monitor transitions: an
+    # eliminator position has one edge per letter, in alphabet order, that
+    # enters the protector position of its monitor step at rank 1 or is
+    # contracted; a protector position's monitor step is its key's
+    labels, edges = arena.labels, arena.edges
+    for i, key in enumerate(labels):
+        ok = True
         if len(key) == 4:
-            _, mrank = mon_delta[(key[2], key[3])]
-            if any((color[0] == 3) != (mrank == 1) for _, color in arena.edges[i]):
-                raise MonitorCheckFailed(
-                    f"rank-3 edges of position {i} miss the monitor's breakpoints")
+            ok = all((color[0] == 3) == (key[3] == 1) for _, color in edges[i])
+        elif key[0] != "elim":
+            q, p = key
+            steps = [(q, letter) + mon_delta[(p, letter)] for letter in a.alphabet]
+            ok = len(edges[i]) == len(steps) and all(
+                labels[dst] == step and color == (1,) if len(labels[dst]) == 4
+                else (color[0] == 3) == (step[3] == 1)
+                for step, (dst, color) in zip(steps, edges[i]))
+        if not ok:
+            raise MonitorCheckFailed(
+                f"edges of position {i} miss the monitor's breakpoints")
     return arena
 
 

@@ -16,13 +16,14 @@ from explora import config
 from explora.automata import (AnyAutomaton, Automaton, EquivalenceVerdict,
                               LassoWord, MultiAutomaton, canonical_parity,
                               complete, explore_graph, iter_lassos,
-                              member_finite, member_lasso)
-from explora.determinize import Monitor, resolve_monitor
-from explora.errors import SolverCheckFailed
+                              member_finite, member_lasso, ranked_01)
+from explora.determinize import Monitor, breakpoint_construction, resolve_monitor
+from explora.errors import MonitorCheckFailed, SolverCheckFailed
 from explora.games import (Arena, Color, ConditionAutomaton, MaxEvenParity,
                            Not, Or, SolveResult, Strategy, ZielonkaNode,
                            _trampoline, any_of, condition_automaton,
-                           solve_parity, verify_strategy, zielonka_tree)
+                           explore_arena, solve_parity, verify_strategy,
+                           zielonka_tree)
 from explora.textio import format_objective
 
 
@@ -516,6 +517,54 @@ def build_breakpoint_game_reference(a, monitor: Monitor, k: int):
         labels=tuple(order),
     )
     return arena, MaxEvenParity(0)
+
+
+def build_elimination_game_reference(a: Automaton) -> Arena:
+    """The elimination game before contraction and sharing: positions are
+    (support, challenger, monitor state) with a protector letter position
+    (support, challenger, monitor state, letter) behind every letter edge and
+    relocation positions ("elim", support, monitor state); each support step
+    is recomputed with ``post``.  Same ranks and rank-3 check as
+    `omega.build_elimination_game`."""
+    if not ranked_01(a):
+        raise ValueError("elimination game needs an automaton ranked in [0, 1]")
+    a = canonical_parity(complete(a))
+    monitor = breakpoint_construction(a).automaton
+    mon_delta = {key: succ[0] for key, succ in monitor.delta.items()}
+    posts: dict = {}  # (support, letter) -> its successor support, one step each
+
+    def expand(key):
+        if len(key) == 4:  # Protector picks the challenger transition
+            support, q, p, letter = key
+            support2 = posts.get((support, letter))
+            if support2 is None:
+                support2 = posts[(support, letter)] = a.post(support, letter)
+            p2, mrank = mon_delta[(p, letter)]
+            out = []
+            for q2, rank in sorted(set(a.successors(q, letter))):
+                if rank == 0:
+                    out.append(((support2, q2, p2), (3 if mrank == 1 else 1,)))
+                else:  # elimination: challenger crossed a rank-1 transition
+                    out.append((("elim", support2, p2), (3 if mrank == 1 else 2,)))
+            return out
+        if key[0] == "elim":  # Protector relocates inside the support
+            _, support2, p2 = key
+            return [((support2, q2, p2), (1,)) for q2 in sorted(support2)]
+        support, q, p = key  # Eliminator picks a letter
+        return [((support, q, p, letter), (1,)) for letter in a.alphabet]
+
+    start = (frozenset({a.initial}), a.initial, monitor.initial)
+    # no size check: interned keys are distinct tuples over A's and M's states
+    arena = explore_arena(start, expand,
+                          lambda key: 0 if len(key) == 3 and key[0] != "elim" else 1, ((1, 3),))
+    # rank-3 edges occur exactly at breakpoint monitor transitions
+    for i, key in enumerate(arena.labels):
+        if len(key) == 4:
+            _, mrank = mon_delta[(key[2], key[3])]
+            if any((color[0] == 3) != (mrank == 1) for _, color in arena.edges[i]):
+                raise MonitorCheckFailed(
+                    f"rank-3 edges of position {i} miss the monitor's breakpoints")
+    return arena
 
 
 def _token_channels(a: AnyAutomaton) -> tuple[tuple[int, int], ...]:

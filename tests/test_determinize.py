@@ -259,6 +259,41 @@ def test_checks_reject_every_mutant_the_oracle_refutes(seed, condition, partial,
         assert not passes_checks(condition, a, mutant, mutant_labels)
 
 
+class TestMonitorLabels:
+    def test_subset_monitor_carries_its_subsets(self):
+        for a in [gen_ak(2), gen_c()] + automaton_corpus(32, 4, 3, ["a", "b"], "finite"):
+            mon = subset_construction(a)
+            assert len(mon.labels) == mon.automaton.num_states
+            assert mon.labels[0] == {a.initial}
+            # label i is the set of states A reaches on any word M reaches i on
+            for t in mon.automaton.transitions:
+                assert mon.labels[t.dst] == a.post(mon.labels[t.src], t.letter)
+
+    def test_breakpoint_monitor_carries_its_pairs(self):
+        for a in [gen_fig4("left"), gen_fig4("right")] + \
+                automaton_corpus(33, 4, 3, ["a", "b"], "cobuchi"):
+            mon = breakpoint_construction(a)
+            a = canonical_parity(a)
+            assert len(mon.labels) == mon.automaton.num_states
+            assert mon.labels[0] == ({a.initial}, {a.initial})
+            for t in mon.automaton.transitions:
+                s, b = mon.labels[t.src]
+                assert mon.labels[t.dst][0] == a.post(s, t.letter)
+                assert mon.labels[t.dst][1] <= mon.labels[t.dst][0]
+
+    def test_user_monitor_carries_none(self):
+        a = Automaton.build("db", ["a", "b"], 2, 0, "buchi",
+                            [(0, "a", 1, 2), (0, "b", 0, 1),
+                             (1, "a", 0, 1), (1, "b", 1, 2)])
+        mon = resolve_monitor(a)
+        assert mon.provenance == "user" and mon.labels is None
+        other = Automaton.build("other", ["a", "b"], 1, 0, "buchi",
+                                [(0, "a", 0, 2), (0, "b", 0, 2)])
+        universal = Automaton.build("all", ["a", "b"], 1, 0, "buchi",
+                                    [(0, "a", 0, 2), (0, "b", 0, 2)])
+        assert resolve_monitor(universal, other).labels is None
+
+
 class TestResolveMonitor:
     def test_nfa_gets_subset(self):
         assert resolve_monitor(gen_ak(2)).provenance == "subset"

@@ -1,18 +1,21 @@
-from collections import Counter
+from dataclasses import replace
 from random import Random
 
 import pytest
 
+import explora.omega as omega
 from explora.automata import (Automaton, canonical_parity, complete,
                               equivalent_on_lassos, is_deterministic,
                               iter_lassos, member_lasso)
+from explora.determinize import breakpoint_construction
 from explora.explorability import is_k_explorable
-from explora.generators import atm_accepts, atm_reduce, random_automaton
-from explora.generators import gen_fig4
+from explora.games import solve_parity
+from explora.generators import atm_accepts, atm_reduce, gen_fig4, random_automaton
 from explora.omega import (build_elimination_game, is_omega_explorable,
                            is_omega_explorable_cobuchi, parity_to_buchi_omega)
 
 from conftest import ATM_CORPUS, automaton_corpus, run_optimized
+from reference import build_elimination_game_reference
 
 
 class TestEliminationGame:
@@ -23,26 +26,37 @@ class TestEliminationGame:
         assert not is_omega_explorable_cobuchi(gen_fig4("right"))
 
     def test_arena_size_bound_on_fig4(self):
+        # n * |M| eliminator positions, at most two protector positions
+        # (q, letter, p2, mrank) per letter for each of them, |M| relocations
         for side in ("left", "right"):
             a = canonical_parity(complete(gen_fig4(side)))
+            m = breakpoint_construction(a).automaton.num_states
             arena = build_elimination_game(gen_fig4(side))
-            n = a.num_states
             assert arena.num_positions <= \
-                2 ** n * n * 3 ** n * (1 + len(a.alphabet))
+                a.num_states * m * (1 + 2 * len(a.alphabet)) + m
 
-    def test_one_support_step_per_support_and_letter(self, monkeypatch):
-        import explora.omega as omega
-        a = gen_fig4("left")
-        monitor = omega.breakpoint_construction(canonical_parity(complete(a)))
-        monkeypatch.setattr(omega, "breakpoint_construction", lambda _: monitor)
-        calls = []
-        real = Automaton.post
-        monkeypatch.setattr(Automaton, "post",
-                            lambda self, *args: calls.append(args) or real(self, *args))
-        arena = build_elimination_game(a)
-        letter_positions = [key for key in arena.labels if len(key) == 4]
-        assert Counter(calls) == Counter({(key[0], key[3]) for key in letter_positions})
-        assert len(calls) < len(letter_positions)
+    def test_no_protector_position_has_one_edge(self):
+        # a forced protector move rides the letter edge instead
+        inputs = [gen_fig4("left"), gen_fig4("right"), atm_reduce(*ATM_CORPUS[0][1:3])]
+        inputs += automaton_corpus(79, 20, 4, ["a", "b"], "safety")
+        for a in inputs:
+            arena = build_elimination_game(a)
+            protectors = [i for i, key in enumerate(arena.labels) if len(key) == 4]
+            assert all(len(arena.edges[i]) > 1 for i in protectors)
+
+    def test_no_support_step_after_the_monitor(self, monkeypatch):
+        # the support is the S of the monitor state's label, so once the
+        # breakpoint monitor is built and checked the game calls no `post`
+        built, calls = [], []
+        real_monitor, real_post = omega.breakpoint_construction, Automaton.post
+        monkeypatch.setattr(omega, "breakpoint_construction",
+                            lambda a: built.append(real_monitor(a)) or built[-1])
+        monkeypatch.setattr(Automaton, "post", lambda self, *args:
+                            (built and calls.append(args)) or real_post(self, *args))
+        for a in [gen_fig4("left"), atm_reduce(*ATM_CORPUS[0][1:3])]:
+            built.clear()
+            build_elimination_game(a)
+            assert len(built) == 1 and calls == []
 
     def test_deterministic_cobuchi_corpus_is_omega_explorable(self):
         for a in automaton_corpus(71, 8, 3, ["a", "b"], "cobuchi", max_branch=1):
@@ -77,9 +91,11 @@ class TestEliminationGame:
         assert product_game.num_positions == arena.num_positions * cond.num_states
 
     def test_breakpoint_rank_check_raises_under_optimize(self):
-        # a fault in the arena: one edge's rank-3 mark no longer follows the
-        # monitor's breakpoints; the check must not be an assert.  The fault
-        # goes into the walk that `games.explore_arena` runs.
+        # three faults in the arena, each put into the walk that
+        # `games.explore_arena` runs: a flipped rank on a letter edge that
+        # carries a forced move, a flipped rank out of a protector position
+        # that two eliminator positions share, and a dropped letter edge.
+        # The check must catch each, and must not be an assert.
         done = run_optimized("""
 import sys
 import explora.games as games
@@ -87,18 +103,40 @@ import explora.omega as omega
 from explora.errors import MonitorCheckFailed
 from explora.generators import gen_fig4
 real = games.explore_graph
-def faulty(roots, expand):
-    order, edges = real(roots, expand)
-    i = next(i for i, key in enumerate(order) if len(key) == 4)
-    dst, color = edges[i][0]
-    edges[i] = ((dst, (1,) if color == (3,) else (3,)),) + edges[i][1:]
-    return order, edges
-games.explore_graph = faulty
-try:
-    omega.build_elimination_game(gen_fig4("left"))
-except MonitorCheckFailed:
-    sys.exit(0 if not __debug__ else 4)
-sys.exit(5)
+
+def eliminators(order):
+    return [i for i, key in enumerate(order) if len(key) == 2 and key[0] != "elim"]
+
+def flip(edges, i, j):
+    dst, color = edges[i][j]
+    edges[i] = edges[i][:j] + ((dst, (1,) if color == (3,) else (3,)),) + edges[i][j + 1:]
+
+def contracted(order, edges):
+    flip(edges, *next((i, j) for i in eliminators(order)
+                      for j, (dst, _) in enumerate(edges[i]) if len(order[dst]) == 2))
+
+def shared(order, edges):
+    entries = [dst for i in eliminators(order) for dst, _ in edges[i]]
+    flip(edges, next(i for i, key in enumerate(order)
+                     if len(key) == 4 and entries.count(i) > 1), 0)
+
+def dropped(order, edges):
+    i = eliminators(order)[0]
+    edges[i] = edges[i][:-1]
+
+omega.build_elimination_game(gen_fig4("left"))
+for fault in (contracted, shared, dropped):
+    def faulty(roots, expand):
+        order, edges = real(roots, expand)
+        fault(order, edges)
+        return order, edges
+    games.explore_graph = faulty
+    try:
+        omega.build_elimination_game(gen_fig4("left"))
+    except MonitorCheckFailed:
+        continue
+    sys.exit(5)
+sys.exit(0 if not __debug__ else 4)
 """)
         assert done.returncode == 0, done.stderr
 
@@ -184,3 +222,46 @@ class TestHardnessLoop:
         assert atm_accepts(machine, word) == expected
         reduced = atm_reduce(machine, word)
         assert is_omega_explorable_cobuchi(reduced) == (not expected)
+
+
+def eliminator_winners(arena, key_of):
+    """Map from each eliminator position's key, through `key_of`, to whether
+    the eliminating player wins there."""
+    won = solve_parity(arena).winning_region_0
+    return {key_of(key): i in won for i, key in enumerate(arena.labels)
+            if len(key) in (2, 3) and key[0] != "elim"}
+
+
+class TestEliminationGameAgreesWithReference:
+    """The contracted, shared game against the one keyed (support,
+    challenger, monitor state): the same verdict, and the same winner at every
+    eliminator position, (S(p), q, p) <-> (q, p)."""
+
+    @staticmethod
+    def assert_agrees(a):
+        arena = build_elimination_game(a)
+        ref = build_elimination_game_reference(a)
+        winners = eliminator_winners(arena, lambda key: key)
+        # the initial positions (q0, 0) and ({q0}, q0, 0) are among them
+        assert winners == eliminator_winners(ref, lambda key: key[1:])
+        assert arena.num_positions < ref.num_positions
+
+    def test_random_safety_and_cobuchi(self):
+        rng = Random(80)
+        for i in range(400):
+            letters = ["a", "b", "c"][:rng.randint(2, 3)]
+            condition = ("safety", "cobuchi")[i % 2]
+            self.assert_agrees(complete(random_automaton(rng, rng.randint(2, 6),
+                                                         letters, condition)))
+
+    def test_fig4(self):
+        for side in ("left", "right"):
+            self.assert_agrees(gen_fig4(side))
+
+    def test_machine_reductions(self):
+        # the one-cell `loop-reject` on both words, and two space-2 machines
+        one_cell = replace(ATM_CORPUS[0][1], space=1)
+        for word in "01":
+            self.assert_agrees(atm_reduce(one_cell, word))
+        for _, machine, word, _ in (ATM_CORPUS[0], ATM_CORPUS[2]):
+            self.assert_agrees(atm_reduce(machine, word))
