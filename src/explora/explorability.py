@@ -24,25 +24,26 @@ coded as ints, with Miyano-Hayashi breakpoints (Miyano and Hayashi,
 "Alternating finite automata on omega-words", TCS 1984).  Its arena has one
 rank per edge, folding the monitor's rank into the breakpoint's, so the
 objective is the bare ``p0`` for every k and `games.solve` plays it without
-a product; see `_breakpoint_tokens`.  `explorability_witness` plays it at
-k = 1 first: a won 1-token game means the automaton is history-deterministic,
-so every token can follow the one token's run, and its strategy, played by
-every token, wins at any k.  Only a lost 1-token game at k > 1 is followed by
-the k-token one.
+a product; see `_breakpoint_tokens`.  A user monitor (Buchi, general parity
+and multi-channel inputs) plays on token tuples, since per-token rank
+channels must follow actual runs: k tokens of `a` are one token of the
+k-fold union power `constructions.union_power(a, k)`, whose channels, one
+per copy and channel of `a`, grow with k and are capped by
+`config.check_channels`.
 
-A user monitor (Buchi, general parity and multi-channel inputs) plays on
-token tuples, since per-token rank channels must follow actual runs: k
-tokens of `a` are one token of the k-fold union power
-`constructions.union_power(a, k)`, whose channels, one per copy and channel
-of `a`, grow with k and are capped by `config.check_channels`.  It is played
-at k only, as is the finite-word game.
+A verdict sets its game up once and plays its rounds from that set-up in
+`_first_won_round`.  On infinite words, under every monitor, the 1-token
+round comes first: its win means the automaton is history-deterministic,
+so every token can follow the one token's run, and its strategy, played by
+every token, wins at any k.  A finite-word witness is played at k only.
 
 The token moves do not depend on the monitor state, so every builder
 computes them once per (tokens, letter) and shares them between every
-monitor state that meets that pair; the memo lives for one build.  The
-infinite-word games key a token-player position by its moves' arguments
-(tokens, letter, m2, mrank), so every monitor state that steps to (m2,
-mrank) under the letter shares it: the moves and their ranks are the same.
+monitor state that meets that pair; the breakpoint game's memo serves every
+round of a verdict.  The infinite-word games key a token-player position by
+its moves' arguments (tokens, letter, m2, mrank), so every monitor state
+that steps to (m2, mrank) under the letter shares it: the moves and their
+ranks are the same.
 """
 
 from __future__ import annotations
@@ -186,9 +187,10 @@ def _solve_finite_game(a: Automaton, monitor: Monitor, k: int):
     return not lost[root], lost, current
 
 
-def _breakpoint_tokens(a: Automaton, mon: Automaton, k: int):
-    """Channel, objective, start and moves of the game on breakpoint
-    multisets, played under a monitor that ranks in [0, 1].
+def _breakpoint_tokens(a: Automaton, mon: Automaton):
+    """The game on breakpoint multisets under a monitor that ranks in
+    [0, 1], set up once: the function that gives its channel, objective,
+    start and moves at k tokens.  Only the start depends on k.
 
     A token is an int: state q of ``canonical_parity(a)``, whose n states
     count the sink it adds to safety and reachability inputs, is token q
@@ -235,7 +237,7 @@ def _breakpoint_tokens(a: Automaton, mon: Automaton, k: int):
             return [((dsts, m2), (2,)) for dsts, _ in out]
         return [((dsts, m2), rank) for dsts, rank in out]
 
-    return ((0, 2),), MaxEvenParity(0), tuple([a.initial + n] * k), moves
+    return lambda k: (((0, 2),), MaxEvenParity(0), tuple([a.initial + n] * k), moves)
 
 
 def _tuple_tokens(a: AnyAutomaton, mon: Automaton, k: int):
@@ -257,42 +259,45 @@ def _tuple_tokens(a: AnyAutomaton, mon: Automaton, k: int):
     return channels, objective, power.initial, moves
 
 
+def _token_game(a: AnyAutomaton, monitor: Monitor):
+    """The infinite-word game of the completed automaton, set up once: the
+    function that builds its k-token arena and objective."""
+    mon = monitor.automaton
+    tokens = (_breakpoint_tokens(a, mon) if monitor.provenance == "breakpoint"
+              else lambda k: _tuple_tokens(a, mon, k))
+    mon_delta = {key: succ[0] for key, succ in mon.delta.items()}
+
+    def build(k):
+        channels, objective, start, moves = tokens(k)
+        neutral = tuple(lo for lo, _ in channels)
+
+        def expand(key):
+            if len(key) == 2:  # a token-player position is keyed by its moves' arguments
+                held, m = key
+                return [((held, letter, *mon_delta[(m, letter)]), neutral)
+                        for letter in a.alphabet]
+            return moves(*key)
+
+        # (tokens, m) positions belong to the letter player, the others to the token player
+        arena = explore_arena((start, mon.initial), expand,
+                              lambda key: 1 if len(key) == 2 else 0, channels)
+        return arena, objective
+
+    return build
+
+
 def build_k_explorability_game(a: AnyAutomaton, monitor: Monitor,
                                k: int) -> tuple[Arena, Objective]:
     """Arena and Determiniser objective of the k-token explorability game of
-    the completed automaton, as `_play` solves it.  It builds infinite-word
-    arenas only.
-
-    The monitor's kind picks the game.  A breakpoint monitor gets token
-    multisets in a one-rank arena over [0, 2] and the objective ``p0`` for
-    every k.  A user monitor gets token tuples, played as one token of the
-    k-fold union power, under ``not p0 or p1 or ... or pw``, since per-token
-    parity channels are only meaningful along actual runs.  A subset monitor
-    (finite words) is refused: that game is solved locally and builds no
-    arena.
-    """
+    the completed automaton, built as `_first_won_round` builds its rounds:
+    on token multisets under a breakpoint monitor, on token tuples under a
+    user one.  A subset monitor (finite words) is refused: that game is
+    solved locally and builds no arena."""
     if k < 1:
         raise ValueError("token count must be at least 1")
     if monitor.is_finite:
         raise ValueError("the finite-word game is solved locally and builds no arena")
-    a = complete(a)
-    game = _breakpoint_tokens if monitor.provenance == "breakpoint" else _tuple_tokens
-    mon = monitor.automaton
-    channels, objective, start, moves = game(a, mon, k)
-    mon_delta = {key: succ[0] for key, succ in mon.delta.items()}
-    neutral = tuple(lo for lo, _ in channels)
-
-    def expand(key):
-        if len(key) == 2:  # a token-player position is keyed by its moves' arguments
-            tokens, m = key
-            return [((tokens, letter, *mon_delta[(m, letter)]), neutral)
-                    for letter in a.alphabet]
-        return moves(*key)
-
-    # (tokens, m) positions belong to the letter player, the others to the token player
-    arena = explore_arena((start, mon.initial), expand,
-                          lambda key: 1 if len(key) == 2 else 0, channels)
-    return arena, objective
+    return _token_game(complete(a), monitor)(k)
 
 
 def _check_letter_moves(arena: Arena, alphabet) -> None:
@@ -306,41 +311,41 @@ def _check_letter_moves(arena: Arena, alphabet) -> None:
             raise SolverCheckFailed(f"the game does not offer every letter at {key}")
 
 
-def _play(a: AnyAutomaton, monitor: Monitor, k: int) -> Optional[Strategy]:
-    """Play the k-explorability game of the (completed) automaton on the
-    given monitor: the token player's winning strategy, checked, or None if
-    the token player loses.  A finite-word strategy is checked by replaying
-    it and maps (tokens, m, letter) positions to the (tokens, m) positions
-    they move to.  An infinite-word one is checked inside `solve`, on an
-    arena whose letter moves `_check_letter_moves` has checked first."""
-    if k < 1:
+def _first_won_round(a: AnyAutomaton, monitor: Monitor, ks) -> Optional[tuple[int, Strategy]]:
+    """The first won round's k and token-player strategy, checked, or None,
+    playing the completed automaton's game on the monitor, set up once, at
+    the ascending token counts `ks`, with k = 1 first on infinite words and
+    a user monitor's channel budget checked first.  A finite-word strategy
+    is replayed; it maps (tokens, m, letter) positions to (tokens, m) ones.
+    An infinite-word one is checked in `solve`, after `_check_letter_moves`."""
+    if not monitor.is_finite:
+        ks = sorted({1, *ks})
+    if ks[0] < 1:
         raise ValueError("token count must be at least 1")
-    if monitor.is_finite:
-        won, _, current = _solve_finite_game(a, monitor, k)
-        if not won:
-            return None
-        return Strategy(0, verify_token_strategy(a, monitor.automaton, k, current))
-    arena, objective = build_k_explorability_game(a, monitor, k)
-    _check_letter_moves(arena, a.alphabet)
-    result = solve(arena, objective)
-    return result.strategy_0 if arena.initial in result.winning_region_0 else None
+    if monitor.provenance == "user":
+        config.check_channels(power_channels(a, ks[-1]))
+    build = None if monitor.is_finite else _token_game(a, monitor)
+    for k in ks:
+        if monitor.is_finite:
+            won, _, current = _solve_finite_game(a, monitor, k)
+            if won:
+                return k, Strategy(0, verify_token_strategy(a, monitor.automaton, k, current))
+        else:
+            arena, objective = build(k)
+            _check_letter_moves(arena, a.alphabet)
+            result = solve(arena, objective)
+            if arena.initial in result.winning_region_0:
+                return k, result.strategy_0
+    return None
 
 
 def explorability_witness(a: AnyAutomaton, k: int,
                           user_monitor: Optional[Automaton] = None) -> Optional[Strategy]:
-    """Winning token-player strategy at k tokens, if one exists.
-
-    On breakpoint multisets the 1-token game is played first.  Its win makes
-    the automaton history-deterministic, and its strategy, played by every
-    token, wins at any k, so no k-token arena is built.  Only a lost 1-token
-    game at k > 1 is followed by the k-token one."""
+    """Winning token-player strategy at k tokens, if one exists.  On infinite
+    words it is the 1-token strategy whenever the 1-token game is won."""
     a = complete(a)
-    monitor = resolve_monitor(a, user_monitor)
-    if k > 1 and monitor.provenance == "breakpoint":
-        strategy = _play(a, monitor, 1)
-        if strategy is not None:
-            return strategy
-    return _play(a, monitor, k)
+    won = _first_won_round(a, resolve_monitor(a, user_monitor), (k,))
+    return won[1] if won else None
 
 
 def is_k_explorable(a: AnyAutomaton, k: int,
@@ -353,22 +358,16 @@ def explorability_bounded(a: AnyAutomaton, kmax: int,
                           user_monitor: Optional[Automaton] = None) -> ExplorabilityVerdict:
     """Iterative-deepening search for the least witnessing token count.
 
-    k-explorability is monotone in k, so the first success is the least k;
-    the monitor is built once and the witness comes from the game just won.
-    A negative verdict is explicitly inconclusive: it only covers k <= kmax.
+    k-explorability is monotone in k, so the first won round of k = 1 up to
+    kmax gives the least k and its witness.  A negative verdict is
+    explicitly inconclusive: it only covers k <= kmax.
     """
     if kmax < 1:
         raise ValueError("kmax must be at least 1")
     a = complete(a)
-    monitor = resolve_monitor(a, user_monitor)
-    if monitor.provenance == "user":
-        # refuse before playing any k, not at the first k past the budget
-        config.check_channels(power_channels(a, kmax))
-    for k in range(1, kmax + 1):
-        strategy = _play(a, monitor, k)
-        if strategy is not None:
-            return ExplorabilityVerdict("explorable-with", k, strategy)
-    return ExplorabilityVerdict("not-explorable-up-to", kmax)
+    won = _first_won_round(a, resolve_monitor(a, user_monitor), range(1, kmax + 1))
+    return (ExplorabilityVerdict("explorable-with", *won) if won
+            else ExplorabilityVerdict("not-explorable-up-to", kmax))
 
 
 # ---------------------------------------------------------------------------
@@ -425,7 +424,7 @@ def is_k_population_winnable(inst: PCPInstance, k: int) -> bool:
     nfa = replace(nfa, accepting=frozenset(range(nfa.num_states)) - {inst.target})
     everything = Automaton.build("all", nfa.alphabet, 1, 0, "finite",
                                  [(0, letter, 0) for letter in nfa.alphabet], [0])
-    return _play(nfa, Monitor(everything, "subset"), k) is not None
+    return _first_won_round(nfa, Monitor(everything, "subset"), (k,)) is not None
 
 
 def pcp_to_explorability(inst: PCPInstance) -> Automaton:

@@ -15,6 +15,7 @@ from random import Random
 
 import explora
 from explora.automata import Automaton, complete
+from explora.determinize import breakpoint_construction
 from explora.generators import ATM, random_automaton
 
 # (name, machine, input word, expected acceptance)
@@ -68,6 +69,18 @@ def automaton_corpus(seed: int, count: int, num_states: int, alphabet,
     return [complete(random_automaton(rng, num_states, alphabet, condition,
                                       max_branch=max_branch, parity=parity))
             for _ in range(count)]
+
+
+def shifted_cob3(seed: int) -> tuple[Automaton, Automaton]:
+    """The seed's random 3-state coBuchi automaton with its ranks shifted by
+    2, and that automaton's breakpoint monitor.  The shifted automaton has
+    the same language under ``parity 2 3``, which `ranked_01` refuses, so it
+    plays on token tuples under the monitor passed as a user monitor."""
+    a = random_automaton(Random(seed), 3, "ab", "cobuchi")
+    shifted = Automaton.build(a.name, a.alphabet, a.num_states, a.initial, "parity",
+                              [(t.src, t.letter, t.dst, t.rank + 2) for t in a.transitions],
+                              parity=(2, 3))
+    return shifted, breakpoint_construction(a).automaton
 
 
 def gen_c_rejecting_aaa() -> Automaton:

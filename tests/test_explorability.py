@@ -13,7 +13,7 @@ from explora.constructions import (compose_monitor, union_condition_automaton_02
 from explora.determinize import Monitor, resolve_monitor
 from explora.errors import (ChannelBudgetExceeded, NonSinkTarget, ReductionCheckFailed,
                            SolverCheckFailed)
-from explora.explorability import (PCPInstance, _finite_tokens, _play,
+from explora.explorability import (PCPInstance, _check_letter_moves, _finite_tokens,
                                    _solve_finite_game,
                                    build_k_explorability_game,
                                    explorability_bounded,
@@ -24,7 +24,8 @@ from explora.games import MaxEvenParity, explore_arena, solve, verify_token_stra
 from explora.generators import gen_ak, gen_bk, gen_c, random_automaton
 from explora.textio import format_automaton, format_witness
 
-from conftest import automaton_corpus, gen_c_rejecting_aaa, run_optimized, run_python
+from conftest import (automaton_corpus, gen_c_rejecting_aaa, run_optimized, run_python,
+                      shifted_cob3)
 from reference import (_spoiler_attractor, build_breakpoint_game_reference,
                        build_finite_game_reference, build_tuple_game_reference,
                        is_k_explorable_tuples, iter_words, multiset_moves_reference,
@@ -134,11 +135,15 @@ class TestGameStructure:
         a = automaton_corpus(52, 1, 2, ["a"], "buchi", max_branch=1)[0]
         path = tmp_path / "a.aut"
         path.write_text(format_automaton(a))
-        played = []
-        real = ex._play
-        monkeypatch.setattr(ex, "_play", lambda *args, **kw: played.append(args) or real(*args, **kw))
+        played = []  # one entry per game set-up, which every round needs
+        real = ex._token_game
+        monkeypatch.setattr(ex, "_token_game", lambda *args: played.append(args) or real(*args))
         assert main(["explorable", "--max-k", "6", str(path)]) == 3
         assert "7 channels exceed the budget of 5" in capsys.readouterr().err
+        assert played == []
+        # the 1-token round would win, but k = 9 is refused before it
+        assert main(["k-explorable", "-k", "9", str(path)]) == 3
+        assert "10 channels exceed the budget of 5" in capsys.readouterr().err
         assert played == []
         assert main(["explorable", "--max-k", "4", str(path)]) in (0, 2)
         assert played
@@ -722,6 +727,15 @@ def _one_token_round_corpus():
     return list(cases.items())
 
 
+def _one_token_round_cases():
+    """(name, automaton, user monitor) of `_one_token_round_corpus`, whose
+    monitors are built (None), and of shifted cob3 inputs under user
+    monitors: seeds 0, 23 and 38 are history-deterministic, seed 20 is
+    2-explorable, seed 25 4-explorable and seed 2 not 4-explorable."""
+    return ([(name, a, None) for name, a in _one_token_round_corpus()]
+            + [(f"shifted-cob3-{seed}", *shifted_cob3(seed)) for seed in (0, 2, 20, 23, 25, 38)])
+
+
 _FULL_ROUND_MUTANT = """
 import contextlib, io, os, sys, tempfile
 from random import Random
@@ -754,47 +768,58 @@ sys.exit(0 if not __debug__ else 4)
 
 
 class TestOneTokenRound:
-    """On breakpoint multisets `explorability_witness` plays the 1-token game
-    first at k > 1: its win makes the automaton history-deterministic and is
-    a win at every k.  Only a lost 1-token game is followed by the k-token
-    one."""
+    """On infinite words, under a built or a user monitor,
+    `explorability_witness` plays the 1-token game first at k > 1: its win
+    makes the automaton history-deterministic and is a win at every k.  Only
+    a lost 1-token game is followed by the k-token one."""
 
-    @pytest.mark.parametrize("a", [pytest.param(a, id=name)
-                                   for name, a in _one_token_round_corpus()])
-    def test_same_verdict_as_full_game(self, a):
-        monitor = resolve_monitor(complete(a))
-        hd = is_k_explorable(a, 1)
+    @pytest.mark.parametrize("a, user", [pytest.param(a, user, id=name)
+                                         for name, a, user in _one_token_round_cases()])
+    def test_same_verdict_as_full_game(self, a, user):
+        monitor = resolve_monitor(complete(a), user)
+        hd = is_k_explorable(a, 1, user)
         for k in (2, 3, 4):
             arena, objective = build_k_explorability_game(a, monitor, k)
             won = arena.initial in solve(arena, objective).winning_region_0
-            assert is_k_explorable(a, k) == won
+            assert is_k_explorable(a, k, user) == won
             # a won 1-token game is a won k-token game
             assert won or not hd
 
     @pytest.mark.parametrize("k", [2, 3, 4])
     def test_hd_inputs_get_the_one_token_witness(self, k):
-        for _, a in _one_token_round_corpus():
-            if is_k_explorable(a, 1):
-                one = format_witness(explorability_witness(a, 1))
-                assert format_witness(explorability_witness(a, k)) == one
+        for _, a, user in _one_token_round_cases():
+            if is_k_explorable(a, 1, user):
+                one = format_witness(explorability_witness(a, 1, user))
+                assert format_witness(explorability_witness(a, k, user)) == one
 
     def test_corpus_has_hd_and_non_hd_inputs(self):
-        verdicts = {(is_k_explorable(a, 1), is_k_explorable(a, 2))
-                    for _, a in _one_token_round_corpus()}
-        assert verdicts == {(True, True), (False, True), (False, False)}
+        cases = _one_token_round_cases()
+        for corpus in ([c for c in cases if c[2] is None], [c for c in cases if c[2] is not None]):
+            verdicts = {(is_k_explorable(a, 1, user), is_k_explorable(a, 2, user))
+                        for _, a, user in corpus}
+            assert verdicts == {(True, True), (False, True), (False, False)}
+
+    def test_user_monitor_verdicts_match_the_breakpoint_game(self):
+        # the shifted input under its breakpoint monitor plays the tuple
+        # game, the unshifted one the breakpoint game
+        for seed in (0, 2, 20, 23, 25, 38):
+            shifted, user = shifted_cob3(seed)
+            a = random_automaton(Random(seed), 3, "ab", "cobuchi")
+            for k in (1, 2, 3, 4):
+                assert is_k_explorable(shifted, k, user) == is_k_explorable(a, k)
 
     @staticmethod
     def _rounds(monkeypatch):
-        """Record the k of every arena `_play` builds, and count solves."""
+        """Record the k of every arena a round builds, and count solves."""
         import explora.explorability as ex
         built, solves = [], []
-        real_build, real_solve = ex.build_k_explorability_game, ex.solve
+        real_game, real_solve = ex._token_game, ex.solve
 
-        def build(a, monitor, k):
-            built.append(k)
-            return real_build(a, monitor, k)
+        def game(a, monitor):
+            build = real_game(a, monitor)
+            return lambda k: built.append(k) or build(k)
 
-        monkeypatch.setattr(ex, "build_k_explorability_game", build)
+        monkeypatch.setattr(ex, "_token_game", game)
         monkeypatch.setattr(ex, "solve", lambda *args: solves.append(1) or real_solve(*args))
         return built, solves
 
@@ -816,14 +841,15 @@ class TestOneTokenRound:
         # not history-deterministic: the k-token game decides
         assert run(["k-explorable", "-k", "4"], 25) == (0, [1, 4], 2)
         assert run(["k-explorable", "-k", "3"], 25) == (1, [1, 3], 2)
-        # the bounded search plays k = 1 on its own, then one game per k
+        # the bounded search plays one round per k
         assert run(["explorable", "--max-k", "4"], 25) == (0, [1, 2, 3, 4], 4)
         assert run(["explorable", "--max-k", "4"], 2) == (2, [1, 2, 3, 4], 4)
 
-    def test_other_games_play_only_at_k(self, monkeypatch):
+    def test_every_infinite_word_game_plays_one_token_first(self, monkeypatch):
         # a deterministic Buchi input monitors itself and plays on token
-        # tuples, a finite-word one plays the local game: neither plays the
-        # 1-token game first, though both inputs here are 1-explorable
+        # tuples: it is history-deterministic, so the 1-token round decides.
+        # The non-HD shifted cob3 plays the tuple game at 1 and then at k.  A
+        # finite-word input plays one local game at k
         import explora.explorability as ex
         built, solves = self._rounds(monkeypatch)
         finite = []
@@ -832,12 +858,31 @@ class TestOneTokenRound:
                             lambda a, monitor, k: finite.append(k) or real_finite(a, monitor, k))
         det = random_automaton(Random(3), 3, "ab", "buchi", max_branch=1)
         assert is_k_explorable(det, 1) and is_k_explorable(gen_ak(1), 1)
-        built.clear()
-        solves.clear()
-        finite.clear()
-        assert is_k_explorable(det, 3)
-        assert is_k_explorable(gen_ak(1), 3)
-        assert (built, len(solves), finite) == ([3], 1, [3])
+        shifted, monitor = shifted_cob3(25)
+        for a, user, verdict, arenas, local in ((det, None, True, [1], []),
+                                                (shifted, monitor, False, [1, 3], []),
+                                                (gen_ak(1), None, True, [], [3])):
+            built.clear()
+            solves.clear()
+            finite.clear()
+            assert is_k_explorable(a, 3, user) == verdict
+            assert (built, len(solves), finite) == (arenas, len(arenas), local)
+
+    def test_one_game_set_up_per_verdict(self, tmp_path, capsys, monkeypatch):
+        # seed 25 loses the 1-token round: its k-token round, and every
+        # round of the bounded search, reuses the set-up of that round
+        import explora.explorability as ex
+        from explora.cli import main
+        calls = []
+        real = ex.canonical_parity
+        monkeypatch.setattr(ex, "canonical_parity", lambda a: calls.append(a) or real(a))
+        path = tmp_path / "cob3.aut"
+        path.write_text(format_automaton(random_automaton(Random(25), 3, "ab", "cobuchi")))
+        for argv in (["k-explorable", "-k", "4"], ["explorable", "--max-k", "4"]):
+            calls.clear()
+            assert main(argv + [str(path)]) == 0
+            capsys.readouterr()
+            assert len(calls) == 1
 
     def test_letter_check_raises_under_optimize(self):
         # an arena walk that loses one letter of a letter-player position:
@@ -906,6 +951,14 @@ def _tuple_game_corpus():
     return cases
 
 
+def _round_won(a, monitor, k):
+    """Whether the token player wins the infinite-word k-token round alone,
+    checked as `_first_won_round` checks its rounds."""
+    arena, objective = build_k_explorability_game(a, monitor, k)
+    _check_letter_moves(arena, a.alphabet)
+    return arena.initial in solve(arena, objective).winning_region_0
+
+
 class TestTupleGameMatchesReference:
     """Buchi, general parity and multi-channel inputs play one token on the
     k-fold union power; the reference builds the game on token tuples with
@@ -919,12 +972,11 @@ class TestTupleGameMatchesReference:
         monkeypatch.setenv("EXPLORE_CHANNEL_BUDGET", "7")
         monitor = Monitor(m, "user")
         ref, objective = build_tuple_game_reference(a, monitor, k)
-        won = _play(a, monitor, k) is not None
-        assert won == (ref.initial in solve(ref, objective).winning_region_0)
+        assert _round_won(a, monitor, k) == (ref.initial in solve(ref, objective).winning_region_0)
 
     def test_corpus_has_won_and_lost_games(self, monkeypatch):
         monkeypatch.setenv("EXPLORE_CHANNEL_BUDGET", "7")
-        verdicts = {(name.split("-")[0], _play(a, Monitor(m, "user"), k) is not None)
+        verdicts = {(name.split("-")[0], _round_won(a, Monitor(m, "user"), k))
                     for name, a, m, k in _tuple_game_corpus()}
         assert verdicts == {(tag, won) for tag in ("buchi", "parity02", "parity13", "multi")
                             for won in (True, False)}

@@ -17,6 +17,8 @@ import explora.cli as cli
 from explora.generators import gen_ak, gen_fig4, random_automaton
 from explora.textio import format_automaton
 
+from conftest import shifted_cob3
+
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
 
@@ -37,17 +39,22 @@ def test_every_probe_resolves_to_a_callable():
 
 
 def test_traced_runs_give_the_untraced_verdicts(tmp_path, capsys):
-    # six commands that between them run every explored game, once plain
+    # seven commands that between them run every explored game, once plain
     # and once with the tracer installed: the same exit codes, stdout and
     # witness files, and afterwards every patched name is its original again.
     # cob3 is not history-deterministic, so `k-explorable -k 3` plays the
-    # 1-token game and then the 3-token one
+    # 1-token game and then the 3-token one; with its ranks shifted by 2 and
+    # its breakpoint monitor passed as `--monitor`, it plays both rounds on
+    # token tuples
+    shifted, monitor = shifted_cob3(20)
     inputs = {"cob3": random_automaton(Random(20), 3, "ab", "cobuchi"),
-              "ak3": gen_ak(3), "fig4": gen_fig4("left")}
+              "ak3": gen_ak(3), "fig4": gen_fig4("left"), "shifted": shifted, "monitor": monitor}
     for name, a in inputs.items():
         (tmp_path / f"{name}.aut").write_text(format_automaton(a))
     commands = [["k-explorable", "-k", "2", "cob3"],
                 ["k-explorable", "-k", "3", "--witness", "{w}", "cob3"],
+                ["k-explorable", "-k", "3", "--witness", "{w}", "--monitor",
+                 str(tmp_path / "monitor.aut"), "shifted"],
                 ["explorable", "--max-k", "3", "--witness", "{w}", "ak3"],
                 ["omega-explorable", "fig4"],
                 ["hd", "--via-g2", "--witness-k", "2", "cob3"],
@@ -76,8 +83,8 @@ def test_traced_runs_give_the_untraced_verdicts(tmp_path, capsys):
     finally:
         tracer.uninstall()
     assert traced == plain
-    assert [code for code, _, _ in plain] == [0, 0, 0, 0, 1, 1]
-    assert plain[1][2] is not None and plain[2][2] is not None
+    assert [code for code, _, _ in plain] == [0, 0, 0, 0, 0, 1, 1]
+    assert all(plain[i][2] is not None for i in (1, 2, 3))
     assert tracer.counts["omega.elim_positions"] > 0
     assert tracer.counts["hdgames.token_positions"] > 0
     assert all(getattr(module, attr) is original
