@@ -20,12 +20,10 @@ There is one graph layout from the product to the verifier: an `Arena`'s
 that tuple names it in strategies.  `solve_parity` solves it by Zielonka's
 algorithm on edge ranks, reading these tuples as the successor lists; the one
 conversion, in `_EdgeRankGame`, adds the predecessor index and each
-position's rank bounds.  The positional strategies it extracts are checked on
-the same tuples.  When every rank lies within three consecutive values, the
-solve's own attractor order yields a progress measure for each region
-(Jurdzinski, STACS 2000), and `check_progress_measures` checks it in one pass
-over the strategy-restricted edges; on wider arenas `verify_strategy` checks
-each strategy by cycle analysis.
+position's rank bounds.  Whatever the ranks, the solve's attractor order
+yields both regions' progress measures (Jurdzinski, STACS 2000), and
+`check_progress_measures` checks the two positional strategies with them in
+one pass over the same tuples.
 
 Attractor processing order, strategy edge choice and tree child order depend
 only on the input, so outputs are deterministic.
@@ -33,6 +31,7 @@ only on the input, so outputs are deterministic.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import reduce
 from itertools import product as _product, repeat
@@ -253,15 +252,26 @@ class Strategy:
 
 
 @dataclass
+class ProgressMeasures:
+    """Both regions' certificate.  `ranks` are the edge ranks, ascending,
+    with the lower + 1 put between any two of one parity; player p's
+    measure at u in its region, ``values[p][u]``, has a `width`-bit digit
+    per rank of p's opponent's parity there, the highest first."""
+
+    ranks: tuple[int, ...]
+    width: int
+    values: tuple[list, list]
+
+
+@dataclass
 class SolveResult:
-    """`measures`, when set, holds the progress measures that certify the
-    two regions, as `check_progress_measures` reads them."""
+    """`measures` certifies the single-channel solve, as `check_progress_measures` reads it."""
 
     winning_region_0: frozenset
     winning_region_1: frozenset
     strategy_0: Strategy
     strategy_1: Strategy
-    measures: Optional[tuple[dict, dict]] = None
+    measures: ProgressMeasures
 
 
 def _atom_condition(arena: Arena, obj: Objective) -> Optional[ConditionAutomaton]:
@@ -336,44 +346,45 @@ class _EdgeRankGame:
     at least one.  `move[p]` ends up as the edge index the winner of p takes
     there, when p is the winner's.
 
-    One clock runs through the whole solve, and every position an attractor
-    adds is stamped with it in `stamp`: the positions that take the
-    attractor's top rank share one tick, and each later one gets a tick of
-    its own, above those of the positions it was attracted to.  With lo the
-    least rank, a subgame on which a level d == lo + 1 ends with the opponent
-    winning nothing is a core, and `core` maps its positions to one tick
-    taken after theirs.  On ranks lo..lo + 2, `measures` reads both regions'
-    progress measures off the last stamps.
+    One clock runs through the whole solve; ``ticks[i]`` keeps the last
+    ticks of ``ranks[i]`` for the player whose opponent's rank it is.  An
+    attractor of player p at top rank d stamps the list of p's opponent's
+    highest rank <= d (or the spare ``ticks[-1]``): its starting positions,
+    the rank-d takers or its targets, with one shared tick, and each later
+    one with a tick of its own.  An iteration whose d falls below its cap
+    stamps its subgame with one shared tick in the lists of ranks in (d, cap].
     """
 
     def __init__(self, game: Arena):
         self.owner, self.succ = game.owner, game.edges
-        self.pred: list[list[int]] = [[] for _ in game.edges]
-        self.low, self.high = [], []
+        self.pred = pred = [[] for _ in game.edges]
+        self.low, self.high = low, high = [], []
         for u, out in enumerate(game.edges):
             lo, hi = inf, -inf
             for i, (v, (r,)) in enumerate(out):
-                self.pred[v] += u, r, i
+                pred[v] += u, r, i
                 if r < lo:
                     lo = r
                 if r > hi:
                     hi = r
             if hi == -inf:  # Zielonka would recurse on one subgame forever
                 raise ValueError(f"position {u} has no edge")
-            self.low.append(lo)
-            self.high.append(hi)
-        self.move = [0] * len(game.edges)
-        self.lo = min(self.low, default=0)
-        self.stamp, self.clock, self.core = [0] * len(game.edges), 0, {}
+            low.append(lo)
+            high.append(hi)
+        ranks = sorted({*low, *high})
+        if any(b - a > 2 for a, b in zip(ranks, ranks[1:])):  # a gap a rank might hide in
+            ranks = sorted({r for out in game.edges for _, (r,) in out})
+        self.ranks = sorted({*ranks, *(a + 1 for a, b in zip(ranks, ranks[1:]) if a % 2 == b % 2)})
+        self.slot = {r: i for i, r in enumerate(self.ranks)}
+        self.ticks = [[0] * len(game.edges) for _ in range(len(self.ranks) + 1)]
+        self.move, self.clock = [0] * len(game.edges), 1
 
     def attractor(self, sub, player: int, cap: int, targets=(), top=False) -> set:
         """Positions of the subgame (sub, cap) from which `player` forces
-        reaching `targets` or, when `top` is set, taking an edge of rank
-        `cap`; records the edge each attracted `player` position takes, and
-        stamps the positions that take a rank-cap edge with one shared tick
-        of the clock and every later one with a tick of its own."""
-        owner, succ, pred, move, stamp = self.owner, self.succ, self.pred, self.move, self.stamp
-        t = self.clock
+        reaching `targets` or, when `top` is set, taking a rank-cap edge;
+        records each attracted `player` position's edge, and stamps them."""
+        owner, succ, pred, move = self.owner, self.succ, self.pred, self.move
+        stamp = self.ticks[self.slot[cap] - (player == cap % 2)]
         attr = set(targets)
         queue = list(attr)
         left: dict[int, int] = {}  # opponent position -> edges not yet pulled
@@ -402,9 +413,11 @@ class _EdgeRankGame:
                     continue
                 attr.add(u)
                 queue.append(u)
-                stamp[u] = t
             cap -= 1
-            t += 1
+        t = self.clock
+        for u in queue:
+            stamp[u] = t
+        t += 1
         while queue and len(attr) < len(sub):
             edges = iter(pred[queue.pop()])
             for u, r, i in zip(edges, edges, edges):
@@ -454,14 +467,16 @@ class _EdgeRankGame:
                         d = r
                 if d == cap:
                     break
+            if d < cap:  # one shared tick for the ranks (d, cap] skipped
+                t, self.clock = self.clock, self.clock + 1
+                for stamp in self.ticks[self.slot[d] + 1:bisect_right(self.ranks, cap)]:
+                    for u in sub:
+                        stamp[u] = t
             cap = d
             sigma = d % 2
             attr = self.attractor(sub, sigma, cap, top=True)
             lost = (yield self.zielonka(sub - attr, d - 1))[1 - sigma]
             if not lost:
-                if d == self.lo + 1:
-                    self.core.update(dict.fromkeys(sub, self.clock))
-                    self.clock += 1
                 won[sigma].update(sub)
                 break
             lost = self.attractor(sub, 1 - sigma, cap, targets=lost)
@@ -469,16 +484,16 @@ class _EdgeRankGame:
             sub = sub - lost
         return won
 
-    def measures(self, regions) -> tuple[dict, dict]:
-        """Progress measures for the regions (W0, W1) of a game on ranks
-        lo..lo + 2, indexed by player: the bottom player, lo % 2, gets
-        rho(p) = stamp[p]; the other player (a, stamp[p]) on a core of stamp
-        a, and (stamp[p], 0) elsewhere."""
-        stamp, core, bottom = self.stamp, self.core, self.lo % 2
-        rho = {p: stamp[p] for p in regions[bottom]}
-        pairs = {p: (core[p], stamp[p]) if p in core else (stamp[p], 0)
-                 for p in regions[1 - bottom]}
-        return (rho, pairs) if bottom == 0 else (pairs, rho)
+    def measures(self) -> ProgressMeasures:
+        """Pack player p's measure at u from its ticks of p's opponent's ranks."""
+        width, values = self.clock.bit_length(), []
+        for player in (0, 1):
+            lists = [t for r, t in zip(self.ranks, self.ticks) if r % 2 != player]
+            value = lists.pop() if lists else [0] * len(self.owner)
+            for stamp in reversed(lists):
+                value = [x << width | y for x, y in zip(value, stamp)]
+            values.append(value)
+        return ProgressMeasures(tuple(self.ranks), width, tuple(values))
 
 
 def _trampoline(gen):
@@ -497,21 +512,15 @@ def _trampoline(gen):
 
 def solve_parity(game: Arena) -> SolveResult:
     """Solve a single-channel max-parity game with Zielonka's algorithm on
-    edge ranks.
-
-    Regions partition the positions, and both strategies are positional.
-    When every rank lies in lo..lo + 2, with lo the least, the solve's
-    stamps give both regions progress measures, returned in `measures` and
-    checked by `check_progress_measures`; otherwise `verify_strategy` checks
-    each strategy by cycle analysis.  A failed check raises
-    `SolverCheckFailed`, and a position without an edge `ValueError`.
-    """
+    edge ranks.  Regions partition the positions, and both strategies are
+    positional and certified by the progress measures in `measures`, which
+    `check_progress_measures` checks.  A failed check raises
+    `SolverCheckFailed`, and a position without an edge `ValueError`."""
     if len(game.channels) != 1:
         raise ValueError("solve_parity expects a single-channel game")
     n = game.num_positions
     solver = _EdgeRankGame(game)
-    hi = max(solver.high, default=0)
-    w0, w1 = _trampoline(solver.zielonka(set(range(n)), hi))
+    w0, w1 = _trampoline(solver.zielonka(set(range(n)), max(solver.high, default=0)))
     region0, region1 = frozenset(w0), frozenset(w1)
     if region0 | region1 != frozenset(range(n)) or region0 & region1:
         raise SolverCheckFailed("winning regions do not partition the positions")
@@ -521,40 +530,33 @@ def solve_parity(game: Arena) -> SolveResult:
 
     strategy_0 = Strategy(0, moves(region0, 0))
     strategy_1 = Strategy(1, moves(region1, 1))
-    if hi - solver.lo <= 2:
-        measures = solver.measures((region0, region1))
-        check_progress_measures(game, solver.lo, (region0, region1),
-                                (strategy_0.moves, strategy_1.moves), measures)
-        return SolveResult(region0, region1, strategy_0, strategy_1, measures)
-    if not (verify_strategy(game, region0, strategy_0, 0)
-            and verify_strategy(game, region1, strategy_1, 1)):
-        raise SolverCheckFailed("extracted strategies failed verification")
-    return SolveResult(region0, region1, strategy_0, strategy_1)
+    measures = solver.measures()
+    check_progress_measures(game, (region0, region1),
+                            (strategy_0.moves, strategy_1.moves), measures)
+    return SolveResult(region0, region1, strategy_0, strategy_1, measures)
 
 
-def check_progress_measures(game: Arena, lo: int, regions, moves, measures) -> None:
+def check_progress_measures(game: Arena, regions, moves, measures: ProgressMeasures) -> None:
     """Raise `SolverCheckFailed` unless, for each player p, ``moves[p]``
-    wins ``regions[p]`` as certified by ``measures[p]``, on a single-channel
-    max-parity game whose edge ranks all lie in lo..lo + 2.
+    wins ``regions[p]`` as certified by ``measures.values[p]``.
 
-    One pass over the edges the strategy leaves: every edge of an opponent
-    position and the chosen edge of a position of p's.  None may leave the
-    region.  The bottom player, lo % 2, has an int rho on its region: a rank
-    lo + 1 edge strictly lowers it, a rank-lo edge does not raise it, and a
-    rank lo + 2 edge is free.  The other player has pairs (a, b): a rank
-    lo + 2 edge strictly lowers a, a rank lo + 1 edge does not raise a, and a
-    rank-lo edge strictly lowers (a, b).  Along any cycle the measure could
-    then not fall for ever, so its top rank is the owner's (Jurdzinski,
-    "Small progress measures for solving parity games", STACS 2000).
+    One pass over the edges the strategy leaves, every edge of an opponent
+    position and the chosen edge of a position of p's: none may leave the
+    region, and an edge of rank r compares the digits of the opponent's
+    ranks >= r, which must be lower at its target if r is the opponent's
+    and not higher if r is p's.  On a cycle whose top rank r were the
+    opponent's, those digits would never rise and would fall at r, so p
+    wins every play kept to the strategy (Jurdzinski, STACS 2000).
     """
-    edges, owner = game.edges, game.owner
+    edges, owner, width, n = game.edges, game.owner, measures.width, game.num_positions
     for player in (0, 1):
-        region, move, measure = regions[player], moves[player], measures[player]
-        missing = region - measure.keys()
-        if missing:
-            raise SolverCheckFailed(f"position {min(missing)} of player {player}'s "
-                                    f"region has no progress measure")
-        bottom = player == lo % 2
+        region, move, measure = regions[player], moves[player], measures.values[player]
+        if len(measure) != n:
+            raise SolverCheckFailed(f"player {player} has {len(measure)} of {n} measures")
+        rule, shift = {}, 0  # rank -> the bits of the opponent's ranks below it, and is it one
+        for r in sorted(measures.ranks):
+            rule[r] = shift, (r - player) % 2
+            shift += width * ((r - player) % 2)
         for u in region:
             out = edges[u]
             if owner[u] == player:
@@ -567,17 +569,14 @@ def check_progress_measures(game: Arena, lo: int, regions, moves, measures) -> N
                 if v not in region:
                     raise SolverCheckFailed(
                         f"edge {u} -> {v} leaves player {player}'s region")
-                mv = measure[v]
-                if r == lo:
-                    ok = mv <= mu if bottom else mv < mu
-                elif r == lo + 1:
-                    ok = mv < mu if bottom else mv[0] <= mu[0]
-                else:
-                    ok = r == lo + 2 and (bottom or mv[0] < mu[0])
-                if not ok:
+                try:
+                    shift, strict = rule[r]
+                except KeyError:
+                    raise SolverCheckFailed(f"edge {u} -> {v} has an unknown rank {r}") from None
+                if (measure[v] >> shift) + strict > mu >> shift:
                     raise SolverCheckFailed(
                         f"edge {u} -> {v}, of rank {r}, breaks player "
-                        f"{player}'s progress measure {mu} -> {mv}")
+                        f"{player}'s progress measure {mu} -> {measure[v]}")
 
 
 def verify_strategy(game: Arena, region, strategy: Strategy, owner: int) -> bool:
@@ -682,4 +681,5 @@ def solve(arena: Arena, obj: Objective) -> SolveResult:
         moves = dict(sorted((label(i), edge_idx) for i, edge_idx in strat.moves.items()))
         return Strategy(strat.owner, moves, memory=cond)
 
-    return SolveResult(region0, region1, lift(inner.strategy_0), lift(inner.strategy_1))
+    return SolveResult(region0, region1, lift(inner.strategy_0), lift(inner.strategy_1),
+                       inner.measures)

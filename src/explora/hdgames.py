@@ -15,8 +15,8 @@ from typing import Optional
 from . import config
 from .automata import Automaton, canonical_parity, complete
 from .constructions import power_channels
-from .errors import UnverifiedExplorability
-from .explorability import is_k_explorable
+from .errors import SolverCheckFailed, UnverifiedExplorability
+from .explorability import explorability_bounded, is_k_explorable
 from .games import (Arena, MaxEvenParity, Not, Objective, Or, all_of, explore_arena,
                     solve)
 
@@ -76,17 +76,27 @@ def is_hd_assuming_explorable(a: Automaton, k_witness: Optional[int] = None,
 
     The hypothesis is enforced: either pass a token count k_witness that is
     re-verified via the explorability game, or explicitly opt out with
-    unchecked=True.
+    unchecked=True.  The re-check plays the 1-token round first, and that
+    round decides history-determinism exactly (`is_hd_exact`), so G2's
+    winner must agree with it; `SolverCheckFailed` if it does not.
     """
-    if not unchecked:
-        if k_witness is None:
-            raise UnverifiedExplorability(
-                "supply k_witness (verified token count) or unchecked=True")
-        if not is_k_explorable(a, k_witness, user_monitor):
-            raise UnverifiedExplorability(
-                f"automaton is not {k_witness}-explorable; the 2-token game "
-                "does not characterize HDness here")
-    return g2_winner(a) == EVE
+    if unchecked:
+        return g2_winner(a) == EVE
+    if k_witness is None:
+        raise UnverifiedExplorability(
+            "supply k_witness (verified token count) or unchecked=True")
+    if k_witness < 1:
+        raise ValueError("token count must be at least 1")
+    verdict = explorability_bounded(a, k_witness, user_monitor)
+    if verdict.status != "explorable-with":
+        raise UnverifiedExplorability(
+            f"automaton is not {k_witness}-explorable; the 2-token game "
+            "does not characterize HDness here")
+    hd = g2_winner(a) == EVE
+    if hd != (verdict.k == 1):
+        raise SolverCheckFailed(f"the 2-token game {'is' if hd else 'is not'} won by Eve, "
+                                f"but the 1-token round is {'lost' if hd else 'won'}")
+    return hd
 
 
 def is_hd_exact(a, user_monitor: Optional[Automaton] = None) -> bool:

@@ -8,6 +8,7 @@ the optimised code to it.
 from __future__ import annotations
 
 from collections import Counter, deque
+from dataclasses import replace
 from itertools import combinations_with_replacement, product
 from random import Random
 from typing import Iterator, Optional
@@ -355,7 +356,7 @@ def solve_parity_reference(game: Arena) -> SolveResult:
     if not (verify_strategy(game, region0, strategy_0, 0)
             and verify_strategy(game, region1, strategy_1, 1)):
         raise SolverCheckFailed("extracted strategies failed verification")
-    return SolveResult(region0, region1, strategy_0, strategy_1)
+    return SolveResult(region0, region1, strategy_0, strategy_1, None)  # cycle-checked
 
 
 def _spoiler_attractor(arena: Arena, bad_ids) -> set[int]:
@@ -723,71 +724,68 @@ def random_multi_arena(rng: Random, num_positions: int,
     return Arena(owner, tuple(edges), 0, channels)
 
 
-def random_three_rank_game(rng: Random, num_positions: int, lo: int,
-                           middle: bool = True, max_degree: int = 3) -> Arena:
-    """Random single-channel game whose ranks are lo and lo + 2, and lo + 1
-    too when `middle` is set: the arenas that `games.solve_parity` certifies
-    with progress measures."""
-    ranks = (lo, lo + 1, lo + 2) if middle else (lo, lo + 2)
+def random_ranked_game(rng: Random, num_positions: int, ranks,
+                       max_degree: int = 3) -> Arena:
+    """Random single-channel game whose edge ranks are drawn from `ranks`."""
     owner = tuple(rng.randint(0, 1) for _ in range(num_positions))
     edges = tuple(
         tuple((rng.randrange(num_positions), (rng.choice(ranks),))
               for _ in range(rng.randint(1, max_degree)))
         for _ in range(num_positions))
-    return Arena(owner, edges, 0, ((lo, lo + 2),))
+    return Arena(owner, edges, 0, ((min(ranks), max(ranks)),))
+
+
+def random_three_rank_game(rng: Random, num_positions: int, lo: int,
+                           middle: bool = True, max_degree: int = 3) -> Arena:
+    """Random single-channel game whose ranks are lo and lo + 2, and lo + 1
+    too when `middle` is set."""
+    ranks = (lo, lo + 1, lo + 2) if middle else (lo, lo + 2)
+    return random_ranked_game(rng, num_positions, ranks, max_degree)
 
 
 def progress_measure_mutants(game: Arena, result: SolveResult) -> dict:
-    """Forged certificates of a three-rank solve, as name -> (moves,
-    measures) for `games.check_progress_measures`, each one wrong:
+    """Forged certificates of a solve, as name -> (moves, measures) for
+    `games.check_progress_measures`, each one wrong:
 
-    - ``off-by-one <player> lo+<j>``, for each rule of the check: at the
-      source of the first rank lo + j edge, not a self-loop, of the
-      player's strategy-restricted graph, the measure one step past what
-      the edge allows (the bottom player is lo % 2);
-    - ``missing``: the bottom player's least position left without a measure;
+    - ``off-by-one <player> <rank>``, for each player and each rank of its
+      strategy-restricted graph: at the source of the first edge of that
+      rank, not a self-loop, the measure one step past what the edge allows,
+      whether it must lower the opponent's digits or only not raise them;
+    - ``short <player>``: the player's measure list one position short;
     - ``redirected``: the least strategy move that has an edge leaving its
       region sent along that edge.
 
     A mutant the game offers no place for is left out."""
-    lo = min(r for out in game.edges for _, (r,) in out)
+    measures = result.measures
     regions = (result.winning_region_0, result.winning_region_1)
     moves = (result.strategy_0.moves, result.strategy_1.moves)
-    bottom = lo % 2
     mutants = {}
 
-    def forged(player, move=None, measure=None):
-        out_moves, out_measures = list(moves), list(result.measures)
+    def forged(player, move=None, values=None):
+        out_moves, out_values = list(moves), list(measures.values)
         if move is not None:
             out_moves[player] = {**moves[player], **move}
-        if measure is not None:
-            out_measures[player] = measure
-        return tuple(out_moves), tuple(out_measures)
+        if values is not None:
+            out_values[player] = values
+        return tuple(out_moves), replace(measures, values=tuple(out_values))
 
-    def past(player, r, mu, mv):
-        """The value at an edge's source, of rank r into a target of
-        measure mv, one step past the rule."""
-        if player == bottom:
-            return mv if r == lo + 1 else mv - 1
-        return mv if r == lo else (mv[0] - (r == lo + 1), mu[1])
-
-    for player, rules in ((bottom, (0, 1)), (1 - bottom, (0, 1, 2))):
-        measure = result.measures[player]
-        for j in rules:
-            name = f"off-by-one {'bottom' if player == bottom else 'other'} lo+{j}"
-            for u in sorted(regions[player]):
-                out = game.edges[u]
-                if game.owner[u] == player:
-                    out = (out[moves[player][u]],)
-                v = next((v for v, (r,) in out if r == lo + j and v != u), None)
-                if v is not None:
-                    mutants[name] = forged(player, measure={
-                        **measure, u: past(player, lo + j, measure[u], measure[v])})
-                    break
-    if regions[bottom]:
-        first = min(regions[bottom])
-        mutants["missing"] = forged(bottom, measure={
-            p: m for p, m in result.measures[bottom].items() if p != first})
+    for player in (0, 1):
+        values = measures.values[player]
+        opponent = [r for r in measures.ranks if r % 2 != player]
+        for u in sorted(regions[player]):
+            out = game.edges[u]
+            if game.owner[u] == player:
+                out = (out[moves[player][u]],)
+            for v, (r,) in out:
+                name = f"off-by-one {player} {r}"
+                if v != u and name not in mutants:
+                    # the digits of the opponent's ranks >= r, one below the least allowed
+                    shift = measures.width * sum(o < r for o in opponent)
+                    past = ((values[v] >> shift) + (r % 2 != player) - 1) << shift
+                    mutants[name] = forged(player, values=[
+                        past if p == u else x for p, x in enumerate(values)])
+        if regions[player]:
+            mutants[f"short {player}"] = forged(player, values=values[:-1])
     for u, player in sorted((u, game.owner[u]) for u in range(game.num_positions)):
         away = [i for i, (v, _) in enumerate(game.edges[u]) if v not in regions[player]]
         if u in regions[player] and away:

@@ -8,7 +8,8 @@ from explora.automata import LassoView, _member_run, complete
 from explora.determinize import resolve_monitor
 from explora.errors import SolverCheckFailed
 from explora.explorability import build_k_explorability_game, is_k_explorable
-from explora.games import (And, Arena, MaxEvenParity, Not, Or, Strategy,
+import explora.games as games
+from explora.games import (And, Arena, MaxEvenParity, Not, Or, ProgressMeasures, Strategy,
                            check_progress_measures, compile_objective,
                            condition_automaton, max_channel, solve, solve_parity,
                            verify_strategy, zielonka_tree)
@@ -17,7 +18,7 @@ from explora.omega import is_omega_explorable_cobuchi
 
 from conftest import run_optimized, run_python
 from reference import (condition_automaton_recursive, progress_measure_mutants,
-                       random_multi_arena, random_parity_game,
+                       random_multi_arena, random_parity_game, random_ranked_game,
                        random_three_rank_game, solve_full_grid,
                        solve_parity_disjunction, solve_parity_reference,
                        zielonka_tree_recursive)
@@ -253,25 +254,45 @@ class TestSolveParity:
         assert r1.strategy_0.moves == r2.strategy_0.moves
 
     def test_failed_verification_raises(self, monkeypatch):
-        monkeypatch.setattr("explora.games.verify_strategy", lambda *args: False)
-        game = random_parity_game(Random(8), 10, 3)
-        with pytest.raises(SolverCheckFailed):
+        # a corrupted measure, then a redirected move, injected into a solve
+        game = wide_game(0)
+        mutants = progress_measure_mutants(game, solve_parity(game))
+        forged = mutants["off-by-one 0 1"][1]
+        monkeypatch.setattr(games._EdgeRankGame, "measures", lambda self: forged)
+        with pytest.raises(SolverCheckFailed, match="breaks player 0's"):
+            solve_parity(game)
+        monkeypatch.undo()
+        redirected, strategy = mutants["redirected"][0], games.Strategy
+        monkeypatch.setattr(games, "Strategy",
+                            lambda owner, moves: strategy(owner, redirected[owner]))
+        with pytest.raises(SolverCheckFailed, match="leaves player"):
             solve_parity(game)
 
     def test_failed_verification_raises_under_optimize(self):
         # the self-check must not be an assert, which `python -O` strips
         script = """
 import sys
-from random import Random
 import explora.games as games
 from explora.errors import SolverCheckFailed
-from reference import random_parity_game
-games.verify_strategy = lambda *args: False
+from reference import progress_measure_mutants, random_ranked_game
+from random import Random
+game = random_ranked_game(Random(39), 40, range(6))
+mutants = progress_measure_mutants(game, games.solve_parity(game))
+forged, measures = mutants["off-by-one 0 1"][1], games._EdgeRankGame.measures
+redirected, strategy = mutants["redirected"][0], games.Strategy
+refused = []
+games._EdgeRankGame.measures = lambda self: forged
 try:
-    games.solve_parity(random_parity_game(Random(8), 10, 3))
-except SolverCheckFailed:
-    sys.exit(0 if not __debug__ else 4)
-sys.exit(5)
+    games.solve_parity(game)
+except SolverCheckFailed as e:
+    refused.append("breaks player 0's" in str(e))
+games._EdgeRankGame.measures = measures
+games.Strategy = lambda owner, moves: strategy(owner, redirected[owner])
+try:
+    games.solve_parity(game)
+except SolverCheckFailed as e:
+    refused.append("leaves player" in str(e))
+sys.exit(0 if refused == [True, True] and not __debug__ else 4)
 """
         done = run_optimized(script)
         assert done.returncode == 0, done.stderr
@@ -332,6 +353,16 @@ class TestAgreesWithReferenceSolver:
         for _ in range(3000):
             self.assert_same(random_parity_game(rng, rng.randint(1, 40), rng.randint(0, 7)))
 
+    def test_random_sweep(self):
+        # 1-60 positions on up to 12 of the ranks 0..11, all of them shifted
+        # up in a third of the games; `solve_parity` raises if its own
+        # progress measures fail the check
+        rng = Random(2900)
+        for trial in range(2100):
+            shift = rng.randint(1, 9) if trial % 3 == 0 else 0
+            ranks = [r + shift for r in rng.sample(range(12), rng.randint(1, 12))]
+            self.assert_same(random_ranked_game(rng, rng.randint(1, 60), ranks))
+
     def test_criterion_9_corpus(self):
         rng = Random(501)  # the games of test_criterion_9_solver_soundness
         for _ in range(200):
@@ -351,15 +382,19 @@ class TestAgreesWithReferenceSolver:
                 self.assert_same(compile_objective(arena, objective)[0])
 
 
-class TestProgressMeasures:
-    """On ranks lo..lo + 2, `solve_parity` certifies both regions with the
-    progress measures its attractors stamp, and calls `verify_strategy` only
-    on wider arenas."""
+def wide_game(lo: int) -> Arena:
+    """A 40-position game on the six ranks lo..lo + 5 whose solve offers an
+    off-by-one forgery at every rank for both players."""
+    return random_ranked_game(Random(39), 40, range(lo, lo + 6))
 
-    MESSAGES = {**{f"off-by-one {who} lo+{j}": "breaks player"
-                   for who, rules in (("bottom", (0, 1)), ("other", (0, 1, 2)))
-                   for j in rules},
-                "missing": "has no progress measure", "redirected": "leaves player"}
+
+class TestProgressMeasures:
+    """Whatever its ranks, `solve_parity` certifies both regions with the
+    progress measures its attractors stamp, and never calls
+    `verify_strategy`."""
+
+    MESSAGES = {"off-by-one": "breaks player", "short": "measures",
+                "redirected": "leaves player"}
 
     @pytest.mark.parametrize("middle", [True, False])
     @pytest.mark.parametrize("lo", [0, 1, 2])
@@ -368,7 +403,6 @@ class TestProgressMeasures:
         for _ in range(300):
             game = random_three_rank_game(rng, rng.randint(1, 40), lo, middle)
             got, want = solve_parity(game), solve_parity_reference(game)
-            assert got.measures is not None
             assert got.winning_region_0 == want.winning_region_0
             assert got.winning_region_1 == want.winning_region_1
             assert got.strategy_0.moves == want.strategy_0.moves
@@ -376,19 +410,35 @@ class TestProgressMeasures:
             assert verify_strategy(game, got.winning_region_0, got.strategy_0, 0)
             assert verify_strategy(game, got.winning_region_1, got.strategy_1, 1)
 
-    def test_wider_arenas_keep_the_cycle_check(self, monkeypatch):
-        checked = []
-        monkeypatch.setattr("explora.games.verify_strategy",
-                            lambda game, region, strategy, owner: checked.append(owner) or True)
-        assert solve_parity(random_parity_game(Random(8), 10, 3)).measures is None
-        assert checked == [0, 1]
+    def test_every_arena_gets_measures(self, monkeypatch):
+        # wide arenas, sparse ones and compiled products included; the cycle
+        # analysis, patched out during the solves, accepts every strategy after
+        def refuse(*args):
+            raise AssertionError("verify_strategy called")
+
+        monkeypatch.setattr("explora.games.verify_strategy", refuse)
+        rng, solved = Random(8), []
+        for _ in range(100):
+            ranks = rng.sample(range(-2, 16), rng.randint(1, 12))
+            game = random_ranked_game(rng, rng.randint(1, 40), ranks)
+            solved.append((game, solve_parity(game)))
+        for arena, obj in objective_arenas(rng, 20):
+            product = compile_objective(arena, obj)[0]
+            solved.append((product, solve_parity(product)))
+            assert solve(arena, obj).measures == solved[-1][1].measures
+        monkeypatch.undo()
+        assert max(len(result.measures.ranks) for _, result in solved) >= 12
+        for game, result in solved:
+            assert isinstance(result.measures, ProgressMeasures)
+            assert verify_strategy(game, result.winning_region_0, result.strategy_0, 0)
+            assert verify_strategy(game, result.winning_region_1, result.strategy_1, 1)
 
     def test_verdicts_need_no_cycle_check(self, monkeypatch):
         a = complete(random_automaton(Random(0), 3, ["a", "b"], "cobuchi"))
         want = is_k_explorable(a, 4)
 
         def refuse(*args):
-            raise AssertionError("verify_strategy called on a three-rank arena")
+            raise AssertionError("verify_strategy called")
 
         monkeypatch.setattr("explora.games.verify_strategy", refuse)
         assert is_k_explorable(a, 4) == want
@@ -397,26 +447,28 @@ class TestProgressMeasures:
 
     @pytest.mark.parametrize("lo", [0, 1])
     def test_forged_certificates_refused(self, lo):
-        game = random_three_rank_game(Random(38), 16, lo)
+        game = wide_game(lo)
         result = solve_parity(game)
         regions = (result.winning_region_0, result.winning_region_1)
-        check_progress_measures(game, lo, regions,
-                                (result.strategy_0.moves, result.strategy_1.moves),
-                                result.measures)
+        moves = (result.strategy_0.moves, result.strategy_1.moves)
+        check_progress_measures(game, regions, moves, result.measures)
         mutants = progress_measure_mutants(game, result)
-        assert sorted(mutants) == sorted(self.MESSAGES)
+        assert set(mutants) == {f"off-by-one {p} {r}" for p in (0, 1) for r in range(lo, lo + 6)
+                                } | {"short 0", "short 1", "redirected"}
         for name, (moves, measures) in mutants.items():
-            with pytest.raises(SolverCheckFailed, match=self.MESSAGES[name]):
-                check_progress_measures(game, lo, regions, moves, measures)
+            with pytest.raises(SolverCheckFailed, match=self.MESSAGES[name.split()[0]]):
+                check_progress_measures(game, regions, moves, measures)
 
-    @pytest.mark.parametrize("player, measure", [(0, 5), (1, (5, 5))])
-    def test_rank_outside_three_refused(self, player, measure):
-        # a rank-3 self-loop on ranks 0..2: neither rule covers it
-        game = Arena((player,), (((0, (3,)),),), 0, ((0, 3),))
-        regions, moves, measures = [frozenset(), frozenset()], [{}, {}], [{}, {}]
-        regions[player], moves[player], measures[player] = frozenset({0}), {0: 0}, {0: measure}
-        with pytest.raises(SolverCheckFailed, match="of rank 3"):
-            check_progress_measures(game, 0, regions, moves, measures)
+    @pytest.mark.parametrize("rank", [-1, 3])
+    @pytest.mark.parametrize("player", [0, 1])
+    def test_rank_outside_the_ranks_refused(self, player, rank):
+        # a self-loop whose rank lies outside the measures' ranks 0..2
+        game = Arena((player,), (((0, (rank,)),),), 0, ((rank, rank),))
+        regions, moves = [frozenset(), frozenset()], [{}, {}]
+        regions[player], moves[player] = frozenset({0}), {0: 0}
+        measures = ProgressMeasures((0, 1, 2), 1, ([0], [0]))
+        with pytest.raises(SolverCheckFailed, match=f"unknown rank {rank}"):
+            check_progress_measures(game, regions, moves, measures)
 
     def test_forged_certificates_refused_under_optimize(self):
         done = run_optimized("""
@@ -424,18 +476,18 @@ import sys
 from random import Random
 from explora.errors import SolverCheckFailed
 from explora.games import check_progress_measures, solve_parity
-from reference import progress_measure_mutants, random_three_rank_game
+from reference import progress_measure_mutants, random_ranked_game
 refused = []
 for lo in (0, 1):
-    game = random_three_rank_game(Random(38), 16, lo)
+    game = random_ranked_game(Random(39), 40, range(lo, lo + 6))
     result = solve_parity(game)
     regions = (result.winning_region_0, result.winning_region_1)
     for name, (moves, measures) in sorted(progress_measure_mutants(game, result).items()):
         try:
-            check_progress_measures(game, lo, regions, moves, measures)
+            check_progress_measures(game, regions, moves, measures)
         except SolverCheckFailed:
             refused.append(name)
-sys.exit(0 if len(refused) == 14 and not __debug__ else 4)
+sys.exit(0 if len(refused) == 30 and not __debug__ else 4)
 """)
         assert done.returncode == 0, done.stderr
 

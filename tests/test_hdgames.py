@@ -2,15 +2,18 @@ from random import Random
 
 import pytest
 
+import explora.cli as cli
+import explora.hdgames as hdgames
 from explora.automata import Automaton, complete, is_deterministic
 from explora.errors import ChannelBudgetExceeded, UnverifiedExplorability
 from explora.explorability import is_k_explorable
 from explora.games import solve
 from explora.generators import gen_c, gen_fig4, random_automaton
-from explora.hdgames import (EVE, build_token_game, g2_winner,
+from explora.hdgames import (ADAM, EVE, build_token_game, g2_winner,
                              is_hd_assuming_explorable, is_hd_exact)
+from explora.textio import format_automaton
 
-from conftest import automaton_corpus
+from conftest import automaton_corpus, run_optimized
 
 
 def det_buchi():
@@ -113,6 +116,35 @@ class TestHdAssumingExplorable:
         for a in automaton_corpus(63, 8, 3, ["a", "b"], "cobuchi"):
             if is_k_explorable(a, 2):
                 assert is_hd_assuming_explorable(a, k_witness=2) == is_hd_exact(a)
+
+    def test_flipped_g2_winner_refused(self, tmp_path, monkeypatch, capsys):
+        # the re-check's 1-token round must agree with G2, HD input or not
+        inputs = {"det": det_buchi(), "cob3": random_automaton(Random(20), 3, "ab", "cobuchi")}
+        for name, a in inputs.items():
+            (tmp_path / f"{name}.aut").write_text(format_automaton(a))
+        argv = ["hd", "--via-g2", "--witness-k", "2"]
+        assert [cli.main([*argv, str(tmp_path / f"{name}.aut")]) for name in inputs] == [0, 1]
+        monkeypatch.setattr(hdgames, "g2_winner", lambda a: ADAM if g2_winner(a) == EVE else EVE)
+        capsys.readouterr()
+        for name in inputs:
+            assert cli.main([*argv, str(tmp_path / f"{name}.aut")]) == 3
+            assert "but the 1-token round is" in capsys.readouterr().err
+
+    def test_flipped_g2_winner_refused_under_optimize(self, tmp_path):
+        path = tmp_path / "cob3.aut"
+        path.write_text(format_automaton(random_automaton(Random(20), 3, "ab", "cobuchi")))
+        done = run_optimized(f"""
+import contextlib, io, sys
+import explora.hdgames as hdgames
+from explora.cli import main
+g2 = hdgames.g2_winner
+hdgames.g2_winner = lambda a: hdgames.ADAM if g2(a) == hdgames.EVE else hdgames.EVE
+err = io.StringIO()
+with contextlib.redirect_stderr(err):
+    code = main(["hd", "--via-g2", "--witness-k", "2", {str(path)!r}])
+sys.exit(0 if code == 3 and "1-token round" in err.getvalue() and not __debug__ else 4)
+""")
+        assert done.returncode == 0, done.stderr
 
 
 class TestHdExact:

@@ -14,10 +14,12 @@ from pathlib import Path
 from random import Random
 
 import explora.cli as cli
+from explora.games import MaxEvenParity
 from explora.generators import gen_ak, gen_fig4, random_automaton
 from explora.textio import format_automaton
 
 from conftest import shifted_cob3
+from reference import format_arena, random_ranked_game
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -39,18 +41,21 @@ def test_every_probe_resolves_to_a_callable():
 
 
 def test_traced_runs_give_the_untraced_verdicts(tmp_path, capsys):
-    # seven commands that between them run every explored game, once plain
+    # eight commands that between them run every explored game, once plain
     # and once with the tracer installed: the same exit codes, stdout and
     # witness files, and afterwards every patched name is its original again.
     # cob3 is not history-deterministic, so `k-explorable -k 3` plays the
     # 1-token game and then the 3-token one; with its ranks shifted by 2 and
     # its breakpoint monitor passed as `--monitor`, it plays both rounds on
-    # token tuples
+    # token tuples.  `solve-game` solves an arena on six ranks: no solve,
+    # however wide, records a `verify_strategy` span
     shifted, monitor = shifted_cob3(20)
     inputs = {"cob3": random_automaton(Random(20), 3, "ab", "cobuchi"),
               "ak3": gen_ak(3), "fig4": gen_fig4("left"), "shifted": shifted, "monitor": monitor}
     for name, a in inputs.items():
         (tmp_path / f"{name}.aut").write_text(format_automaton(a))
+    wide = random_ranked_game(Random(39), 40, range(6))
+    (tmp_path / "wide.aut").write_text(format_arena(wide, MaxEvenParity(0)))
     commands = [["k-explorable", "-k", "2", "cob3"],
                 ["k-explorable", "-k", "3", "--witness", "{w}", "cob3"],
                 ["k-explorable", "-k", "3", "--witness", "{w}", "--monitor",
@@ -58,7 +63,8 @@ def test_traced_runs_give_the_untraced_verdicts(tmp_path, capsys):
                 ["explorable", "--max-k", "3", "--witness", "{w}", "ak3"],
                 ["omega-explorable", "fig4"],
                 ["hd", "--via-g2", "--witness-k", "2", "cob3"],
-                ["hd", "--exact", "cob3"]]
+                ["hd", "--exact", "cob3"],
+                ["solve-game", "wide"]]
 
     def run_all(tag):
         out = []
@@ -83,7 +89,11 @@ def test_traced_runs_give_the_untraced_verdicts(tmp_path, capsys):
     finally:
         tracer.uninstall()
     assert traced == plain
-    assert [code for code, _, _ in plain] == [0, 0, 0, 0, 0, 1, 1]
+    assert [code for code, _, _ in plain] == [0, 0, 0, 0, 0, 1, 1, 0]
+    assert '"winning_region_1": [' in plain[7][1]
+    names = {span[0] for span in tracer.spans}
+    assert "explora.games.solve_parity" in names
+    assert "explora.games.verify_strategy" not in names
     assert all(plain[i][2] is not None for i in (1, 2, 3))
     assert tracer.counts["omega.elim_positions"] > 0
     assert tracer.counts["hdgames.token_positions"] > 0
