@@ -26,6 +26,6 @@ from .hdgames import (build_token_game, g2_winner, is_hd_assuming_explorable,
                       is_hd_exact)
 from .omega import (OmegaVerdict, build_elimination_game, is_omega_explorable,
                     is_omega_explorable_cobuchi, parity_to_buchi_omega)
-from .textio import format_automaton, format_lasso, parse_automaton, parse_lasso
+from .textio import format_automaton, parse_automaton
 
 __version__ = "0.1.0"

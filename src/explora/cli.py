@@ -104,9 +104,9 @@ def cmd_k_explorable(args) -> int:
     rep = _Report(args, "k-explorable", args.automaton)
     a = _read(args.automaton)
     if args.witness:
-        witness = explorability_witness(a, args.k, _maybe_monitor(args))
-        ok = witness is not None
-        _dump_witness(args, witness)
+        verdict = explorability_witness(a, args.k, _maybe_monitor(args))
+        ok = verdict.status == "explorable-with"
+        _dump_witness(args, verdict.witness)
     else:
         ok = is_k_explorable(a, args.k, _maybe_monitor(args))
     rep.extra["witness_k"] = args.k if ok else None
@@ -127,6 +127,9 @@ def cmd_explorable(args) -> int:
 def cmd_hd(args) -> int:
     if not args.via_g2 and (args.witness_k is not None or args.unchecked):
         raise ValueError("--witness-k and --unchecked need --via-g2")
+    if args.unchecked and (args.witness_k is not None or args.monitor):
+        raise ValueError("--via-g2 --unchecked takes no --witness-k or --monitor: "
+                         "they serve only the explorability re-check it skips")
     rep = _Report(args, "hd", args.automaton)
     a = _read(args.automaton, Automaton if args.via_g2 else (Automaton, MultiAutomaton))
     if args.via_g2:

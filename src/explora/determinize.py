@@ -10,12 +10,11 @@ infinite word being read) belongs to the language of a source automaton:
   automaton.
 
 Every monitor is validated against its source when it is made.  A built
-monitor is validated exactly: its construction's state labels are checked
-transition by transition (translation validation), and a breakpoint monitor
-also passes a product check of L(A) <= L(M).  A user monitor carries no
-labels: it passes the same product check, and L(M) <= L(A) is checked by the
-bounded lasso oracle only.  A built monitor keeps its labels in
-`Monitor.labels`.
+monitor passes one exact check, of its construction's state labels,
+transition by transition (translation validation), which proves L(M) = L(A);
+it keeps the labels in `Monitor.labels`.  A user monitor carries no labels:
+L(A) <= L(M) is checked exactly by a product check, and L(M) <= L(A) by the
+bounded lasso oracle only.
 """
 
 from __future__ import annotations
@@ -43,22 +42,24 @@ class Monitor:
         return self.automaton.condition == "finite"
 
 
-def _check_deterministic(monitor: Automaton) -> None:
-    if not is_deterministic(monitor):
-        raise MonitorCheckFailed(f"{monitor.name} is not deterministic and complete")
-
-
-def _check_labels(monitor: Automaton, labels, initial, step_ok) -> None:
-    """Raise `MonitorCheckFailed` unless state 0 is initial and labelled
-    `initial`, and `step_ok(t)` holds for every transition t."""
+def _check_labels(monitor: Automaton, condition, labels, initial, step_ok) -> None:
+    """Raise `MonitorCheckFailed` unless the monitor is deterministic and
+    complete, its condition tag and rank range are `condition`, state 0 is
+    initial and labelled `initial`, and `step_ok(t)` holds for every
+    transition t."""
+    if not (is_deterministic(monitor)
+            and (monitor.condition, monitor.rank_range) == condition):
+        raise MonitorCheckFailed(f"{monitor.name} is not a deterministic and complete "
+                                 f"{condition[0]} automaton on ranks {condition[1]}")
     if not (monitor.initial == 0 and labels and labels[0] == initial
             and all(step_ok(t) for t in monitor.transitions)):
         raise MonitorCheckFailed(f"{monitor.name} does not match its state labels")
 
 
 def _check_included(a: AnyAutomaton, monitor: Automaton) -> None:
-    """Raise `MonitorMismatch` unless L(A) <= L(M), for a deterministic and
-    complete max-parity monitor M.
+    """Raise `MonitorMismatch` unless L(A) <= L(M), for a user-supplied
+    deterministic and complete max-parity monitor M; a built monitor's label
+    check proves this inclusion without a product.
 
     Interns the product of A's lasso view with M; each edge's label is A's
     rank vector, then M's rank, then the letter.  A word in L(A) but not in
@@ -81,15 +82,9 @@ def _check_included(a: AnyAutomaton, monitor: Automaton) -> None:
     for c in range(width):
         walk = parity_cycle(edges, [(c, 0), (width, 1)])
         if walk is not None:
-            raise MonitorMismatch(_lasso_to(edges, walk))
-
-
-def _lasso_to(edges, walk) -> LassoWord:
-    """The letters of a shortest path from node 0 to the walk, then of the
-    walk, for a graph whose edge labels end with their letter."""
-    path = shortest_path(edges, 0, walk[0][0])
-    return LassoWord.of([label[-1] for _, (_, label) in path],
-                        [edges[u][i][1][-1] for u, i in walk])
+            path = shortest_path(edges, 0, walk[0][0])
+            raise MonitorMismatch(LassoWord.of([label[-1] for _, (_, label) in path],
+                                               [edges[u][i][1][-1] for u, i in walk]))
 
 
 def _subset(a: Automaton) -> tuple[Automaton, list]:
@@ -106,7 +101,6 @@ def _subset(a: Automaton) -> tuple[Automaton, list]:
     monitor = Automaton.build(
         f"subset({a.name})", a.alphabet, len(order), 0, "finite",
         transitions, accepting)
-    _check_deterministic(monitor)
     return monitor, order
 
 
@@ -115,7 +109,7 @@ def _check_subset(a: Automaton, monitor: Automaton, labels) -> None:
     reaches on it (by induction on the word, from the initial label {q0} and
     S' = post(S, x) on every transition), and a state accepts iff its label
     meets A's accepting states; so M and A accept the same finite words."""
-    _check_labels(monitor, labels, {a.initial},
+    _check_labels(monitor, ("finite", (0, 0)), labels, {a.initial},
                   lambda t: labels[t.dst] == a.post(labels[t.src], t.letter))
     if any((i in monitor.accepting) != bool(s & a.accepting)
            for i, s in enumerate(labels)):
@@ -149,27 +143,38 @@ def _breakpoint(a: Automaton) -> tuple[Automaton, list]:
     monitor = Automaton.build(
         f"breakpoint({a.name})", a.alphabet, len(order), 0, "parity",
         transitions, parity=(0, 1))
-    _check_deterministic(monitor)
     return monitor, order
 
 
 def _check_breakpoint(a: Automaton, monitor: Automaton, labels) -> None:
-    """Translation validation of L(M) <= L(A) for a breakpoint monitor.
+    """Translation validation of L(M) = L(A) for a breakpoint monitor M of a
+    parity automaton A ranked in [0, 1].
 
-    Checked: the initial label is ({q0}, {q0}); on every rank-0 transition on
-    x, S' = post(S, x) and B' = post0(B, x) is nonempty, where post0 follows
-    A's rank-0 transitions; on every rank-1 transition, post0(B, x) is empty
-    and B' = S' = post(S, x).
+    Checked: M is deterministic and complete, and max-parity on ranks
+    [0, 1], so that it accepts a word iff its run takes finitely many rank-1
+    transitions; state 0 is initial and labelled ({q0}, {q0}); on every
+    rank-0 transition on x, S' = post(S, x) and B' = post0(B, x) is
+    nonempty, where post0 follows A's rank-0 transitions; on every rank-1
+    transition, post0(B, x) is empty and B' = S' = post(S, x).  By
+    induction on w, S_j is the set of states A reaches on w[:j].
 
-    Why that suffices: let M accept w, so its run takes only rank-0
-    transitions from some position i on; take i = 0 or just after the last
-    rank-1 transition, so that B_i = S_i.  By induction S_j is the set of
-    states A reaches on w[:j], and every state of B_j (j >= i) is reached
+    L(M) <= L(A): let M accept w, so its run takes only rank-0 transitions
+    from some position i on; take i = 0 or just after the last rank-1
+    transition, so that B_i = S_i.  Every state of B_j (j >= i) is reached
     from a state of B_i by a rank-0 path of A on w[i:j].  These paths form an
     infinite tree (every B_j is nonempty) in which every node has finitely
     many children, so by Konig's lemma it has an infinite branch: a run of A
     from a state of S_i that takes only rank-0 transitions.  A run of A to
     that state on w[:i], followed by the branch, accepts w.
+
+    L(A) <= L(M): let a run rho of A accept w, so rho(j) lies in S_j and rho
+    takes only rank-0 transitions from some position i on.  If M takes no
+    rank-1 transition after i, it accepts.  Otherwise, after its first one
+    at j >= i, B_{j+1} = S_{j+1} contains rho(j + 1).  From then on, a B that
+    contains rho's state has a post0 that contains rho's next state, so it
+    is nonempty, the check forces M's step to rank 0, and B' = post0(B, x)
+    contains rho's next state again.  So M takes finitely many rank-1
+    transitions, and accepts w.
     """
     delta = a.delta
 
@@ -185,7 +190,7 @@ def _check_breakpoint(a: Automaton, monitor: Automaton, labels) -> None:
         return t.rank == 1 and not safe and b2 == s2
 
     start = frozenset({a.initial})
-    _check_labels(monitor, labels, (start, start), step_ok)
+    _check_labels(monitor, ("parity", (0, 1)), labels, (start, start), step_ok)
 
 
 def breakpoint_construction(a: Automaton) -> Monitor:
@@ -196,15 +201,14 @@ def breakpoint_construction(a: Automaton) -> Monitor:
     On letter a from (S, B): S' = post(S, a) and the safe subset follows only
     rank-0 transitions out of B; when nothing survives, the transition is a
     rank-1 breakpoint and the safe subset restarts at S'.  The result is
-    validated exactly: `_check_breakpoint` for L(M) <= L(A) and
-    `_check_included` for L(A) <= L(M), both on the canonical form.
+    validated exactly, on the canonical form, by `_check_breakpoint` alone,
+    which proves both inclusions.
     """
     if not ranked_01(a):
         raise ValueError("breakpoint_construction needs an automaton ranked in [0, 1]")
     a = canonical_parity(a)
     monitor, labels = _breakpoint(a)
     _check_breakpoint(a, monitor, labels)
-    _check_included(a, monitor)
     return Monitor(monitor, "breakpoint", tuple(labels))
 
 

@@ -18,8 +18,8 @@ class MissingMonitor(ValueError):
 
 
 class MonitorMismatch(ValueError):
-    """A monitor (user-supplied or built) disagrees with its source automaton
-    on some lasso."""
+    """A user-supplied monitor disagrees with its source automaton on some
+    lasso."""
 
     def __init__(self, counterexample):
         self.counterexample = counterexample
@@ -50,7 +50,8 @@ class SolverCheckFailed(ValueError):
 
 class MonitorCheckFailed(ValueError):
     """A monitor construction failed its own re-check: the built automaton is
-    not deterministic and complete, does not match its state labels, or, in
+    not deterministic and complete, has another acceptance condition or rank
+    range than its construction's, does not match its state labels, or, in
     the elimination game, puts rank-3 edges off the monitor's breakpoints."""
 
 

@@ -311,8 +311,9 @@ def _check_letter_moves(arena: Arena, alphabet) -> None:
             raise SolverCheckFailed(f"the game does not offer every letter at {key}")
 
 
-def _first_won_round(a: AnyAutomaton, monitor: Monitor, ks) -> Optional[tuple[int, Strategy]]:
-    """The first won round's k and token-player strategy, checked, or None,
+def _first_won_round(a: AnyAutomaton, monitor: Monitor, ks) -> ExplorabilityVerdict:
+    """The verdict: "explorable-with" the first won round's k and
+    token-player strategy, checked, or "not-explorable-up-to" the largest k,
     playing the completed automaton's game on the monitor, set up once, at
     the ascending token counts `ks`, with k = 1 first on infinite words and
     a user monitor's channel budget checked first.  A finite-word strategy
@@ -329,29 +330,31 @@ def _first_won_round(a: AnyAutomaton, monitor: Monitor, ks) -> Optional[tuple[in
         if monitor.is_finite:
             won, _, current = _solve_finite_game(a, monitor, k)
             if won:
-                return k, Strategy(0, verify_token_strategy(a, monitor.automaton, k, current))
+                return ExplorabilityVerdict("explorable-with", k, Strategy(
+                    0, verify_token_strategy(a, monitor.automaton, k, current)))
         else:
             arena, objective = build(k)
             _check_letter_moves(arena, a.alphabet)
             result = solve(arena, objective)
             if arena.initial in result.winning_region_0:
-                return k, result.strategy_0
-    return None
+                return ExplorabilityVerdict("explorable-with", k, result.strategy_0)
+    return ExplorabilityVerdict("not-explorable-up-to", ks[-1])
 
 
 def explorability_witness(a: AnyAutomaton, k: int,
-                          user_monitor: Optional[Automaton] = None) -> Optional[Strategy]:
-    """Winning token-player strategy at k tokens, if one exists.  On infinite
-    words it is the 1-token strategy whenever the 1-token game is won."""
+                          user_monitor: Optional[Automaton] = None) -> ExplorabilityVerdict:
+    """The k-explorability verdict: "explorable-with" the token count of the
+    round that was won, with its token-player strategy, or
+    "not-explorable-up-to" k.  On infinite words that round is k = 1
+    whenever the 1-token game is won, and k otherwise."""
     a = complete(a)
-    won = _first_won_round(a, resolve_monitor(a, user_monitor), (k,))
-    return won[1] if won else None
+    return _first_won_round(a, resolve_monitor(a, user_monitor), (k,))
 
 
 def is_k_explorable(a: AnyAutomaton, k: int,
                     user_monitor: Optional[Automaton] = None) -> bool:
     """True iff the token player wins the k-explorability game."""
-    return explorability_witness(a, k, user_monitor) is not None
+    return explorability_witness(a, k, user_monitor).status == "explorable-with"
 
 
 def explorability_bounded(a: AnyAutomaton, kmax: int,
@@ -365,9 +368,7 @@ def explorability_bounded(a: AnyAutomaton, kmax: int,
     if kmax < 1:
         raise ValueError("kmax must be at least 1")
     a = complete(a)
-    won = _first_won_round(a, resolve_monitor(a, user_monitor), range(1, kmax + 1))
-    return (ExplorabilityVerdict("explorable-with", *won) if won
-            else ExplorabilityVerdict("not-explorable-up-to", kmax))
+    return _first_won_round(a, resolve_monitor(a, user_monitor), range(1, kmax + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -424,7 +425,8 @@ def is_k_population_winnable(inst: PCPInstance, k: int) -> bool:
     nfa = replace(nfa, accepting=frozenset(range(nfa.num_states)) - {inst.target})
     everything = Automaton.build("all", nfa.alphabet, 1, 0, "finite",
                                  [(0, letter, 0) for letter in nfa.alphabet], [0])
-    return _first_won_round(nfa, Monitor(everything, "subset"), (k,)) is not None
+    verdict = _first_won_round(nfa, Monitor(everything, "subset"), (k,))
+    return verdict.status == "explorable-with"
 
 
 def pcp_to_explorability(inst: PCPInstance) -> Automaton:

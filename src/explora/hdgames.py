@@ -16,7 +16,7 @@ from . import config
 from .automata import Automaton, canonical_parity, complete
 from .constructions import power_channels
 from .errors import SolverCheckFailed, UnverifiedExplorability
-from .explorability import explorability_bounded, is_k_explorable
+from .explorability import explorability_witness, is_k_explorable
 from .games import (Arena, MaxEvenParity, Not, Objective, Or, all_of, explore_arena,
                     solve)
 
@@ -76,9 +76,10 @@ def is_hd_assuming_explorable(a: Automaton, k_witness: Optional[int] = None,
 
     The hypothesis is enforced: either pass a token count k_witness that is
     re-verified via the explorability game, or explicitly opt out with
-    unchecked=True.  The re-check plays the 1-token round first, and that
-    round decides history-determinism exactly (`is_hd_exact`), so G2's
-    winner must agree with it; `SolverCheckFailed` if it does not.
+    unchecked=True.  The re-check, `explorability_witness`, plays the
+    1-token round and then k_witness; the 1-token round decides
+    history-determinism exactly (`is_hd_exact`), so G2's winner must agree
+    with it; `SolverCheckFailed` if it does not.
     """
     if unchecked:
         return g2_winner(a) == EVE
@@ -87,7 +88,7 @@ def is_hd_assuming_explorable(a: Automaton, k_witness: Optional[int] = None,
             "supply k_witness (verified token count) or unchecked=True")
     if k_witness < 1:
         raise ValueError("token count must be at least 1")
-    verdict = explorability_bounded(a, k_witness, user_monitor)
+    verdict = explorability_witness(a, k_witness, user_monitor)
     if verdict.status != "explorable-with":
         raise UnverifiedExplorability(
             f"automaton is not {k_witness}-explorable; the 2-token game "

@@ -14,7 +14,7 @@ Automaton files::
 
 Multi-channel files replace the condition line with ``channels: <k>`` plus one
 ``range: <channel> <lo> <hi>`` line per channel; transitions then carry k
-ranks.  Lassos are written ``u(v)`` with single-symbol letters, e.g. ``ab(ba)``.
+ranks.
 
 Arena files (``solve-game``) hold an ``arena`` header, ``positions: <n>``,
 ``initial: <id>``, ``channels: <k>`` with its ``range:`` lines, ``owner:`` and
@@ -38,8 +38,8 @@ from __future__ import annotations
 import json
 from typing import Optional, Union
 
-from .automata import (TAG_RANGE, Automaton, LassoWord, MultiAutomaton,
-                       MultiTransition, Transition)
+from .automata import (TAG_RANGE, Automaton, MultiAutomaton, MultiTransition,
+                       Transition)
 from .errors import ParseError
 from .explorability import PCPInstance
 from .games import (And, Arena, MaxEvenParity, Not, Objective, Or, Strategy,
@@ -239,22 +239,6 @@ def format_automaton(a: Union[Automaton, MultiAutomaton]) -> str:
             rank = "" if a.condition == "finite" else f" {t.rank}"
             out.append(f"t {t.src} {t.letter} {t.dst}{rank}")
     return "\n".join(out) + "\n"
-
-
-def parse_lasso(text: str, source: str = "<string>") -> LassoWord:
-    """``u(v)`` with single-symbol letters, e.g. ``ab(ba)``."""
-    s = text.strip()
-    open_at = s.find("(")
-    if open_at < 0 or not s.endswith(")"):
-        raise ParseError(source, 1, "lasso of the form u(v)")
-    prefix, period = s[:open_at], s[open_at + 1:-1]
-    if not period:
-        raise ParseError(source, 1, "nonempty lasso period")
-    return LassoWord(tuple(prefix), tuple(period))
-
-
-def format_lasso(w: LassoWord) -> str:
-    return str(w)
 
 
 def format_objective(obj: Objective) -> str:

@@ -88,15 +88,23 @@ t 0 a 0 2
     assert main(["hd", "--via-g2", "--witness-k", "1", d]) == 0
 
 
-@pytest.mark.parametrize("flags", [["--witness-k", "2"], ["--unchecked"],
-                                   ["--exact", "--witness-k", "1"]],
-                         ids=["witness-k", "unchecked", "exact-witness-k"])
-def test_hd_token_game_flags_need_via_g2(tmp_path, capsys, flags):
+@pytest.mark.parametrize("flags, named", [
+    (["--witness-k", "2"], ["--via-g2"]),
+    (["--unchecked"], ["--via-g2"]),
+    (["--exact", "--witness-k", "1"], ["--via-g2"]),
+    (["--via-g2", "--unchecked", "--witness-k", "0"], ["--unchecked", "--witness-k"]),
+    # a finite-word file, which no re-check reads
+    (["--via-g2", "--unchecked", "--monitor", "c.aut"], ["--unchecked", "--monitor"]),
+], ids=["witness-k", "unchecked", "exact-witness-k", "unchecked-witness-k",
+        "unchecked-monitor"])
+def test_hd_token_game_flags_need_via_g2(tmp_path, capsys, flags, named):
     c = write(tmp_path, "c.aut", format_automaton(gen_c()))
+    flags = [c if flag == "c.aut" else flag for flag in flags]
     assert main(["hd", *flags, c]) == 3
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err.startswith("error: ") and "--via-g2" in out.err
+    assert all(flag in out.err for flag in named)
 
 
 # nondeterministic coBuchi: 0 -a-> 0 or 1

@@ -4,8 +4,7 @@ Each example takes a small valid input, drops, duplicates or garbles some of
 its lines or puts a number out of range, and runs a command on it.  Whatever
 the text, the exit code is one of 0-3, no exception escapes, and a run that
 exits 3 (usage or parse error) prints no verdict; for a machine file, its
-message starts with the file and line.  Mutated lasso text makes
-`parse_lasso` raise `ParseError` or nothing.
+message starts with the file and line.
 """
 
 from __future__ import annotations
@@ -20,11 +19,9 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from explora.automata import Automaton
 from explora.cli import main
 from explora.constructions import union_power
-from explora.errors import ParseError
 from explora.explorability import pcp_reduce
 from explora.generators import gen_ak, gen_bk, gen_fig4
-from explora.textio import (format_atm, format_automaton, format_lasso,
-                            format_pcp, parse_lasso)
+from explora.textio import format_atm, format_automaton, format_pcp
 
 from conftest import ATM_CORPUS
 
@@ -146,26 +143,3 @@ def test_mutated_machine_files_name_file_and_line(case):
     assert code in (0, 3), (code, text)
     if code == 3:
         assert err.startswith(f"error: {path}:"), (text, err)
-
-
-@settings(max_examples=300, deadline=None, derandomize=True)
-@given(st.lists(st.tuples(st.sampled_from(["drop", "duplicate", "insert"]),
-                          st.integers(0, 20), st.sampled_from("ab() \t\n")),
-                max_size=4))
-def test_mutated_lasso_text_raises_only_parse_errors(edits):
-    chars = list("ab(ba)")
-    for kind, i, c in edits:
-        i %= len(chars) + 1
-        if kind == "drop" and i < len(chars):
-            del chars[i]
-        elif kind == "duplicate" and i < len(chars):
-            chars.insert(i, chars[i])
-        else:
-            chars.insert(i, c)
-    text = "".join(chars)
-    try:
-        w = parse_lasso(text, "lasso")
-    except ParseError as e:
-        assert str(e).startswith("lasso:1: expected"), e
-    else:
-        assert w.period and parse_lasso(format_lasso(w)) == w

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from random import Random
 
 import pytest
@@ -11,10 +12,15 @@ from explora.automata import (Automaton, LassoWord, canonical_parity,
 from explora.determinize import (breakpoint_construction,
                                  resolve_monitor, subset_construction)
 from explora.errors import MissingMonitor, MonitorCheckFailed, MonitorMismatch
-from explora.generators import gen_ak, gen_c, gen_fig4, random_automaton
+from explora.generators import atm_reduce, gen_ak, gen_c, gen_fig4, random_automaton
 
-from conftest import automaton_corpus, run_optimized
+from conftest import ATM_CORPUS, automaton_corpus, run_optimized, shifted_cob3
 from reference import equivalent_on_all_lassos, equivalent_on_words, iter_words
+
+# a deterministic Buchi automaton, which monitors itself as a user monitor
+DET_BUCHI = Automaton.build("db", ["a", "b"], 2, 0, "buchi",
+                            [(0, "a", 1, 2), (0, "b", 0, 1),
+                             (1, "a", 0, 1), (1, "b", 1, 2)])
 
 
 class TestSubsetConstruction:
@@ -92,33 +98,6 @@ class TestBreakpointConstruction:
             assert mon.automaton.rank_range == (0, 1)
             assert equivalent_on_lassos(a, mon.automaton, 5).equivalent
 
-    def test_oracle_disagreement_raises(self, monkeypatch):
-        # a fault in the product check: it reports the first product edge
-        # as a cycle that A accepts and M rejects
-        monkeypatch.setattr("explora.determinize.parity_cycle",
-                            lambda edges, demands: [(0, 0)])
-        a = canonical_parity(gen_fig4("left"))
-        with pytest.raises(MonitorMismatch) as e:
-            breakpoint_construction(a)
-        assert e.value.counterexample == LassoWord.of("", a.alphabet[:1])
-
-    def test_oracle_disagreement_raises_under_optimize(self):
-        # the self-check must not be an assert, which `python -O` strips
-        done = run_optimized("""
-import sys
-import explora.determinize as det
-from explora.automata import canonical_parity
-from explora.errors import MonitorMismatch
-from explora.generators import gen_fig4
-det.parity_cycle = lambda edges, demands: [(0, 0)]
-try:
-    det.breakpoint_construction(canonical_parity(gen_fig4("left")))
-except MonitorMismatch:
-    sys.exit(0 if not __debug__ else 4)
-sys.exit(5)
-""")
-        assert done.returncode == 0, done.stderr
-
 
 class TestMonitorSelfCheck:
     @pytest.mark.parametrize("build, source", [
@@ -178,8 +157,7 @@ sys.exit(5)
 # checks a built monitor of that kind passes
 BUILT = {
     "finite": (det._subset, [det._check_subset]),
-    "cobuchi": (det._breakpoint, [det._check_breakpoint,
-                                  lambda a, m, labels: det._check_included(a, m)]),
+    "cobuchi": (det._breakpoint, [det._check_breakpoint]),
 }
 
 
@@ -259,6 +237,114 @@ def test_checks_reject_every_mutant_the_oracle_refutes(seed, condition, partial,
         assert not passes_checks(condition, a, mutant, mutant_labels)
 
 
+class TestSingleCertificate:
+    """A built breakpoint monitor passes one check, `_check_breakpoint`,
+    which proves L(A) <= L(M) as well as L(M) <= L(A); `_check_included`,
+    the product check of L(A) <= L(M), runs on user monitors only and stays
+    here as a cross-check."""
+
+    @staticmethod
+    def refused(check, *args) -> bool:
+        try:
+            check(*args)
+        except (MonitorCheckFailed, MonitorMismatch):
+            return True
+        return False
+
+    @staticmethod
+    def single_transition_mutants(monitor):
+        """Every monitor that flips one transition's rank or redirects it to
+        another state."""
+        transitions = sorted(monitor.transitions)
+        for i, t in enumerate(transitions):
+            for changed in [t._replace(rank=1 - t.rank)] + [
+                    t._replace(dst=d) for d in range(monitor.num_states) if d != t.dst]:
+                yield replace(monitor, transitions=frozenset(
+                    transitions[:i] + [changed] + transitions[i + 1:]))
+
+    def test_label_check_refuses_every_mutant_the_product_check_refutes(self):
+        # 400 seeded safety, coBuchi and reachability sources; the product
+        # check runs on every mutant the label check passes (there are none)
+        # and, to show the sweep holds refutable mutants, on every mutant of
+        # the first 20 sources
+        rng, mutants, refuted = Random(30), 0, 0
+        for i in range(400):
+            condition = ("safety", "cobuchi", "reachability")[i % 3]
+            a = canonical_parity(random_source(rng, condition, rng.random() < 0.5,
+                                               rng.random() < 0.5))
+            monitor, labels = det._breakpoint(a)
+            det._check_breakpoint(a, monitor, labels)
+            det._check_included(a, monitor)
+            for mutant in self.single_transition_mutants(monitor):
+                mutants += 1
+                label = self.refused(det._check_breakpoint, a, mutant, labels)
+                if not label or i < 20:
+                    product = self.refused(det._check_included, a, mutant)
+                    assert label or not product, (a, mutant)
+                    refuted += product
+        assert mutants > 30_000 and refuted > 1_000
+
+    def test_product_check_accepts_every_built_breakpoint_monitor(self):
+        corpus = [gen_fig4("left"), gen_fig4("right")]
+        corpus += [atm_reduce(machine, word) for _, machine, word, _ in ATM_CORPUS]
+        corpus += [random_automaton(Random(seed), 3, "ab", "cobuchi") for seed in range(50)]
+        for seed, count, n, condition in [
+                (41, 12, 4, "cobuchi"), (61, 10, 3, "cobuchi"), (62, 6, 2, "cobuchi"),
+                (63, 8, 3, "cobuchi"), (79, 20, 4, "safety"), (201, 5, 3, "reachability"),
+                (74, 5, 3, "reachability")]:
+            corpus += automaton_corpus(seed, count, n, ["a", "b"], condition)
+        for seed in (64, 71, 402):
+            corpus += automaton_corpus(seed, 6, 3, ["a", "b"], "cobuchi", max_branch=1)
+        for parity in [(0, 0), (1, 1), (0, 1)]:
+            corpus += automaton_corpus(42, 3, 3, ["a", "b"], "parity", parity=parity)
+        for a in corpus:
+            det._check_included(canonical_parity(a), breakpoint_construction(a).automaton)
+
+    def test_only_user_monitors_pass_the_product_check(self, monkeypatch):
+        calls = []
+        real = det._check_included
+        monkeypatch.setattr(det, "_check_included",
+                            lambda a, monitor: calls.append(monitor) or real(a, monitor))
+        for a in [gen_fig4("left"), gen_ak(2)] + \
+                automaton_corpus(43, 3, 3, ["a", "b"], "reachability") + \
+                automaton_corpus(44, 3, 3, ["a", "b"], "cobuchi"):
+            resolve_monitor(a)
+        assert calls == []
+        for a, user in [(DET_BUCHI, None), shifted_cob3(20), shifted_cob3(25)]:
+            mon = resolve_monitor(a, user)
+            assert calls == [mon.automaton]
+            calls.clear()
+
+    def test_altered_condition_or_initial_state_refused_under_optimize(self):
+        # the label check reads M's acceptance and initial state off M itself
+        done = run_optimized("""
+import sys
+from dataclasses import replace
+import explora.determinize as det
+from explora.automata import canonical_parity
+from explora.errors import MonitorCheckFailed
+from explora.generators import gen_ak, gen_fig4
+cases = []
+a = canonical_parity(gen_fig4("left"))
+monitor, labels = det._breakpoint(a)
+for change in [dict(condition="cobuchi"), dict(condition="buchi"), dict(hi=2),
+               dict(lo=-1), dict(lo=1), dict(initial=1)]:
+    cases.append((det._check_breakpoint, a, replace(monitor, **change), labels))
+a = gen_ak(2)
+monitor, labels = det._subset(a)
+for change in [dict(condition="safety"), dict(initial=1)]:
+    cases.append((det._check_subset, a, replace(monitor, **change), labels))
+refused = 0
+for check, a, mutant, labels in cases:
+    try:
+        check(a, mutant, labels)
+    except MonitorCheckFailed:
+        refused += 1
+sys.exit(0 if refused == len(cases) == 8 and not __debug__ else 4)
+""")
+        assert done.returncode == 0, done.stderr
+
+
 class TestMonitorLabels:
     def test_subset_monitor_carries_its_subsets(self):
         for a in [gen_ak(2), gen_c()] + automaton_corpus(32, 4, 3, ["a", "b"], "finite"):
@@ -323,6 +409,34 @@ class TestResolveMonitor:
             resolve_monitor(a, wrong)
         # the bounded oracle's first counterexample comes before the product's
         assert e.value.counterexample == first.counterexample
+
+    def test_product_check_disagreement_raises(self, monkeypatch):
+        # a fault in the product check: it reports the first product edge as
+        # a cycle that A accepts and M rejects; a deterministic Buchi input
+        # monitors itself, so its product check is the one that runs
+        monkeypatch.setattr("explora.determinize.parity_cycle",
+                            lambda edges, demands: [(0, 0)])
+        with pytest.raises(MonitorMismatch) as e:
+            resolve_monitor(DET_BUCHI)
+        assert e.value.counterexample == LassoWord.of("", "a")
+
+    def test_product_check_disagreement_raises_under_optimize(self):
+        # the self-check must not be an assert, which `python -O` strips
+        done = run_optimized("""
+import sys
+import explora.determinize as det
+from explora.automata import Automaton
+from explora.errors import MonitorMismatch
+det.parity_cycle = lambda edges, demands: [(0, 0)]
+a = Automaton.build("db", ["a", "b"], 2, 0, "buchi",
+                    [(0, "a", 1, 2), (0, "b", 0, 1), (1, "a", 0, 1), (1, "b", 1, 2)])
+try:
+    det.resolve_monitor(a)
+except MonitorMismatch:
+    sys.exit(0 if not __debug__ else 4)
+sys.exit(5)
+""")
+        assert done.returncode == 0, done.stderr
 
     def test_wrong_user_monitor_beyond_the_bound(self, monkeypatch):
         # M accepts iff the 3-letter windows break the cycle aab, aba, baa

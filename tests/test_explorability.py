@@ -13,7 +13,8 @@ from explora.constructions import (compose_monitor, union_condition_automaton_02
 from explora.determinize import Monitor, resolve_monitor
 from explora.errors import (ChannelBudgetExceeded, NonSinkTarget, ReductionCheckFailed,
                            SolverCheckFailed)
-from explora.explorability import (PCPInstance, _check_letter_moves, _finite_tokens,
+from explora.explorability import (ExplorabilityVerdict, PCPInstance, _check_letter_moves,
+                                   _finite_tokens,
                                    _solve_finite_game,
                                    build_k_explorability_game,
                                    explorability_bounded,
@@ -165,12 +166,13 @@ class TestGameStructure:
                             lambda *args: calls.append(args) or real(*args))
         verdict = explorability_bounded(gen_ak(3), 4)
         assert (verdict.status, verdict.k, len(calls)) == ("explorable-with", 3, 1)
-        assert verdict.witness.moves == explorability_witness(gen_ak(3), 3).moves
+        assert verdict.witness.moves == explorability_witness(gen_ak(3), 3).witness.moves
 
     def test_witness_strategy_available(self):
         w = explorability_witness(gen_ak(2), 2)
-        assert w is not None and w.moves
-        assert explorability_witness(gen_ak(2), 1) is None
+        assert (w.status, w.k) == ("explorable-with", 2) and w.witness.moves
+        assert explorability_witness(gen_ak(2), 1) == \
+            ExplorabilityVerdict("not-explorable-up-to", 1)
 
 
 def _finite_game_corpus():
@@ -575,7 +577,7 @@ class TestBreakpointGameMatchesTuples:
             arena, objective = build_k_explorability_game(a, resolve_monitor(a), k)
             assert objective == MaxEvenParity(0)
             verdicts.append(is_k_explorable(a, k))
-            strategy = explorability_witness(a, k)
+            strategy = explorability_witness(a, k).witness
             assert (strategy is not None) == verdicts[-1]
             if strategy is not None:
                 assert all(mem == 0 and arena.owner[p] == 0 for p, mem in strategy.moves)
@@ -789,8 +791,10 @@ class TestOneTokenRound:
     def test_hd_inputs_get_the_one_token_witness(self, k):
         for _, a, user in _one_token_round_cases():
             if is_k_explorable(a, 1, user):
-                one = format_witness(explorability_witness(a, 1, user))
-                assert format_witness(explorability_witness(a, k, user)) == one
+                one = explorability_witness(a, 1, user)
+                verdict = explorability_witness(a, k, user)
+                assert verdict.k == 1  # the decided round
+                assert format_witness(verdict.witness) == format_witness(one.witness)
 
     def test_corpus_has_hd_and_non_hd_inputs(self):
         cases = _one_token_round_cases()

@@ -117,6 +117,21 @@ class TestHdAssumingExplorable:
             if is_k_explorable(a, 2):
                 assert is_hd_assuming_explorable(a, k_witness=2) == is_hd_exact(a)
 
+    def test_witness_recheck_plays_one_token_and_k(self, tmp_path, monkeypatch):
+        # seed-25 cob3 is 4-explorable and not HD: the re-check plays the
+        # 1-token round and then k = 4, as `k-explorable -k 4` does
+        import explora.explorability as ex
+        path = tmp_path / "cob3.aut"
+        path.write_text(format_automaton(random_automaton(Random(25), 3, "ab", "cobuchi")))
+        sizes = []
+        monkeypatch.setattr(ex, "solve", lambda arena, objective: sizes.append(
+            arena.num_positions) or solve(arena, objective))
+        assert cli.main(["hd", "--via-g2", "--witness-k", "4", str(path)]) == 1
+        assert sizes == [39, 405]
+        sizes.clear()
+        assert cli.main(["k-explorable", "-k", "4", str(path)]) == 0
+        assert sizes == [39, 405]
+
     def test_flipped_g2_winner_refused(self, tmp_path, monkeypatch, capsys):
         # the re-check's 1-token round must agree with G2, HD input or not
         inputs = {"det": det_buchi(), "cob3": random_automaton(Random(20), 3, "ab", "cobuchi")}

@@ -1,9 +1,11 @@
-"""Every import of the library is at module level and public.
+"""Every import of the library is at module level, public and used.
 
 An import inside a function hides a dependency from the module's header and
 can hide an import cycle; an import of a ``_``-prefixed name from another
 explora module reaches into that module's private helpers.  Each such import
-fails the test with its file and line.
+fails the test with its file and line, as does a name that a module other
+than `__init__.py` (which imports names to export them) imports and never
+reads.
 """
 
 import ast
@@ -48,3 +50,25 @@ def test_no_private_name_is_imported_from_another_module():
     stray = [f"{name}:{line} {imported}" for name, tree in _modules()
              for line, imported in private_imports(tree)]
     assert not stray, "private names imported: " + ", ".join(stray)
+
+
+def unused_imports(tree):
+    """(line, name) of every name an import binds that the module never
+    reads; ``from __future__`` imports bind no name."""
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = node.lineno
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted((line, name) for name, line in bound.items() if name not in read)
+
+
+def test_every_imported_name_is_used():
+    # `__init__.py` imports names to export them
+    stray = [f"{name}:{line} {imported}" for name, tree in _modules()
+             if name != "__init__.py" for line, imported in unused_imports(tree)]
+    assert not stray, "imported names never used: " + ", ".join(stray)

@@ -1,14 +1,13 @@
 import pytest
 
-from explora.automata import LassoWord, MultiAutomaton, MultiTransition
+from explora.automata import MultiAutomaton, MultiTransition
 from explora.cli import main
 from explora.errors import ParseError
 from explora.explorability import pcp_reduce
 from explora.generators import gen_ak, gen_bk, gen_c, gen_fig4
-from explora.textio import (format_atm, format_automaton, format_lasso,
-                            format_pcp, parse_arena, parse_atm,
-                            parse_automaton, parse_lasso, parse_objective,
-                            parse_pcp)
+from explora.textio import (format_atm, format_automaton, format_pcp,
+                            parse_arena, parse_atm, parse_automaton,
+                            parse_objective, parse_pcp)
 
 from conftest import ATM_CORPUS, automaton_corpus
 from reference import format_arena
@@ -65,17 +64,6 @@ def test_channel_count_must_be_positive(count):
     with pytest.raises(ParseError) as e:
         parse_arena(arena + "objective: p0\n")
     assert e.value.line == 4
-
-
-def test_lasso_syntax():
-    w = parse_lasso("ab(ba)")
-    assert w == LassoWord.of("ab", "ba")
-    assert format_lasso(w) == "ab(ba)"
-    assert parse_lasso("(a)") == LassoWord.of("", "a")
-    with pytest.raises(ParseError):
-        parse_lasso("ab")
-    with pytest.raises(ParseError):
-        parse_lasso("ab()")
 
 
 def test_atm_roundtrip():
