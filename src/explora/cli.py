@@ -127,9 +127,6 @@ def cmd_explorable(args) -> int:
 def cmd_hd(args) -> int:
     if not args.via_g2 and (args.witness_k is not None or args.unchecked):
         raise ValueError("--witness-k and --unchecked need --via-g2")
-    if args.unchecked and (args.witness_k is not None or args.monitor):
-        raise ValueError("--via-g2 --unchecked takes no --witness-k or --monitor: "
-                         "they serve only the explorability re-check it skips")
     rep = _Report(args, "hd", args.automaton)
     a = _read(args.automaton, Automaton if args.via_g2 else (Automaton, MultiAutomaton))
     if args.via_g2:

@@ -10,10 +10,14 @@ For finite-word automata the game is a safety game over token multisets
 paired with a subset monitor ("never: monitor accepting while no token is").
 It is solved locally: each token-player position follows one move and tries
 the next only when that one is refuted, so a verdict explores only a part of
-the arena and builds none.  A won game's strategy covers the positions it
-reaches, and `games.verify_token_strategy` replays it against the automaton
-and the monitor.  For infinite-word automata the game is solved through the
-parity pipeline with the objective
+the arena and builds none.  The moves are tried most spread first, those on
+the most distinct states first and in sorted order among equals: a spread
+move keeps more runs alive, so it is most often the one that wins, and the
+paper's a_k is won only by spreading its k tokens (`_solve_finite_game`).
+A won game's strategy covers the positions it reaches, and
+`games.verify_token_strategy` replays it against the automaton and the
+monitor.  For infinite-word automata the game is solved through the parity
+pipeline with the objective
 
     NOT MaxEvenParity(monitor) OR (OR over the token channels).
 
@@ -29,27 +33,49 @@ and multi-channel inputs) plays on token tuples, since per-token rank
 channels must follow actual runs: k tokens of `a` are one token of the
 k-fold union power `constructions.union_power(a, k)`, whose channels, one
 per copy and channel of `a`, grow with k and are capped by
-`config.check_channels`.
+`config.check_channels`; its moves and rank channels are read off the
+union power's `lasso_view`.
 
-A verdict sets its game up once and plays its rounds from that set-up in
-`_first_won_round`.  On infinite words, under every monitor, the 1-token
-round comes first: its win means the automaton is history-deterministic,
-so every token can follow the one token's run, and its strategy, played by
-every token, wins at any k.  A finite-word witness is played at k only.
+A verdict completes the automaton, sets its game up once and plays its
+rounds from that set-up in one loop, `_first_won_round`, which returns an
+`ExplorabilityVerdict` with the first won round's k and strategy.
+`explorability_witness` plays one token count and `explorability_bounded`
+(`explorable --max-k`) every count from 1 up.  On infinite words, under
+every monitor, the 1-token round comes first: its win means the automaton
+is history-deterministic, so every token can follow the one token's run,
+and its strategy, played by every token, wins at any k.  A finite-word
+witness is played at k only.  `build_k_explorability_game` builds one
+infinite-word round's arena on the same set-up; it refuses a subset
+monitor, whose game builds no arena.
 
 The token moves do not depend on the monitor state, so every builder
 computes them once per (tokens, letter) and shares them between every
-monitor state that meets that pair; the breakpoint game's memo serves every
-round of a verdict.  The infinite-word games key a token-player position by
-its moves' arguments (tokens, letter, m2, mrank), so every monitor state
-that steps to (m2, mrank) under the letter shares it: the moves and their
-ranks are the same.
+monitor state that meets that pair.  The multiset games build them with one
+generator, `_multiset_moves`, from a memo of each (state, count, letter)
+group's combinations; the breakpoint game's memos serve every round of a
+verdict, the finite game's one round.  The infinite-word games key a
+token-player position by its moves' arguments (tokens, letter, m2, mrank),
+so every monitor state that steps to (m2, mrank) under the letter shares
+it: the moves and their ranks are the same.  On the tuple game only the
+union power is built again per k.
+
+How a verdict is checked: a finite-word strategy is replayed against the
+automaton and the monitor; every infinite-word arena must offer every
+letter at every letter-player position (`_check_letter_moves`) before
+`games.solve` solves it and checks its progress measures.  A user monitor's
+channel budget is checked before any round is played.
+
+The population control reductions go both ways: `pcp_reduce` turns a
+finite-word automaton into a population instance, and `pcp_to_explorability`
+an instance into an automaton that is k-explorable exactly when the token
+player survives the k-population game, which `is_k_population_winnable`
+plays as a finite-word game.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import chain, combinations_with_replacement, groupby, product
+from itertools import chain, combinations_with_replacement, product
 from typing import Optional
 
 from . import config
@@ -87,15 +113,37 @@ class ExplorabilityVerdict:
 # shared helpers
 
 
-def _multiset_moves(dests, tokens: tuple, letter: str):
+def _multiset_moves(dests, combos: dict, tokens: tuple, letter: str) -> list:
     """Distinct successor multisets reachable by moving every token of the
-    sorted tuple `tokens`, in sorted order; `dests` maps (token, letter) to
-    its sorted distinct successor tokens."""
-    per_state = [list(combinations_with_replacement(dests.get((q, letter), ()),
-                                                    len(list(run))))
-                 for q, run in groupby(tokens)]
+    sorted tuple `tokens`, in sorted order.  `dests` maps (token, letter) to
+    its sorted distinct successor tokens, and `combos`, the game's memo,
+    maps (token, count, letter) to the sorted combinations of that many
+    tokens' successors.  When every token has one successor, every group has
+    one combination and there is one move, built without the memo."""
+    moved = []
+    for q in tokens:  # the common case: every token has one successor, so one move
+        succ = dests.get((q, letter), ())
+        if len(succ) != 1:
+            break
+        moved.append(succ[0])
+    else:
+        moved.sort()
+        return [tuple(moved)]
+    per_state, prev, count = [], None, 0
+    for q in tokens + (None,):  # None closes the last group
+        if q == prev:
+            count += 1
+            continue
+        if count:
+            key = (prev, count, letter)
+            group = combos.get(key)
+            if group is None:
+                group = combos[key] = tuple(combinations_with_replacement(
+                    dests.get((prev, letter), ()), count))
+            per_state.append(group)
+        prev, count = q, 1
     if len(per_state) == 1:  # one group's combinations are sorted and distinct
-        return per_state[0]
+        return list(per_state[0])
     return sorted({tuple(sorted(chain.from_iterable(combo))) for combo in product(*per_state)})
 
 
@@ -106,12 +154,14 @@ def _multiset_moves(dests, tokens: tuple, letter: str):
 def _finite_tokens(a: Automaton, monitor: Monitor, k: int):
     """Start, bad test and moves of the finite-word k-token safety game: a
     (tokens, m) position is bad when the monitor accepts while no token does;
-    a (tokens, m, letter) position moves to the successor multisets, sorted."""
+    a (tokens, m, letter) position moves to the successor multisets, those on
+    the most distinct states first and in sorted order among equals."""
     mon = monitor.automaton
     mon_delta = {key: succ[0][0] for key, succ in mon.delta.items()}
     mon_accepting, accepting = mon.accepting, a.accepting
     dests = {key: tuple(sorted({d for d, _ in succ})) for key, succ in a.delta.items()}
-    token_moves: dict = {}  # (tokens, letter) -> successor multisets
+    combos: dict = {}  # (token, count, letter) -> combinations of successors
+    token_moves: dict = {}  # (tokens, letter) -> successor multisets, spread first
 
     def bad(tokens, m):
         return m in mon_accepting and accepting.isdisjoint(tokens)
@@ -119,7 +169,10 @@ def _finite_tokens(a: Automaton, monitor: Monitor, k: int):
     def moves(tokens, m, letter):
         out = token_moves.get((tokens, letter))
         if out is None:
-            out = token_moves[(tokens, letter)] = _multiset_moves(dests, tokens, letter)
+            out = _multiset_moves(dests, combos, tokens, letter)
+            if len(out) > 1:  # a stable sort keeps sorted order among equals
+                out.sort(key=lambda dsts: len(set(dsts)), reverse=True)
+            token_moves[(tokens, letter)] = out
         m2 = mon_delta[(m, letter)]
         return [(dsts, m2) for dsts in out]
 
@@ -135,6 +188,16 @@ def _solve_finite_game(a: Automaton, monitor: Monitor, k: int):
     A position that only lost positions move to is not expanded until some
     current move comes back to it.  The walk stops once the initial position
     is lost.
+
+    The moves are tried most spread first: those on the most distinct
+    states, in sorted order among equals (`_finite_tokens`).  Spreading the
+    tokens keeps more runs alive, so the first move is most often one that
+    wins, and a won round explores little beyond its strategy; a_k is won
+    only by spreading its k tokens over its k branches.  In sorted order,
+    which piles the tokens on one state first, ak6's won round at k = 6
+    discovered 185 letter-player positions, 176 of them lost, for a strategy
+    that reaches 4; spread first it discovers those 4 alone.  A lost round
+    must refute every move, so its order changes little there.
 
     Returns whether the game is won, every discovered letter-player position
     with whether it is lost, and every explored token-player position with
@@ -219,6 +282,7 @@ def _breakpoint_tokens(a: Automaton, mon: Automaton):
     canonical = canonical_parity(a)
     delta, n = canonical.delta, canonical.num_states
     dests: dict = {}  # (token, letter) -> sorted distinct successor tokens
+    combos: dict = {}  # (token, count, letter) -> combinations of successors
     token_moves: dict = {}  # (tokens, letter) -> successor multisets with their ranks
 
     def moves(tokens, letter, m2, mrank):
@@ -232,7 +296,7 @@ def _breakpoint_tokens(a: Automaton, mon: Automaton):
             # a clean token sorts last; at a breakpoint every token becomes clean again
             out = token_moves[(tokens, letter)] = [
                 (dsts, (0,)) if dsts[-1] >= n else (tuple(q + n for q in dsts), (1,))
-                for dsts in _multiset_moves(dests, tokens, letter)]
+                for dsts in _multiset_moves(dests, combos, tokens, letter)]
         if mrank:  # the monitor's rank 1 outranks every breakpoint
             return [((dsts, m2), (2,)) for dsts, _ in out]
         return [((dsts, m2), rank) for dsts, rank in out]

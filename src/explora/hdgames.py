@@ -76,12 +76,16 @@ def is_hd_assuming_explorable(a: Automaton, k_witness: Optional[int] = None,
 
     The hypothesis is enforced: either pass a token count k_witness that is
     re-verified via the explorability game, or explicitly opt out with
-    unchecked=True.  The re-check, `explorability_witness`, plays the
-    1-token round and then k_witness; the 1-token round decides
-    history-determinism exactly (`is_hd_exact`), so G2's winner must agree
-    with it; `SolverCheckFailed` if it does not.
+    unchecked=True, which takes no k_witness or user_monitor (ValueError):
+    both serve only the re-check it skips.  The re-check,
+    `explorability_witness`, plays the 1-token round and then k_witness; the
+    1-token round decides history-determinism exactly (`is_hd_exact`), so
+    G2's winner must agree with it; `SolverCheckFailed` if it does not.
     """
     if unchecked:
+        if k_witness is not None or user_monitor is not None:
+            raise ValueError("--via-g2 --unchecked takes no --witness-k or --monitor: "
+                             "they serve only the explorability re-check it skips")
         return g2_winner(a) == EVE
     if k_witness is None:
         raise UnverifiedExplorability(

@@ -431,8 +431,9 @@ def multiset_moves_reference(a, tokens: tuple[int, ...], letter: str):
 
 def build_finite_game_reference(a, monitor: Monitor, k: int):
     """The finite-word k-token safety game built position by position: token
-    moves recomputed at every token-player position, and the bad test run
-    again to collect the bad positions."""
+    moves recomputed at every token-player position, spread first (a stable
+    sort of the sorted moves, most distinct states first), and the bad test
+    run again to collect the bad positions."""
     mon = monitor.automaton
     mon_delta = {key: succ[0][0] for key, succ in mon.delta.items()}
     start = tuple([a.initial] * k)
@@ -448,7 +449,9 @@ def build_finite_game_reference(a, monitor: Monitor, k: int):
             return [((tokens, m, letter), (1,)) for letter in a.alphabet]
         tokens, m, letter = key
         m2 = mon_delta[(m, letter)]
-        return [((dsts, m2), (1,)) for dsts in multiset_moves_reference(a, tokens, letter)]
+        spread = sorted(multiset_moves_reference(a, tokens, letter),
+                        key=lambda dsts: -len(set(dsts)))
+        return [((dsts, m2), (1,)) for dsts in spread]
 
     order, edges = explore_graph([(start, mon.initial)], expand)
     arena = Arena(

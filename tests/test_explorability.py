@@ -14,7 +14,7 @@ from explora.determinize import Monitor, resolve_monitor
 from explora.errors import (ChannelBudgetExceeded, NonSinkTarget, ReductionCheckFailed,
                            SolverCheckFailed)
 from explora.explorability import (ExplorabilityVerdict, PCPInstance, _check_letter_moves,
-                                   _finite_tokens,
+                                   _finite_tokens, _multiset_moves,
                                    _solve_finite_game,
                                    build_k_explorability_game,
                                    explorability_bounded,
@@ -400,22 +400,102 @@ class TestFiniteGameStopsEarly:
         # the lost k=3 game of an 8-state NFA over abc: expanding every
         # discovered position explored 1,468 positions; expanding only those
         # that a token-player position of a position not known to be lost
-        # moves to explores 435
+        # moves to explores 423
         a = complete(random_automaton(Random(0), 8, "abc", "finite"))
         won, lost, current = _solve_finite_game(a, resolve_monitor(a), 3)
-        assert not won and _explored(lost, current) == 435
+        assert not won and _explored(lost, current) == 423
 
     def test_won_ak6_explores_under_a_quarter_of_the_arena(self):
-        # the won k=6 game of ak6 has 3,761 positions; the solver explores
-        # 742 of them (185 letter-player, 557 token-player), and its
-        # strategy covers 28 token-player positions
+        # the won k=6 game of ak6 has 3,761 positions; trying the most
+        # spread moves first, the solver explores 32 of them (4 letter-player,
+        # none lost, and 28 token-player), all on its strategy, where piling
+        # the tokens first explores hundreds
         a = complete(gen_ak(6))
         monitor = resolve_monitor(a)
         won, lost, current = _solve_finite_game(a, monitor, 6)
         full = build_finite_game_reference(a, monitor, 6)[0].num_positions
         assert won and full == 3761
+        assert (len(lost), sum(lost.values()), len(current)) == (4, 0, 28)
         assert 4 * _explored(lost, current) < full
         assert len(verify_token_strategy(a, monitor.automaton, 6, current)) == 28
+
+
+def _token_move_cases():
+    """(automaton, token multisets) of 40 seeded random automata, half of
+    them partial: 2-5 states over one to three letters with up to four
+    successors a letter, and at each k = 1..6 a piled multiset and four
+    drawn ones."""
+    rng = Random(31)
+    cases = []
+    for i in range(40):
+        n = rng.randint(2, 5)
+        a = random_automaton(rng, n, "abc"[:rng.randint(1, 3)], "finite", max_branch=4)
+        if i % 2:  # partial: drop about a third of the transitions
+            a = Automaton.build(a.name, a.alphabet, n, a.initial, "finite",
+                                [t for t in sorted(a.transitions) if rng.random() < 0.67],
+                                a.accepting)
+        multisets = [tuple(sorted(rng.choices(range(n), k=k)))
+                     for k in range(1, 7) for _ in range(4)]
+        cases.append((a, multisets + [(rng.randrange(n),) * k for k in range(1, 7)]))
+    return cases
+
+
+class TestMultisetMoves:
+    """`explorability._multiset_moves` against `multiset_moves_reference`:
+    the same multisets in every case, in sorted order as the breakpoint game
+    takes them, and spread first (most distinct states first, sorted among
+    equals) as the finite game's moves order them."""
+
+    def test_sorted_as_the_reference_with_one_memo(self):
+        memoized = set()  # (count, number of combinations) of every memoized group
+        for a, multisets in _token_move_cases():
+            dests = {key: tuple(sorted({d for d, _ in succ})) for key, succ in a.delta.items()}
+            combos = {}  # one memo per automaton, as per game
+            for tokens in multisets:
+                for letter in a.alphabet:
+                    assert (_multiset_moves(dests, combos, tokens, letter)
+                            == multiset_moves_reference(a, tokens, letter)), (a, tokens, letter)
+            memoized |= {(count, len(group)) for (_, count, _), group in combos.items()}
+        assert {count for count, size in memoized if size > 1} == set(range(1, 7))
+        assert (1, 0) in memoized  # a partial automaton's missing successors
+
+    def test_spread_first_in_the_finite_game(self):
+        for a, multisets in _token_move_cases():
+            moves = _finite_tokens(a, resolve_monitor(a), 1)[2]
+            for tokens in multisets:
+                for letter in a.alphabet:
+                    spread = sorted(multiset_moves_reference(a, tokens, letter),
+                                    key=lambda dsts: (-len(set(dsts)), dsts))
+                    assert [dsts for dsts, _ in moves(tokens, 0, letter)] == spread
+
+
+class TestBoundedSearchCounts:
+    """The positions `explorable --max-k` explores on the paper's families
+    at their token counts, summed over its rounds, and the letter-player
+    positions of a_k's won round at k: a move order that piles the tokens
+    first, or a memo that changes the moves, changes them."""
+
+    CASES = {"ak4": (gen_ak(4), 4, 158), "ak5": (gen_ak(5), 5, 432),
+             "ak6": (gen_ak(6), 6, 1384), "bk2": (gen_bk(2), 4, 90),
+             "bk3": (gen_bk(3), 8, 463), "c": (gen_c(), 6, 146)}
+
+    @pytest.mark.parametrize("name", list(CASES))
+    def test_explored_positions(self, monkeypatch, name):
+        import explora.explorability as ex
+        a, kmax, explored = self.CASES[name]
+        rounds = []  # (k, result) of every round played
+
+        def recording(a, monitor, k):
+            rounds.append((k, _solve_finite_game(a, monitor, k)))
+            return rounds[-1][1]
+
+        monkeypatch.setattr(ex, "_solve_finite_game", recording)
+        verdict = explorability_bounded(a, kmax)
+        assert [k for k, _ in rounds] == list(range(1, verdict.k + 1))
+        assert sum(_explored(lost, current) for _, (_, lost, current) in rounds) == explored
+        if name.startswith("ak"):
+            k, (won, lost, _) = rounds[-1]
+            assert won and k == kmax and len(lost) == 4
 
 
 def _token_strategy_mutants():

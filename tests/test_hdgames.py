@@ -8,7 +8,7 @@ from explora.automata import Automaton, complete, is_deterministic
 from explora.errors import ChannelBudgetExceeded, UnverifiedExplorability
 from explora.explorability import is_k_explorable
 from explora.games import solve
-from explora.generators import gen_c, gen_fig4, random_automaton
+from explora.generators import gen_ak, gen_c, gen_fig4, random_automaton
 from explora.hdgames import (ADAM, EVE, build_token_game, g2_winner,
                              is_hd_assuming_explorable, is_hd_exact)
 from explora.textio import format_automaton
@@ -111,6 +111,20 @@ class TestHdAssumingExplorable:
     def test_unchecked_bypasses(self):
         result = is_hd_assuming_explorable(gen_fig4("left"), unchecked=True)
         assert result in (True, False)
+
+    @pytest.mark.parametrize("k_witness, user_monitor", [(0, True), (0, False), (None, True)],
+                             ids=["both", "witness", "monitor"])
+    def test_unchecked_refuses_recheck_arguments(self, k_witness, user_monitor):
+        # a token count and a monitor serve only the re-check that
+        # unchecked=True skips, so they are refused rather than ignored:
+        # 0 is no token count and ak2 is a finite-word automaton
+        a = random_automaton(Random(25), 3, "ab", "cobuchi")
+        with pytest.raises(ValueError, match="^--via-g2 --unchecked takes no --witness-k "
+                                             "or --monitor: they serve only the "
+                                             "explorability re-check it skips$"):
+            is_hd_assuming_explorable(a, k_witness=k_witness,
+                                      user_monitor=gen_ak(2) if user_monitor else None,
+                                      unchecked=True)
 
     def test_agrees_with_exact_on_explorable(self):
         for a in automaton_corpus(63, 8, 3, ["a", "b"], "cobuchi"):
