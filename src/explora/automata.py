@@ -125,6 +125,23 @@ class Automaton(_TransitionTable):
         return frozenset(d for q in states for d, _ in delta.get((q, letter), ()))
 
     @cached_property
+    def successor_masks(self) -> dict[str, tuple[tuple[int, ...], tuple[int, ...]]]:
+        """letter -> (every, safe): per state q, the bitmask of q's successors
+        on that letter over all transitions, and over the rank-0 ones only.
+        `post_mask` reads a state set's successors off one of the two rows."""
+        n = self.num_states
+        rows = {letter: ([0] * n, [0] * n) for letter in self.alphabet}
+        for (q, letter), succ in self.delta.items():
+            every = safe = 0
+            for d, rank in succ:
+                every |= 1 << d
+                if rank == 0:
+                    safe |= 1 << d
+            row = rows[letter]
+            row[0][q], row[1][q] = every, safe
+        return {letter: (tuple(every), tuple(safe)) for letter, (every, safe) in rows.items()}
+
+    @cached_property
     def lasso_view(self) -> "LassoView":
         """The table `member_lasso` reads, built once per automaton from its
         `canonical_parity` form."""
@@ -196,6 +213,31 @@ class LassoWord:
 class EquivalenceVerdict:
     equivalent: bool
     counterexample: Union[LassoWord, tuple[str, ...], None] = None
+
+
+# ---------------------------------------------------------------------------
+# state sets as bitmasks: bit q of a mask is set iff state q is in the set
+
+
+def post_mask(row: Sequence[int], mask: int) -> int:
+    """The OR of row[q] over the set bits q of `mask`: with a row of
+    `Automaton.successor_masks`, the successors of a state set on a letter."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= row[low.bit_length() - 1]
+        mask ^= low
+    return out
+
+
+def mask_states(mask: int) -> frozenset[int]:
+    """The set of states whose bits `mask` sets."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return frozenset(out)
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,15 @@ transition by transition (translation validation), which proves L(M) = L(A);
 it keeps the labels in `Monitor.labels`.  A user monitor carries no labels:
 L(A) <= L(M) is checked exactly by a product check, and L(M) <= L(A) by the
 bounded lasso oracle only.
+
+Both constructions and both label checks hold every state set as an int
+bitmask over A's states (bit q for state q), and step it with
+`automata.post_mask` on the rows of `Automaton.successor_masks`: every
+transition's successors for S, the rank-0 ones for a breakpoint's B.  The
+builders intern masks, which are equal exactly when the sets are, so the
+monitor's numbering is that of interning the sets; each label becomes a
+frozenset once, at the end.  A check reads the labels it is given back into
+masks once, and refuses a label that is not a set of A's states.
 """
 
 from __future__ import annotations
@@ -25,7 +34,8 @@ from typing import Optional
 from . import config
 from .automata import (Automaton, AnyAutomaton, LassoWord, Transition,
                        canonical_parity, equivalent_on_lassos, explore_graph,
-                       is_deterministic, parity_cycle, ranked_01, shortest_path)
+                       is_deterministic, mask_states, parity_cycle, post_mask,
+                       ranked_01, shortest_path)
 from .errors import MissingMonitor, MonitorCheckFailed, MonitorMismatch
 
 
@@ -42,15 +52,17 @@ class Monitor:
         return self.automaton.condition == "finite"
 
 
-def _check_labels(monitor: Automaton, condition, labels, initial, step_ok) -> None:
+def _check_labels(a: Automaton, monitor: Automaton, condition, labels, initial,
+                  step_ok) -> None:
     """Raise `MonitorCheckFailed` unless the monitor is deterministic and
-    complete, its condition tag and rank range are `condition`, state 0 is
-    initial and labelled `initial`, and `step_ok(t)` holds for every
-    transition t."""
-    if not (is_deterministic(monitor)
+    complete over A's alphabet, its condition tag and rank range are
+    `condition`, state 0 is initial and labelled `initial`, and `step_ok(t)`
+    holds for every transition t."""
+    if not (is_deterministic(monitor) and set(monitor.alphabet) == set(a.alphabet)
             and (monitor.condition, monitor.rank_range) == condition):
         raise MonitorCheckFailed(f"{monitor.name} is not a deterministic and complete "
-                                 f"{condition[0]} automaton on ranks {condition[1]}")
+                                 f"{condition[0]} automaton on ranks {condition[1]} "
+                                 f"over the alphabet of {a.name}")
     if not (monitor.initial == 0 and labels and labels[0] == initial
             and all(step_ok(t) for t in monitor.transitions)):
         raise MonitorCheckFailed(f"{monitor.name} does not match its state labels")
@@ -91,28 +103,54 @@ def _subset(a: Automaton) -> tuple[Automaton, list]:
     """The subset monitor and the state subset labelling each of its states."""
     if a.condition != "finite":
         raise ValueError("subset_construction needs a finite-acceptance automaton")
+    rows = [(letter, every) for letter, (every, _) in a.successor_masks.items()]
     order, edges = explore_graph(
-        [frozenset({a.initial})],
-        lambda s: [(a.post(s, letter), letter) for letter in a.alphabet])
+        [1 << a.initial], lambda s: [(post_mask(every, s), letter) for letter, every in rows])
     transitions = [Transition(src, letter, dst, 0)
                    for src, out in enumerate(edges) for dst, letter in out]
     # no size check: the interned keys are distinct subsets of A's states
-    accepting = frozenset(i for i, s in enumerate(order) if s & a.accepting)
+    accepting_mask = sum(1 << q for q in a.accepting)
+    accepting = frozenset(i for i, s in enumerate(order) if s & accepting_mask)
     monitor = Automaton.build(
         f"subset({a.name})", a.alphabet, len(order), 0, "finite",
         transitions, accepting)
-    return monitor, order
+    return monitor, [mask_states(s) for s in order]
+
+
+def _label_masks(a: Automaton, monitor: Automaton, labels, pairs: bool) -> list:
+    """The labels with each state set as a bitmask over A's states; raise
+    `MonitorCheckFailed` if a label is not a set of A's states, or not a
+    pair of them when `pairs`."""
+    bits = {q: 1 << q for q in range(a.num_states)}
+
+    def mask(states):
+        out = 0
+        for q in states:
+            out |= bits[q]
+        return out
+
+    try:
+        return [(mask(s), mask(b)) for s, b in labels] if pairs else list(map(mask, labels))
+    except (KeyError, TypeError, ValueError):
+        raise MonitorCheckFailed(f"{monitor.name} has a state label that is not "
+                                 f"{'a pair of sets' if pairs else 'a set'} "
+                                 f"of {a.name}'s states") from None
 
 
 def _check_subset(a: Automaton, monitor: Automaton, labels) -> None:
     """The state M reaches on a word is labelled with the set of states A
     reaches on it (by induction on the word, from the initial label {q0} and
     S' = post(S, x) on every transition), and a state accepts iff its label
-    meets A's accepting states; so M and A accept the same finite words."""
-    _check_labels(monitor, ("finite", (0, 0)), labels, {a.initial},
-                  lambda t: labels[t.dst] == a.post(labels[t.src], t.letter))
-    if any((i in monitor.accepting) != bool(s & a.accepting)
-           for i, s in enumerate(labels)):
+    meets A's accepting states; so M and A accept the same finite words.
+
+    The labels are read once into bitmasks over A's states, and post(S, x)
+    is `post_mask` on A's all-rank successor rows for x."""
+    masks = _label_masks(a, monitor, labels, False)
+    rows = a.successor_masks
+    _check_labels(a, monitor, ("finite", (0, 0)), masks, 1 << a.initial,
+                  lambda t: masks[t.dst] == post_mask(rows[t.letter][0], masks[t.src]))
+    accepting = sum(1 << q for q in a.accepting)
+    if any((i in monitor.accepting) != bool(s & accepting) for i, s in enumerate(masks)):
         raise MonitorCheckFailed(f"{monitor.name} accepts off its state labels")
 
 
@@ -126,16 +164,16 @@ def subset_construction(a: Automaton) -> Monitor:
 def _breakpoint(a: Automaton) -> tuple[Automaton, list]:
     """The breakpoint monitor of a parity automaton ranked in [0, 1], and the
     (S, B) pair labelling each state."""
+    rows = list(a.successor_masks.items())
 
     def expand(pair):
         s, b = pair
-        for letter in a.alphabet:
-            s2 = a.post(s, letter)
-            safe = frozenset(
-                d for q in b for d, rank in a.successors(q, letter) if rank == 0)
+        for letter, (every, safe_rows) in rows:
+            s2 = post_mask(every, s)
+            safe = post_mask(safe_rows, b)
             yield ((s2, safe), (letter, 0)) if safe else ((s2, s2), (letter, 1))
 
-    start = frozenset({a.initial})
+    start = 1 << a.initial
     order, edges = explore_graph([(start, start)], expand)
     transitions = [Transition(src, letter, dst, rank)
                    for src, out in enumerate(edges) for dst, (letter, rank) in out]
@@ -143,7 +181,7 @@ def _breakpoint(a: Automaton) -> tuple[Automaton, list]:
     monitor = Automaton.build(
         f"breakpoint({a.name})", a.alphabet, len(order), 0, "parity",
         transitions, parity=(0, 1))
-    return monitor, order
+    return monitor, [(mask_states(s), mask_states(b)) for s, b in order]
 
 
 def _check_breakpoint(a: Automaton, monitor: Automaton, labels) -> None:
@@ -175,22 +213,27 @@ def _check_breakpoint(a: Automaton, monitor: Automaton, labels) -> None:
     is nonempty, the check forces M's step to rank 0, and B' = post0(B, x)
     contains rho's next state again.  So M takes finitely many rank-1
     transitions, and accepts w.
+
+    The labels are read once into pairs of bitmasks over A's states;
+    post(S, x) and post0(B, x) are `post_mask` on A's all-rank and rank-0
+    successor rows for x.
     """
-    delta = a.delta
+    masks = _label_masks(a, monitor, labels, True)
+    rows = a.successor_masks
 
     def step_ok(t):
-        s, b = labels[t.src]
-        s2, b2 = labels[t.dst]
-        safe = frozenset(d for q in b for d, rank in delta.get((q, t.letter), ())
-                         if rank == 0)
-        if s2 != a.post(s, t.letter):
+        s, b = masks[t.src]
+        s2, b2 = masks[t.dst]
+        every, safe_rows = rows[t.letter]
+        if s2 != post_mask(every, s):
             return False
+        safe = post_mask(safe_rows, b)
         if t.rank == 0:
-            return bool(safe) and b2 == safe
+            return safe != 0 and b2 == safe
         return t.rank == 1 and not safe and b2 == s2
 
-    start = frozenset({a.initial})
-    _check_labels(monitor, ("parity", (0, 1)), labels, (start, start), step_ok)
+    start = 1 << a.initial
+    _check_labels(a, monitor, ("parity", (0, 1)), masks, (start, start), step_ok)
 
 
 def breakpoint_construction(a: Automaton) -> Monitor:

@@ -80,7 +80,7 @@ from typing import Optional
 
 from . import config
 from .automata import (Automaton, AnyAutomaton, canonical_parity, complete,
-                       explore_graph)
+                       explore_graph, post_mask)
 from .constructions import power_channels, union_power
 from .determinize import Monitor, resolve_monitor, subset_construction
 from .errors import NonSinkTarget, ReductionCheckFailed, SolverCheckFailed
@@ -456,20 +456,23 @@ def pcp_reduce(a: Automaton) -> PCPInstance:
     a = complete(a)
     test = _fresh_letter(a.alphabet, "a_test")
 
-    def expand(pair):
+    rows = a.successor_masks
+
+    def expand(pair):  # the reachable set as a bitmask over A's states
         p, reach = pair
         for letter in a.alphabet:
-            reach2 = a.post(reach, letter)
+            reach2 = post_mask(rows[letter][0], reach)
             for q, _ in a.successors(p, letter):
                 yield (q, reach2), letter
 
-    order, edges = explore_graph([(a.initial, frozenset({a.initial}))], expand)
+    order, edges = explore_graph([(a.initial, 1 << a.initial)], expand)
     transitions = [(src, letter, dst, 0)
                    for src, out in enumerate(edges) for dst, letter in out]
     target = len(order)
     dead = target + 1
+    accepting = sum(1 << q for q in a.accepting)
     for i, (p, reach) in enumerate(order):
-        hit = p not in a.accepting and bool(reach & a.accepting)
+        hit = p not in a.accepting and bool(reach & accepting)
         transitions.append((i, test, target if hit else dead, 0))
     for sink in (target, dead):
         for letter in list(a.alphabet) + [test]:

@@ -15,9 +15,10 @@ from typing import Iterator, Optional
 
 from explora import config
 from explora.automata import (AnyAutomaton, Automaton, EquivalenceVerdict,
-                              LassoWord, MultiAutomaton, canonical_parity,
-                              complete, explore_graph, iter_lassos,
-                              member_finite, member_lasso, ranked_01)
+                              LassoWord, MultiAutomaton, Transition,
+                              canonical_parity, complete, explore_graph,
+                              iter_lassos, member_finite, member_lasso,
+                              ranked_01)
 from explora.determinize import Monitor, breakpoint_construction, resolve_monitor
 from explora.errors import MonitorCheckFailed, SolverCheckFailed
 from explora.games import (Arena, Color, ConditionAutomaton, MaxEvenParity,
@@ -521,6 +522,44 @@ def build_breakpoint_game_reference(a, monitor: Monitor, k: int):
         labels=tuple(order),
     )
     return arena, MaxEvenParity(0)
+
+
+def subset_reference(a: Automaton) -> tuple[Automaton, list]:
+    """`determinize._subset` on frozensets: each subset is interned as
+    itself and stepped with ``post``."""
+    order, edges = explore_graph(
+        [frozenset({a.initial})],
+        lambda s: [(a.post(s, letter), letter) for letter in a.alphabet])
+    transitions = [Transition(src, letter, dst, 0)
+                   for src, out in enumerate(edges) for dst, letter in out]
+    accepting = frozenset(i for i, s in enumerate(order) if s & a.accepting)
+    monitor = Automaton.build(
+        f"subset({a.name})", a.alphabet, len(order), 0, "finite",
+        transitions, accepting)
+    return monitor, order
+
+
+def breakpoint_reference(a: Automaton) -> tuple[Automaton, list]:
+    """`determinize._breakpoint` on frozensets: each (S, B) pair is
+    interned as itself, S stepped with ``post`` and B along the rank-0
+    successors read off ``successors``."""
+
+    def expand(pair):
+        s, b = pair
+        for letter in a.alphabet:
+            s2 = a.post(s, letter)
+            safe = frozenset(
+                d for q in b for d, rank in a.successors(q, letter) if rank == 0)
+            yield ((s2, safe), (letter, 0)) if safe else ((s2, s2), (letter, 1))
+
+    start = frozenset({a.initial})
+    order, edges = explore_graph([(start, start)], expand)
+    transitions = [Transition(src, letter, dst, rank)
+                   for src, out in enumerate(edges) for dst, (letter, rank) in out]
+    monitor = Automaton.build(
+        f"breakpoint({a.name})", a.alphabet, len(order), 0, "parity",
+        transitions, parity=(0, 1))
+    return monitor, order
 
 
 def build_elimination_game_reference(a: Automaton) -> Arena:

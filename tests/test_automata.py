@@ -9,8 +9,8 @@ from explora.automata import (Automaton, LassoWord, MultiAutomaton,
                               _member_product, _member_run,
                               canonical_parity, complete, equivalent_on_lassos,
                               parity_cycle, is_complete, is_deterministic,
-                              iter_lassos, member_finite, member_lasso,
-                              shortest_path)
+                              iter_lassos, mask_states, member_finite,
+                              member_lasso, post_mask, shortest_path)
 from explora.determinize import breakpoint_construction
 from explora.generators import gen_ak, gen_bk, gen_c, gen_fig4, random_automaton
 
@@ -260,8 +260,8 @@ def test_direct_run_agrees_with_product_path(a):
 
 def test_lasso_view_is_cached_and_leaves_equality_alone():
     a, b = gen_fig4("right"), gen_fig4("right")
-    view = a.lasso_view
-    assert a.lasso_view is view
+    view, masks = a.lasso_view, a.successor_masks
+    assert a.lasso_view is view and a.successor_masks is masks
     assert a == b and hash(a) == hash(b)
     assert {a: 1}[b] == 1
     m, m2 = (MultiAutomaton("m", ("a",), 1, 0, ((0, 1), (1, 2)),
@@ -269,6 +269,60 @@ def test_lasso_view_is_cached_and_leaves_equality_alone():
              for _ in range(2))
     assert m.lasso_view.deterministic
     assert m == m2 and hash(m) == hash(m2)
+
+
+class TestSuccessorMasks:
+    """`post_mask` on the rows of `Automaton.successor_masks`, pinned to
+    `Automaton.post` and to the rank-0 successors read off `delta`."""
+
+    @staticmethod
+    def sources():
+        """Random finite automata and random automata of every condition
+        `ranked_01` admits, every other one partial."""
+        rng, out = Random(17), []
+        for i in range(100):
+            condition = ("finite", "safety", "cobuchi", "reachability", "parity")[i % 5]
+            a = random_automaton(rng, rng.randint(1, 7), "abcd"[:rng.randint(1, 4)], condition,
+                                 max_branch=3, parity=(0, 1) if condition == "parity" else None)
+            if i % 2:
+                a = replace(a, transitions=frozenset(t for t in sorted(a.transitions)
+                                                     if rng.random() < 0.6))
+            out.append(a)
+        return out
+
+    @staticmethod
+    def forms(a):
+        """`a` with the sinks that `complete` and `canonical_parity` add."""
+        if not a.is_infinite:
+            return [a, complete(a)]
+        return [a, complete(a), canonical_parity(a), canonical_parity(complete(a))]
+
+    def test_rows_step_every_state_set_like_post(self):
+        rng, sets = Random(18), 0
+        for a in (b for a in self.sources() for b in self.forms(a)):
+            rows = a.successor_masks
+            assert list(rows) == list(a.alphabet)
+            states = range(a.num_states)
+            subsets = [frozenset(), frozenset(states)] + [
+                frozenset(q for q in states if rng.random() < 0.4) for _ in range(6)]
+            for letter, (every, safe) in rows.items():
+                assert len(every) == len(safe) == a.num_states
+                for s in subsets:
+                    mask = sum(1 << q for q in s)
+                    assert mask_states(mask) == s
+                    assert mask_states(post_mask(every, mask)) == a.post(s, letter)
+                    assert mask_states(post_mask(safe, mask)) == {
+                        d for q in s for d, rank in a.delta.get((q, letter), ()) if rank == 0}
+                    sets += 1
+        assert sets > 5_000
+
+    def test_sources_cover_sinks_and_partial_inputs(self):
+        sources = self.sources()
+        assert {a.condition for a in sources} == {"finite", "safety", "cobuchi",
+                                                  "reachability", "parity"}
+        assert any(not is_complete(a) for a in sources)
+        # an input with both sinks: its own states, plus one, plus two
+        assert any(len({b.num_states for b in self.forms(a)}) == 3 for a in sources)
 
 
 def simulate_deterministic(a, w):

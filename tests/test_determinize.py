@@ -6,16 +6,20 @@ from hypothesis import given, settings, strategies as st
 
 import explora.determinize as det
 from explora import config
-from explora.automata import (Automaton, LassoWord, canonical_parity,
+from explora.automata import (Automaton, LassoWord, canonical_parity, complete,
                               equivalent_on_lassos, is_complete, is_deterministic,
                               member_finite, member_lasso)
 from explora.determinize import (breakpoint_construction,
                                  resolve_monitor, subset_construction)
 from explora.errors import MissingMonitor, MonitorCheckFailed, MonitorMismatch
-from explora.generators import atm_reduce, gen_ak, gen_c, gen_fig4, random_automaton
+from explora.generators import (atm_reduce, gen_ak, gen_bk, gen_c, gen_fig4,
+                                random_automaton)
 
 from conftest import ATM_CORPUS, automaton_corpus, run_optimized, shifted_cob3
-from reference import equivalent_on_all_lassos, equivalent_on_words, iter_words
+from reference import (breakpoint_reference, equivalent_on_all_lassos,
+                       equivalent_on_words, iter_words, subset_reference)
+from test_explorability import (_breakpoint_game_corpus, _finite_game_corpus,
+                                _ranked_01_corpus)
 
 # a deterministic Buchi automaton, which monitors itself as a user monitor
 DET_BUCHI = Automaton.build("db", ["a", "b"], 2, 0, "buchi",
@@ -149,6 +153,127 @@ except MonitorCheckFailed:
 sys.exit(5)
 """)
         assert done.returncode == 0, done.stderr
+
+    @pytest.mark.parametrize("build, check, source", [
+        ("_subset", "_check_subset", "gen_ak(2)"),
+        ("_breakpoint", "_check_breakpoint", "canonical_parity(gen_fig4('left'))"),
+    ], ids=["subset", "breakpoint"])
+    def test_redirected_edge_raises_under_optimize(self, build, check, source):
+        # interned labels are distinct, so a transition redirected to any
+        # other state enters a label that its source's label does not step to
+        done = run_optimized(f"""
+import sys
+from dataclasses import replace
+import explora.determinize as det
+from explora.automata import canonical_parity
+from explora.errors import MonitorCheckFailed
+from explora.generators import gen_ak, gen_fig4
+a = {source}
+monitor, labels = det.{build}(a)
+det.{check}(a, monitor, labels)
+t = max(monitor.transitions)
+mutant = replace(monitor, transitions=monitor.transitions - {{t}} | {{
+    t._replace(dst=(t.dst + 1) % monitor.num_states)}})
+try:
+    det.{check}(a, mutant, labels)
+except MonitorCheckFailed:
+    sys.exit(0 if not __debug__ and monitor.num_states > 1 else 4)
+sys.exit(5)
+""")
+        assert done.returncode == 0, done.stderr
+
+    @pytest.mark.parametrize("build, check, source, labels", [
+        (det._subset, det._check_subset, gen_ak(2), [{0}, {1, 2}, {-1}, {3}]),
+        (det._subset, det._check_subset, gen_ak(2), [{0}, {1, 2}, None, {3}]),
+        (det._breakpoint, det._check_breakpoint, canonical_parity(gen_fig4("left")),
+         [({0}, {0})] * 5),
+        (det._breakpoint, det._check_breakpoint, canonical_parity(gen_fig4("left")),
+         [{0}] * 5),
+    ], ids=["subset-foreign-state", "subset-not-a-set", "breakpoint-repeated",
+            "breakpoint-not-a-pair"])
+    def test_malformed_labels_refused(self, build, check, source, labels):
+        monitor, _ = build(source)
+        with pytest.raises(MonitorCheckFailed):
+            check(source, monitor, labels)
+
+    def test_monitor_over_another_alphabet_refused(self):
+        # a monitor complete over a letter fewer never reads the words with
+        # that letter, so it cannot have A's language
+        a = gen_ak(2)
+        monitor, labels = det._subset(a)
+        dropped = a.alphabet[-1]
+        fewer = Automaton.build(monitor.name, a.alphabet[:-1], monitor.num_states, 0,
+                                "finite", [t for t in monitor.transitions
+                                           if t.letter != dropped], monitor.accepting)
+        with pytest.raises(MonitorCheckFailed, match="alphabet"):
+            det._check_subset(a, fewer, labels)
+        a = canonical_parity(gen_fig4("left"))
+        monitor, labels = det._breakpoint(a)
+        more = Automaton.build(monitor.name, a.alphabet + ("z",), monitor.num_states, 0,
+                               "parity", list(monitor.transitions) + [
+                                   (i, "z", i, 1) for i in range(monitor.num_states)],
+                               parity=(0, 1))
+        with pytest.raises(MonitorCheckFailed, match="alphabet"):
+            det._check_breakpoint(a, more, labels)
+
+
+def _random_sources(seed: int, count: int):
+    """`count` seeded random automata of 1-10 states over 1-4 letters, with
+    1-3 successors per state and letter: finite, safety, coBuchi,
+    reachability and parity [0, 1] in turn, every other one partial."""
+    rng, out = Random(seed), []
+    for i in range(count):
+        condition = ("finite", "safety", "cobuchi", "reachability", "parity")[i % 5]
+        a = random_automaton(rng, rng.randint(1, 10), "abcd"[:rng.randint(1, 4)], condition,
+                             max_branch=rng.randint(1, 3),
+                             parity=(0, 1) if condition == "parity" else None)
+        if i % 2:
+            a = replace(a, transitions=frozenset(t for t in sorted(a.transitions)
+                                                 if rng.random() < 0.7))
+        out.append(a)
+    return out
+
+
+class TestMaskBuildersMatchReference:
+    """The builders intern bitmasks; `reference.subset_reference` and
+    `breakpoint_reference` intern the frozensets themselves.  The interned
+    keys are equal exactly when the sets are, so the two number the monitor
+    states alike: the same transitions, accepting states and labels, in the
+    same order."""
+
+    @staticmethod
+    def sources():
+        corpus = [gen_ak(n) for n in (2, 3, 4)] + [gen_bk(n) for n in (1, 2)] + \
+            [gen_c(), gen_fig4("left"), gen_fig4("right")]
+        corpus += [a for _, a, _ in _finite_game_corpus()[::3]]
+        corpus += [a for _, a, _ in _breakpoint_game_corpus()[::3]]
+        corpus += [a for _, a in _ranked_01_corpus()]
+        corpus += [atm_reduce(machine, word) for _, machine, word, _ in ATM_CORPUS]
+        for seed, count, n, condition in [
+                (31, 6, 4, "finite"), (32, 4, 3, "finite"), (41, 12, 4, "cobuchi"),
+                (33, 4, 3, "cobuchi"), (79, 20, 4, "safety"), (201, 5, 3, "reachability")]:
+            corpus += automaton_corpus(seed, count, n, ["a", "b"], condition)
+        return corpus + _random_sources(32, 320)
+
+    def test_same_monitor_and_labels(self):
+        built = {"finite": 0, "breakpoint": 0}
+        for a in self.sources():
+            for source in ([a, complete(a)] if a.condition == "finite"
+                           else [canonical_parity(a), canonical_parity(complete(a))]):
+                if source.condition == "finite":
+                    assert det._subset(source) == subset_reference(source), source
+                    built["finite"] += 1
+                else:
+                    assert det._breakpoint(source) == breakpoint_reference(source), source
+                    built["breakpoint"] += 1
+        assert built == {"finite": 198, "breakpoint": 1084}
+
+    def test_sources_cover_large_monitors_and_every_kind(self):
+        sources = _random_sources(32, 320)
+        assert {(a.condition, a.num_states, len(a.alphabet)) for a in sources} >= {
+            ("finite", 10, 4), ("parity", 1, 1)}
+        assert max(det._subset(a)[0].num_states for a in sources
+                   if a.condition == "finite") > 100
 
 
 # -- mutants of built monitors -------------------------------------------------

@@ -1,3 +1,5 @@
+import sys
+from collections import Counter
 from dataclasses import replace
 from random import Random
 
@@ -46,17 +48,26 @@ class TestEliminationGame:
 
     def test_no_support_step_after_the_monitor(self, monkeypatch):
         # the support is the S of the monitor state's label, so once the
-        # breakpoint monitor is built and checked the game calls no `post`
-        built, calls = [], []
-        real_monitor, real_post = omega.breakpoint_construction, Automaton.post
+        # breakpoint monitor is built and checked the game steps no state
+        # set: neither the kernel `post_mask`, which the monitor's build and
+        # check step every state set with, nor `post` is called again
+        built, calls = [], Counter()
+        real_monitor = omega.breakpoint_construction
         monkeypatch.setattr(omega, "breakpoint_construction",
                             lambda a: built.append(real_monitor(a)) or built[-1])
-        monkeypatch.setattr(Automaton, "post", lambda self, *args:
-                            (built and calls.append(args)) or real_post(self, *args))
+
+        def counted(real):
+            return lambda *args: calls.update(["game" if built else "monitor"]) or real(*args)
+
+        monkeypatch.setattr(Automaton, "post", counted(Automaton.post))
+        for module in [m for name, m in sys.modules.items() if name.startswith("explora")]:
+            if hasattr(module, "post_mask"):
+                monkeypatch.setattr(module, "post_mask", counted(module.post_mask))
         for a in [gen_fig4("left"), atm_reduce(*ATM_CORPUS[0][1:3])]:
             built.clear()
+            calls.clear()
             build_elimination_game(a)
-            assert len(built) == 1 and calls == []
+            assert len(built) == 1 and calls["game"] == 0 and calls["monitor"] > 0
 
     def test_deterministic_cobuchi_corpus_is_omega_explorable(self):
         for a in automaton_corpus(71, 8, 3, ["a", "b"], "cobuchi", max_branch=1):
